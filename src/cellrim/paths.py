@@ -15,6 +15,7 @@ are exactly the diagrams this package feeds to the form classifier.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -117,10 +118,13 @@ def subsequence_type(D: Diagram) -> tuple[int, ...]:
     """The partition whose k-th prefix sum is the maximum size of a
     k-path in the diagram.
 
-    Computed as a unit-capacity minimum-cost flow over the node poset
-    ((a, b) precedes (a', b') iff a < a' and b <= b'): each successive
-    augmentation adds one constituent and its cost is the negated gain
-    in covered nodes, so the gains are automatically non-increasing.
+    Read the row indices of the nodes column by column, left to right,
+    and top to bottom within each column.  A path is then exactly a
+    strictly increasing subsequence of this word, so by Greene's theorem
+    (C. Greene, *An extension of Schensted's theorem*, Adv. Math. 14,
+    1974) the type is the shape of the word under row insertion that
+    keeps rows strictly increasing: each entry x bumps the leftmost
+    entry >= x of the row it enters.
 
     >>> from .diagrams import young_diagram, Diagram
     >>> subsequence_type(young_diagram((3,)))
@@ -130,55 +134,17 @@ def subsequence_type(D: Diagram) -> tuple[int, ...]:
     >>> subsequence_type(young_diagram((2, 2)))
     (2, 2)
     """
-    nodes = D.sorted_nodes
-    n = len(nodes)
-    source, sink = 2 * n, 2 * n + 1
-    residual: dict[tuple[int, int], int] = {}
-    cost: dict[tuple[int, int], int] = {}
-    neighbours: dict[int, list[int]] = defaultdict(list)
-
-    def add_arc(x: int, y: int, c: int) -> None:
-        residual[x, y] = 1
-        residual[y, x] = 0
-        cost[x, y] = c
-        cost[y, x] = -c
-        neighbours[x].append(y)
-        neighbours[y].append(x)
-
-    for i in range(n):
-        add_arc(source, i, 0)
-        add_arc(i, n + i, -1)
-        add_arc(n + i, sink, 0)
-    for i, (a, b) in enumerate(nodes):
-        for j, (a2, b2) in enumerate(nodes):
-            if a < a2 and b <= b2:
-                add_arc(n + i, j, 0)
-
-    parts = []
-    while True:
-        dist = {source: 0}
-        parent: dict[int, int] = {}
-        for _ in range(2 * n + 2):
-            changed = False
-            for x in list(dist):
-                for y in neighbours[x]:
-                    if residual[x, y] > 0:
-                        d = dist[x] + cost[x, y]
-                        if d < dist.get(y, d + 1):
-                            dist[y] = d
-                            parent[y] = x
-                            changed = True
-            if not changed:
+    rows: list[list[int]] = []
+    for _, x in sorted((b, a) for a, b in D.nodes):
+        for row in rows:
+            k = bisect_left(row, x)
+            if k == len(row):
+                row.append(x)
                 break
-        if dist.get(sink, 0) >= 0:
-            return tuple(parts)
-        parts.append(-dist[sink])
-        y = sink
-        while y != source:
-            x = parent[y]
-            residual[x, y] -= 1
-            residual[y, x] += 1
-            y = x
+            row[k], x = x, row[k]
+        else:
+            rows.append([x])
+    return tuple(len(row) for row in rows)
 
 
 def is_admissible(D: Diagram) -> bool:

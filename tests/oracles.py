@@ -10,6 +10,7 @@ compose left to right, so ``compose(a, b)[k-1]`` is the image of ``k`` under
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from functools import lru_cache
 
 # ---------------------------------------------------------------------------
@@ -289,6 +290,69 @@ def subsequence_type_by_search(
         gains.append(cur - prev)
         prev = cur
     return tuple(gains)
+
+
+def subsequence_type_by_flow(
+    nodes: frozenset[tuple[int, int]]
+) -> tuple[int, ...]:
+    """Successive gains of best k-chain-family sizes, by min-cost flow.
+
+    A unit-capacity minimum-cost flow over the node poset ((a, b)
+    precedes (a', b') iff a < a' and b <= b'), augmented along shortest
+    paths found by Bellman-Ford: each successive augmentation adds one
+    chain and its cost is the negated gain in covered nodes, so the gains
+    are automatically non-increasing.  Polynomial, so it reaches diagrams
+    far beyond the backtracking search.
+    """
+    nodes = sorted(nodes)
+    n = len(nodes)
+    source, sink = 2 * n, 2 * n + 1
+    residual: dict[tuple[int, int], int] = {}
+    cost: dict[tuple[int, int], int] = {}
+    neighbours: dict[int, list[int]] = defaultdict(list)
+
+    def add_arc(x: int, y: int, c: int) -> None:
+        residual[x, y] = 1
+        residual[y, x] = 0
+        cost[x, y] = c
+        cost[y, x] = -c
+        neighbours[x].append(y)
+        neighbours[y].append(x)
+
+    for i in range(n):
+        add_arc(source, i, 0)
+        add_arc(i, n + i, -1)
+        add_arc(n + i, sink, 0)
+    for i, (a, b) in enumerate(nodes):
+        for j, (a2, b2) in enumerate(nodes):
+            if a < a2 and b <= b2:
+                add_arc(n + i, j, 0)
+
+    parts = []
+    while True:
+        dist = {source: 0}
+        parent: dict[int, int] = {}
+        for _ in range(2 * n + 2):
+            changed = False
+            for x in list(dist):
+                for y in neighbours[x]:
+                    if residual[x, y] > 0:
+                        d = dist[x] + cost[x, y]
+                        if d < dist.get(y, d + 1):
+                            dist[y] = d
+                            parent[y] = x
+                            changed = True
+            if not changed:
+                break
+        if dist.get(sink, 0) >= 0:
+            return tuple(parts)
+        parts.append(-dist[sink])
+        y = sink
+        while y != source:
+            x = parent[y]
+            residual[x, y] -= 1
+            residual[y, x] += 1
+            y = x
 
 
 def best_ordered_cover(

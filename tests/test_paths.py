@@ -17,6 +17,7 @@ from cellrim.diagrams import (
     is_standard,
     min_column_diagram,
     psi_append,
+    rotate_180,
     row_filling,
     young_diagram,
 )
@@ -57,6 +58,9 @@ CORPUS = box_diagrams(3, 3)
 
 node_sets = st.frozensets(
     st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=7
+)
+large_node_sets = st.frozensets(
+    st.tuples(st.integers(1, 7), st.integers(1, 7)), min_size=1, max_size=30
 )
 
 
@@ -204,6 +208,34 @@ class TestSubsequenceType:
         assert subsequence_type(D) == oracles.subsequence_type_by_search(
             D.nodes
         )
+
+    def test_agrees_with_flow_on_every_box_diagram(self):
+        for D in box_diagrams(3, 4) + box_diagrams(4, 3):
+            assert subsequence_type(D) == oracles.subsequence_type_by_flow(
+                D.nodes
+            ), D
+
+    @settings(max_examples=100, deadline=None)
+    @given(large_node_sets)
+    def test_large_random_diagrams_match_flow(self, nodes):
+        D = Diagram(nodes)
+        assert subsequence_type(D) == oracles.subsequence_type_by_flow(
+            D.nodes
+        )
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            ([(1,), (1,)], (2,)),
+            ([(1, 2, 3), (1,)], (2, 1, 1)),
+        ],
+    )
+    def test_reading_order_and_strict_insertion(self, rows, expected):
+        # A column read bottom to top, or a bump of the leftmost entry > x,
+        # yields the weak-chain type on these diagrams.
+        D = Diagram.from_rows(rows)
+        assert subsequence_type(D) == expected
+        assert subsequence_type(rotate_180(D)) == expected
 
 
 class TestAdmissible:
