@@ -300,7 +300,7 @@ def _verify_oracle(args: argparse.Namespace) -> tuple[dict, list[str]]:
     for offset in range(1, args.spots + 1):
         degree = bound + offset
         lam = rng.choice(list(compositions_of(degree)))
-        z_ideal(lam, limit=degree)
+        z_ideal(lam)
         spot_shapes.append(list(lam))
         lines.append(f"spot {lam}: two routes agree")
     payload = {

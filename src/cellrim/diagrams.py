@@ -290,12 +290,14 @@ def min_column_diagram(d: Permutation, parts: tuple[int, ...]) -> Diagram:
             f"{d!r} is not a distinguished coset representative for {parts!r}"
         )
     row_of = [a for a, p in enumerate(parts, 1) for _ in range(p)]
-    d_inv = d.inverse()
+    # row_at[k - 1] is the row holding the preimage of k under d
+    row_at = [0] * n
+    for point, value in enumerate(d.images):
+        row_at[value - 1] = row_of[point]
     nodes = []
     column = 0
     previous_row = 0
-    for k in range(1, n + 1):
-        row = row_of[d_inv(k) - 1]
+    for row in row_at:
         if row <= previous_row or column == 0:
             column += 1
         nodes.append((row, column))

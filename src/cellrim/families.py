@@ -44,7 +44,13 @@ from .permutations import (
     parabolic,
     prefix_maximal,
 )
-from .tableaux import compositions_of, insertion_tableau, recording_tableau
+from .tableaux import (
+    StandardYoungTableau,
+    compositions_of,
+    insertion_tableau,
+    recording_tableau,
+    row_insert,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -529,10 +535,11 @@ def z_ideal(
 ) -> frozenset[Permutation]:
     """The prefix-closed ideal of coset representatives for a composition.
 
-    Membership is computed two independent ways, which must agree: the
-    recording tableau of the product with the longest block permutation
-    matches that permutation's own, and the minimal-column diagram of
-    the representative is admissible.
+    Membership is computed two independent ways on every representative
+    e, and they must agree: the recording tableau of the product with
+    the longest block permutation matches that permutation's own, and
+    the minimal-column diagram of e is admissible.  A disagreement
+    raises VerificationError naming the composition and e.
 
     >>> sorted(e.images for e in z_ideal((2, 1)))
     [(1, 2, 3), (1, 3, 2)]
@@ -541,21 +548,26 @@ def z_ideal(
     n = sum(lam)
     check_enumeration_guard(n, limit)
     data = parabolic(composition_generators(lam), n)
-    # recording_tableau is the pinned right-cell invariant; see the
-    # calibration tests and RIGHT_CELL_COMPONENT in the tableaux module.
     target = recording_tableau(data.longest)
-    by_cell = frozenset(
-        e for e in data.reps if recording_tableau(data.longest * e) == target
-    )
-    by_diagram = frozenset(
-        e for e in data.reps if is_admissible(min_column_diagram(e, lam))
-    )
-    if by_cell != by_diagram:
-        raise VerificationError(
-            f"cell route and diagram route disagree for {lam}: "
-            f"{len(by_cell)} vs {len(by_diagram)} members"
-        )
-    return by_cell
+    longest = data.longest.images
+    points = list(range(1, n + 1))
+    members = []
+    for e in data.reps:
+        # the one-line word of data.longest * e
+        word = tuple(e.images[v - 1] for v in longest)
+        if sorted(word) != points:
+            raise ValueError(f"not a permutation of 1..{n}: {word!r}")
+        _, q_rows = row_insert(word)
+        by_cell = StandardYoungTableau(tuple(map(tuple, q_rows))) == target
+        by_diagram = is_admissible(min_column_diagram(e, lam))
+        if by_cell != by_diagram:
+            raise VerificationError(
+                f"cell route and diagram route disagree for {lam} at "
+                f"{e.images}: cell says {by_cell}, diagram says {by_diagram}"
+            )
+        if by_cell:
+            members.append(e)
+    return frozenset(members)
 
 
 def rim(

@@ -336,13 +336,21 @@ def prefix_closure(elements: Iterable[Permutation]) -> set[Permutation]:
 
 
 def prefix_maximal(elements: Iterable[Permutation]) -> set[Permutation]:
-    """The elements that are not proper prefixes of another element."""
-    pool = set(elements)
-    return {
-        x
-        for x in pool
-        if not any(x is not y and x != y and is_prefix(x, y) for y in pool)
-    }
+    """The elements that are not proper prefixes of another element.
+
+    Longest first, each element is compared only with the maxima kept so
+    far.  This is exact for any finite set, prefix-closed or not: an
+    element below some other element lies below a maximal one, which is
+    strictly longer and so already kept.
+
+    >>> sorted(x.images for x in prefix_maximal([simple(1, 3), from_word(3, [1, 2])]))
+    [(3, 1, 2)]
+    """
+    maxima: list[Permutation] = []
+    for x in sorted(set(elements), key=lambda x: x.length, reverse=True):
+        if not any(is_prefix(x, m) for m in maxima):
+            maxima.append(x)
+    return set(maxima)
 
 
 def composition_generators(parts: tuple[int, ...]) -> frozenset[int]:
@@ -427,6 +435,10 @@ class ParabolicData:
 def parabolic(gens: frozenset[int], n: int) -> ParabolicData:
     """Coset data for the Young subgroup generated by the given indices.
 
+    A representative increases on every generator block, so it is fixed
+    by the set of values each block receives.  The representatives are
+    built directly, one per choice of those sets, block by block.
+
     >>> data = parabolic(frozenset({1}), 3)
     >>> data.longest_rep.images
     (2, 3, 1)
@@ -443,20 +455,16 @@ def parabolic(gens: frozenset[int], n: int) -> ParabolicData:
     longest = Permutation(tuple(longest_images))
     longest_rep = longest * longest_element(n)
 
-    # Breadth-first prefix expansion toward longest_rep: grow each rep by a
-    # right multiplication that stays below longest_rep in the weak order.
-    reps = {identity(n)}
-    frontier = [identity(n)]
-    top = longest_rep.mask
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for i in range(1, n):
-                y = x * simple(i, n)
-                if y.length > x.length and y.mask & ~top == 0 and y not in reps:
-                    reps.add(y)
-                    fresh.append(y)
-        frontier = fresh
+    rep_images: list[tuple[int, ...]] = [()]
+    for block in blocks:
+        rep_images = [
+            head + chosen
+            for head in rep_images
+            for chosen in itertools.combinations(
+                sorted(set(range(1, n + 1)).difference(head)), len(block)
+            )
+        ]
+    reps = [Permutation(images) for images in rep_images]
     return ParabolicData(
         gens=gens,
         degree=n,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .permutations import Permutation, check_enumeration_guard, symmetric_group
 
@@ -59,16 +59,15 @@ class StandardYoungTableau:
         return sum(len(row) for row in self.rows)
 
 
-def rs_pair(x: Permutation) -> tuple[StandardYoungTableau, StandardYoungTableau]:
-    """Insertion and recording tableaux of the one-line word of x.
+def row_insert(word: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
+    """Insertion and recording rows of a word of distinct values.
 
-    >>> p, q = rs_pair(Permutation((3, 1, 2)))
-    >>> p.rows, q.rows
-    (((1, 2), (3,)), ((1, 3), (2,)))
+    >>> row_insert((3, 1, 2))
+    ([[1, 2], [3]], [[1, 3], [2]])
     """
     p_rows: list[list[int]] = []
     q_rows: list[list[int]] = []
-    for step, value in enumerate(x.images, start=1):
+    for step, value in enumerate(word, start=1):
         carried = value
         for p_row, q_row in zip(p_rows, q_rows):
             pos = bisect.bisect_left(p_row, carried)
@@ -80,6 +79,17 @@ def rs_pair(x: Permutation) -> tuple[StandardYoungTableau, StandardYoungTableau]
         else:
             p_rows.append([carried])
             q_rows.append([step])
+    return p_rows, q_rows
+
+
+def rs_pair(x: Permutation) -> tuple[StandardYoungTableau, StandardYoungTableau]:
+    """Insertion and recording tableaux of the one-line word of x.
+
+    >>> p, q = rs_pair(Permutation((3, 1, 2)))
+    >>> p.rows, q.rows
+    (((1, 2), (3,)), ((1, 3), (2,)))
+    """
+    p_rows, q_rows = row_insert(x.images)
     return (
         StandardYoungTableau(tuple(tuple(row) for row in p_rows)),
         StandardYoungTableau(tuple(tuple(row) for row in q_rows)),
@@ -94,35 +104,18 @@ def recording_tableau(x: Permutation) -> StandardYoungTableau:
     return rs_pair(x)[1]
 
 
-# The tableau component whose equality detects right-cell membership under
-# this package's conventions.  Pinned by the calibration tests; see the
-# module docstring.
-RIGHT_CELL_COMPONENT = "recording"
-
-
-def insertion_equivalent(x: Permutation, y: Permutation) -> bool:
-    """Whether x and y share their insertion tableau."""
-    if x.degree != y.degree:
-        raise ValueError(f"degree mismatch: {x.degree} != {y.degree}")
-    return insertion_tableau(x) == insertion_tableau(y)
-
-
-def recording_equivalent(x: Permutation, y: Permutation) -> bool:
-    """Whether x and y share their recording tableau."""
-    if x.degree != y.degree:
-        raise ValueError(f"degree mismatch: {x.degree} != {y.degree}")
-    return recording_tableau(x) == recording_tableau(y)
-
-
 def right_equivalent(x: Permutation, y: Permutation) -> bool:
-    """Whether x and y lie in the same right cell.
+    """Whether x and y lie in the same right cell: whether they share
+    their recording tableau.
 
     >>> right_equivalent(Permutation((2, 1, 3)), Permutation((3, 1, 2)))
     True
     >>> right_equivalent(Permutation((2, 1, 3)), Permutation((1, 3, 2)))
     False
     """
-    return recording_equivalent(x, y)
+    if x.degree != y.degree:
+        raise ValueError(f"degree mismatch: {x.degree} != {y.degree}")
+    return recording_tableau(x) == recording_tableau(y)
 
 
 def right_cell_of(w: Permutation, limit: int | None = None) -> set[Permutation]:

@@ -103,6 +103,52 @@ def is_prefix_by_length(p: tuple[int, ...], a: tuple[int, ...]) -> bool:
     )
 
 
+def coset_reps_by_weak_order(
+    gens: frozenset[int], n: int
+) -> tuple[tuple[int, ...], ...]:
+    """Distinguished coset reps of the Young subgroup generated by gens.
+
+    Breadth-first growth from the identity: right-multiply by each basic
+    transposition and keep the results that get longer and stay below the
+    longest rep (blockwise reversal, then the order reversal) in the weak
+    order.  Sorted by length, then one-line notation.
+    """
+    longest: list[int] = []
+    start = 1
+    for i in range(1, n + 1):
+        if i == n or i not in gens:
+            longest.extend(range(i, start - 1, -1))
+            start = i + 1
+    top = inversion_pairs(compose(tuple(longest), tuple(range(n, 0, -1))))
+    identity = tuple(range(1, n + 1))
+    reps = {identity}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            length = count_inversions(x)
+            for i in range(1, n):
+                y = compose(x, word_to_images(n, (i,)))
+                inversions = inversion_pairs(y)
+                if len(inversions) > length and inversions <= top and y not in reps:
+                    reps.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return tuple(sorted(reps, key=lambda a: (count_inversions(a), a)))
+
+
+def prefix_maximal_pairwise(
+    elements: set[tuple[int, ...]],
+) -> set[tuple[int, ...]]:
+    """The elements whose inversion set lies in no other element's."""
+    inversions = {a: inversion_pairs(a) for a in elements}
+    return {
+        a
+        for a in inversions
+        if not any(b != a and inversions[a] <= inv for b, inv in inversions.items())
+    }
+
+
 # ---------------------------------------------------------------------------
 # generic order ideals
 

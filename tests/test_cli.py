@@ -164,6 +164,15 @@ class TestVerify:
         assert first["spot_shapes"] == second["spot_shapes"]
         assert len(first["spot_shapes"]) == 2
 
+    def test_oracle_spots_respect_the_guard(self, capsys, monkeypatch):
+        # the spots run at degrees 4 and 5, above the bound of 4
+        monkeypatch.setenv("CELLRIM_MAX_N", "4")
+        code, _, err = run(
+            capsys, "verify", "oracle", "--max-n", "3", "--spots", "2",
+        )
+        assert code == 2
+        assert "guard exceeded" in err
+
     def test_bijections_pass(self, capsys):
         payload = run_json(capsys, "verify", "bijections", "--max-n", "4")
         assert payload["ok"] is True

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from cellrim import families
 from cellrim.diagrams import (
     Diagram,
     is_special,
@@ -35,11 +36,13 @@ from cellrim.families import (
     verify_rim_family,
     z_ideal,
 )
-from cellrim.paths import FormClass, find_form_path
+from cellrim.paths import FormClass, find_form_path, is_admissible
 from cellrim.permutations import (
     VerificationError,
+    composition_generators,
     identity,
     is_prefix,
+    parabolic,
     prefix_closure,
 )
 from cellrim.tableaux import compositions_of, conjugate
@@ -389,6 +392,30 @@ class TestZIdeal:
 
     def test_rim_small_family_case(self):
         assert len(rim((1, 3, 2, 1))) == 5
+
+    def test_rim_matches_pairwise_maxima(self):
+        for n in range(1, 7):
+            for lam in compositions_of(n):
+                want = oracles.prefix_maximal_pairwise(
+                    {e.images for e in z_ideal(lam)}
+                )
+                assert {y.images for y in rim(lam)} == want, lam
+
+    @pytest.mark.parametrize("member", [True, False])
+    def test_route_disagreement_names_the_rep(self, monkeypatch, member):
+        lam = (2, 1, 1)
+        ideal = z_ideal(lam)
+        reps = parabolic(composition_generators(lam), 4).reps
+        rep = next(e for e in reversed(reps) if (e in ideal) == member)
+        flipped = min_column_diagram(rep, lam)
+        monkeypatch.setattr(
+            families, "is_admissible",
+            lambda D: is_admissible(D) != (D == flipped),
+        )
+        with pytest.raises(VerificationError) as caught:
+            z_ideal(lam)
+        assert str(lam) in str(caught.value)
+        assert str(rep.images) in str(caught.value)
 
     def test_rim_elements_are_maximal(self):
         for lam in [(1, 2, 1), (2, 1, 2), (1, 3, 1)]:

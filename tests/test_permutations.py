@@ -7,7 +7,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cellrim.permutations import (
@@ -33,6 +33,7 @@ from cellrim.permutations import (
     simple,
     symmetric_group,
 )
+from cellrim.tableaux import compositions_of
 
 import oracles
 
@@ -164,6 +165,21 @@ def test_equal_inversion_sets_means_equal():
             seen[x.mask] = x
 
 
+
+def permutation_sets(n: int):
+    return st.sets(st.permutations(list(range(1, n + 1))).map(tuple), max_size=30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([4, 5]).flatmap(permutation_sets))
+@example(set())
+@example({(1, 2, 3, 4)})
+@example({(5, 4, 3, 2, 1)})
+def test_prefix_maximal_matches_pairwise(images):
+    # arbitrary subsets: not prefix-closed, possibly empty or a singleton
+    got = prefix_maximal(Permutation(a) for a in images)
+    assert {x.images for x in got} == oracles.prefix_maximal_pairwise(images)
+
 # ---------------------------------------------------------------------------
 # parabolic subgroups and coset representatives
 
@@ -198,6 +214,18 @@ def test_parabolic_reps_exhaustive():
             assert len(data.reps) * len(subgroup) == len(group)
             assert data.longest == max(subgroup, key=lambda x: x.length)
 
+
+@pytest.mark.parametrize(
+    "parts",
+    [lam for n in range(1, 7) for lam in compositions_of(n)]
+    + [(4, 2, 1, 1), (3, 3, 2)],
+    ids=str,
+)
+def test_parabolic_reps_match_weak_order_growth(parts):
+    n = sum(parts)
+    gens = composition_generators(parts)
+    got = tuple(x.images for x in parabolic(gens, n).reps)
+    assert got == oracles.coset_reps_by_weak_order(gens, n)
 
 def test_rep_inversions_avoid_blocks():
     # the longest rep inverts exactly the cross-block pairs, and the
