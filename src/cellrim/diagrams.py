@@ -107,10 +107,6 @@ class Diagram:
         """Number of nodes on each column."""
         return tuple(len(col) for col in self.columns())
 
-    def column_lengths(self) -> tuple[int, ...]:
-        """Alias of column_composition: the tuple of column lengths."""
-        return self.column_composition()
-
     def render(self, node_char: str = "×", empty_char: str = "·") -> str:
         """ASCII-art rows, one diagram row per line.
 

@@ -19,6 +19,8 @@ from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterator
 
 from .diagrams import Diagram, Node
@@ -182,6 +184,28 @@ def _chains_within(
     return found
 
 
+def _chain_masks(
+    D: Diagram, allowed: frozenset[Node], lengths: frozenset[int]
+) -> tuple[list[tuple[Node, ...]], list[int], dict[int, int]]:
+    """The sorted chains of _chains_within and bitmasks over their
+    positions: by_len[k] holds the chains of k nodes, follow[i] those that
+    may be listed after chains[i] in an ordered family.  Chain j may not
+    follow chain i exactly when a node of j lies weakly below and weakly
+    left of a node of i (which covers a shared node)."""
+    chains = sorted(_chains_within(D, allowed, lengths))
+    through: dict[Node, int] = defaultdict(int)
+    by_len: dict[int, int] = defaultdict(int)
+    for j, chain in enumerate(chains):
+        by_len[len(chain)] |= 1 << j
+        for node in chain:
+            through[node] |= 1 << j
+    blocked = {x: reduce(or_, (m for y, m in through.items()
+                               if y[0] >= x[0] and y[1] <= x[1])) for x in through}
+    everything = (1 << len(chains)) - 1
+    follow = [everything & ~reduce(or_, map(blocked.get, c)) for c in chains]
+    return chains, follow, by_len
+
+
 def _length_sequences(
     total: int, slots: int, cap: int
 ) -> Iterator[tuple[int, ...]]:
@@ -210,30 +234,24 @@ def order_equivalent(pi: KPath) -> KPath:
     for a, _ in support:
         row_counts[a] += 1
     all_lengths = frozenset(range(1, pi.diagram.row_count + 1))
-    by_length: dict[int, list[tuple[Node, ...]]] = defaultdict(list)
-    for chain in sorted(_chains_within(pi.diagram, support, all_lengths)):
-        by_length[len(chain)].append(chain)
+    chains, follow, by_len = _chain_masks(pi.diagram, support, all_lengths)
 
-    def cover(prefix: list[tuple[Node, ...]], remaining: frozenset[Node],
-              lengths: tuple[int, ...]) -> tuple[tuple[Node, ...], ...] | None:
-        if not lengths:
-            return tuple(prefix) if not remaining else None
-        for chain in by_length[lengths[0]]:
-            if not remaining.issuperset(chain):
-                continue
-            if not all(_precedes_ok(c, chain) for c in prefix):
-                continue
-            prefix.append(chain)
-            full = cover(prefix, remaining.difference(chain), lengths[1:])
-            if full is not None:
-                return full
-            prefix.pop()
+    def cover(cand: int, lengths: tuple[int, ...]) -> tuple | None:
+        if not lengths:  # the lengths sum to the support size
+            return ()
+        pool = cand & by_len[lengths[0]]
+        while pool:
+            i = (pool & -pool).bit_length() - 1
+            pool &= pool - 1
+            rest = cover(cand & follow[i], lengths[1:])
+            if rest is not None:
+                return (chains[i],) + rest
         return None
 
-    cap = max(by_length, default=0)
+    cap = max(by_len, default=0)
     for k in range(max(row_counts.values()), len(support) + 1):
         for lengths in _length_sequences(len(support), k, cap):
-            full = cover([], support, lengths)
+            full = cover((1 << len(chains)) - 1, lengths)
             if full is not None:
                 return KPath(pi.diagram, full)
     raise VerificationError("no ordered family covers the support")
@@ -394,31 +412,36 @@ def _ordered_cores(
     D: Diagram, length_counts: dict[int, int]
 ) -> Iterator[tuple[tuple[Node, ...], ...]]:
     """Ordered families with the prescribed multiset of lengths, in
-    lexicographic order of their flattened node sequences."""
+    lexicographic order of their flattened node sequences.
+
+    Runs on the masks of _chain_masks, trying each prefix's candidates
+    (the AND of follow over it) low bit first, which is sorted order.  A
+    prefix with fewer candidates of some length than it still needs
+    extends to no family, so cutting it loses and reorders nothing.
+    """
     wanted = frozenset(k for k, v in length_counts.items() if v > 0)
-    chains = sorted(_chains_within(D, D.nodes, wanted))
-    total = sum(length_counts.values())
+    chains, follow, by_len = _chain_masks(D, D.nodes, wanted)
 
     def extend(
-        prefix: list[tuple[Node, ...]],
-        used: frozenset[Node],
-        counts: dict[int, int],
+        prefix: tuple[tuple[Node, ...], ...], cand: int, counts: dict[int, int]
     ) -> Iterator[tuple[tuple[Node, ...], ...]]:
-        if len(prefix) == total:
-            yield tuple(prefix)
-            return
-        for chain in chains:
-            if counts[len(chain)] == 0 or used.intersection(chain):
-                continue
-            if not all(_precedes_ok(c, chain) for c in prefix):
-                continue
-            counts[len(chain)] -= 1
-            prefix.append(chain)
-            yield from extend(prefix, used.union(chain), counts)
-            prefix.pop()
-            counts[len(chain)] += 1
+        live = 0
+        for k, need in counts.items():
+            if need:
+                pool = cand & by_len[k]
+                if pool.bit_count() < need:
+                    return
+                live |= pool
+        if not live:  # no length is still needed
+            yield prefix
+        while live:
+            i = (live & -live).bit_length() - 1
+            live &= live - 1
+            counts[len(chains[i])] -= 1
+            yield from extend(prefix + (chains[i],), cand & follow[i], counts)
+            counts[len(chains[i])] += 1
 
-    yield from extend([], frozenset(), dict(length_counts))
+    yield from extend((), (1 << len(chains)) - 1, dict(length_counts))
 
 
 def _check_row_distribution(
@@ -466,8 +489,9 @@ def find_form_path(D: Diagram) -> tuple[KPath, FormClass]:
 
     Searches for form A before form B, so whenever a form-A family
     exists it is the one returned.  The search builds a maximal ordered
-    t-constituent core with no singletons and then inserts the leftover
-    nodes one by one; the first hit in lexicographic order wins.
+    t-constituent core with no singletons (a bitmask search cut by length
+    counts) and then inserts the leftover nodes one by one; the first hit
+    in lexicographic order wins.
     """
     s, t, u = _stu_parts(D.row_composition())
     if not is_admissible(D):

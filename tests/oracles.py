@@ -450,3 +450,55 @@ def best_ordered_cover(
                     best = (key, tuple(perm))
     assert best is not None
     return best[1]
+
+
+def ordered_cores_by_backtracking(
+    nodes: frozenset[tuple[int, int]], length_counts: dict[int, int]
+):
+    """Ordered chain families with the prescribed multiset of lengths, in
+    lexicographic order of their flattened node sequences.
+
+    The plain backtracking search: every candidate chain, in sorted order,
+    is tested against the nodes used so far and against each chain
+    already listed.
+    """
+    wanted = frozenset(k for k, v in length_counts.items() if v > 0)
+    ordered_nodes = sorted(nodes)
+    chains: list[tuple[tuple[int, int], ...]] = []
+
+    def grow(chain):
+        if len(chain) in wanted:
+            chains.append(tuple(chain))
+        a, b = chain[-1]
+        for v in ordered_nodes:
+            if v[0] > a and v[1] >= b:
+                chain.append(v)
+                grow(chain)
+                chain.pop()
+
+    for start in ordered_nodes:
+        grow([start])
+    chains.sort()
+    total = sum(length_counts.values())
+
+    def precedes(earlier, later):
+        return all(
+            b < b2 for a, b in earlier for a2, b2 in later if a <= a2
+        )
+
+    def extend(prefix, used, counts):
+        if len(prefix) == total:
+            yield tuple(prefix)
+            return
+        for chain in chains:
+            if counts[len(chain)] == 0 or used.intersection(chain):
+                continue
+            if not all(precedes(c, chain) for c in prefix):
+                continue
+            counts[len(chain)] -= 1
+            prefix.append(chain)
+            yield from extend(prefix, used.union(chain), counts)
+            prefix.pop()
+            counts[len(chain)] += 1
+
+    yield from extend([], frozenset(), dict(length_counts))

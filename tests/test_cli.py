@@ -138,6 +138,30 @@ class TestDiagram:
         assert code == 1
         assert "stu" in err
 
+    def test_form_path_at_10_7_4(self, capsys):
+        # The M member at (10,7,4) on which an exhaustive walk of the
+        # empty form-A search tree is slowest; the expected family was
+        # recorded with the plain backtracking core search.
+        payload = run_json(
+            capsys, "diagram", "M", "--stu", "10,7,4", "--order", "4,10,7",
+            "--C", "8,10,11", "--params", "2,1,1,0,6",
+        )
+        assert payload["row_composition"] == [4, 10, 7, 1]
+        assert payload["admissible"] is True
+        assert payload["form"] == "B"
+        assert payload["path"] == [
+            [[2, 1], [3, 1]],
+            [[2, 2], [3, 2]],
+            [[2, 3], [3, 4], [4, 4]],
+            [[1, 4], [2, 4], [3, 5]],
+            [[2, 6]],
+            [[2, 7]],
+            [[1, 8], [2, 8], [3, 8]],
+            [[2, 9]],
+            [[1, 10], [2, 10], [3, 10]],
+            [[1, 11], [2, 11], [3, 11]],
+        ]
+
 
 class TestVerify:
     def test_tables_pass(self, capsys):

@@ -65,7 +65,6 @@ class TestDiagramBasics:
         assert D.columns() == ((2,), (1,), (1,))
         assert D.row_composition() == (2, 1)
         assert D.column_composition() == (1, 1, 1)
-        assert D.column_lengths() == D.column_composition()
         assert D.size == 3
         assert D.row_count == 2
         assert D.column_count == 3

@@ -21,9 +21,13 @@ from cellrim.diagrams import (
     row_filling,
     young_diagram,
 )
+from cellrim.families import StuShape, family_diagram, family_parameter_sets
 from cellrim.paths import (
     FormClass,
     KPath,
+    _chain_masks,
+    _ordered_cores,
+    _precedes_ok,
     classify_form,
     find_form_path,
     insert_singletons,
@@ -82,6 +86,34 @@ def chains_of(nodes: frozenset, length: int) -> list[tuple]:
     for v in sorted(nodes):
         grow([v])
     return out
+
+
+def core_plans(D: Diagram) -> list[dict[int, int]]:
+    """The core length counts find_form_path tries: form A, then form B."""
+    s, t, u = sorted(D.row_composition()[:3], reverse=True)
+    plans = [{1: 0, 2: t - u, 3: u - 1, 4: 1}]
+    if t > u:
+        plans.append({1: 0, 2: t - u - 1, 3: u + 1, 4: 0})
+    return plans
+
+
+def small_form_hosts() -> list[Diagram]:
+    """Admissible minimal-column diagrams over the six orderings of
+    (3, 2, 1) with a fourth row of one, and every H, M and N member at
+    (s, t, u) = (5, 3, 2)."""
+    hosts = []
+    for head in itertools.permutations((3, 2, 1)):
+        lam = head + (1,)
+        for e in parabolic(composition_generators(lam), 7).reps:
+            D = min_column_diagram(e, lam)
+            if is_admissible(D):
+                hosts.append(D)
+    s, t, u = 5, 3, 2
+    for order in ((t, u, s), (u, s, t), (u, t, s)):
+        shape = StuShape(s, t, u, order)
+        for params in family_parameter_sets(shape):
+            hosts.append(family_diagram(params, shape))
+    return hosts
 
 
 def singleton_family(D: Diagram) -> KPath:
@@ -197,7 +229,7 @@ class TestSubsequenceType:
     def test_sandwiched_between_column_and_row_bounds(self):
         for D in CORPUS:
             nu = subsequence_type(D)
-            cols = tuple(sorted(D.column_lengths(), reverse=True))
+            cols = tuple(sorted(D.column_composition(), reverse=True))
             assert dominates(nu, cols)
             assert dominates(conjugate(D.row_composition()), nu)
 
@@ -306,6 +338,40 @@ class TestOrderEquivalent:
         result = order_equivalent(KPath(DIAGRAM_4631, PATH_B_4631))
         assert result.lengths() == (3, 3, 3, 2, 2, 1)
         assert classify_form(result, 6, 4, 3) is FormClass.NEITHER
+
+
+class TestOrderedCores:
+    def test_chain_masks_match_pair_condition(self):
+        for D in CORPUS + [DIAGRAM_4631, FAMILY_M_385]:
+            chains, follow, by_len = _chain_masks(
+                D, D.nodes, frozenset(range(1, 5))
+            )
+            assert chains == sorted(chains)
+            for i, c in enumerate(chains):
+                assert by_len[len(c)] >> i & 1
+                for j, c2 in enumerate(chains):
+                    ok = not set(c) & set(c2) and _precedes_ok(c, c2)
+                    assert bool(follow[i] >> j & 1) is ok, (D, c, c2)
+
+    def test_full_sequence_matches_backtracking(self):
+        hosts = small_form_hosts()
+        assert len(hosts) > 100
+        for D in hosts:
+            for counts in core_plans(D):
+                assert list(_ordered_cores(D, counts)) == list(
+                    oracles.ordered_cores_by_backtracking(D.nodes, counts)
+                ), (D, counts)
+
+    def test_first_core_matches_backtracking_on_form_b_fixtures(self):
+        # The form-A plan has no core here, so both searches must exhaust
+        # it before the form-B plan yields.
+        for D in (FAMILY_M_385, FAMILY_N_358):
+            plan_a, plan_b = core_plans(D)
+            oracle_a = oracles.ordered_cores_by_backtracking(D.nodes, plan_a)
+            oracle_b = oracles.ordered_cores_by_backtracking(D.nodes, plan_b)
+            assert next(_ordered_cores(D, plan_a), None) is None
+            assert next(oracle_a, None) is None
+            assert next(_ordered_cores(D, plan_b)) == next(oracle_b)
 
 
 class TestInsertSingletons:
