@@ -44,13 +44,7 @@ from .permutations import (
     parabolic,
     prefix_maximal,
 )
-from .tableaux import (
-    StandardYoungTableau,
-    compositions_of,
-    insertion_tableau,
-    recording_tableau,
-    row_insert,
-)
+from .tableaux import StandardYoungTableau, recording_tableau, row_insert
 
 
 @dataclass(frozen=True, slots=True)
@@ -553,12 +547,16 @@ def z_ideal(
     points = list(range(1, n + 1))
     members = []
     for e in data.reps:
-        # the one-line word of data.longest * e
-        word = tuple(e.images[v - 1] for v in longest)
+        # the one-line word of (data.longest * e)^-1, whose insertion
+        # tableau is the recording tableau of data.longest * e; as
+        # data.longest is an involution, the inverse sends e(k) to
+        # data.longest(k)
+        word = [0] * n
+        for w_k, e_k in zip(longest, e.images):
+            word[e_k - 1] = w_k
         if sorted(word) != points:
             raise ValueError(f"not a permutation of 1..{n}: {word!r}")
-        _, q_rows = row_insert(word)
-        by_cell = StandardYoungTableau(tuple(map(tuple, q_rows))) == target
+        by_cell = StandardYoungTableau(tuple(map(tuple, row_insert(word)))) == target
         by_diagram = is_admissible(min_column_diagram(e, lam))
         if by_cell != by_diagram:
             raise VerificationError(
@@ -684,39 +682,3 @@ def verify_rim_family(
         ideal_size=len(ideal),
         expected_counts=expected,
     )
-
-
-def calibrate_rs_convention(max_n: int = 5) -> frozenset[str]:
-    """Which insertion components detect right-cell membership.
-
-    For every composition of every degree up to max_n, compares the
-    tableau-equality membership test against the admissibility of the
-    minimal-column diagram, for both components of the correspondence.
-    Returns the names of the components that agree in every case; the
-    package's convention is sound exactly when the result is the
-    frozenset holding "recording".
-    """
-    candidates = {
-        "insertion": insertion_tableau,
-        "recording": recording_tableau,
-    }
-    surviving = set(candidates)
-    for n in range(1, max_n + 1):
-        for lam in compositions_of(n):
-            data = parabolic(composition_generators(lam), n)
-            want = frozenset(
-                e
-                for e in data.reps
-                if is_admissible(min_column_diagram(e, lam))
-            )
-            for name in tuple(surviving):
-                tableau = candidates[name]
-                target = tableau(data.longest)
-                got = frozenset(
-                    e
-                    for e in data.reps
-                    if tableau(data.longest * e) == target
-                )
-                if got != want:
-                    surviving.discard(name)
-    return frozenset(surviving)

@@ -15,7 +15,6 @@ are exactly the diagrams this package feeds to the form classifier.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from typing import Iterator
 
 from .diagrams import Diagram, Node
 from .permutations import VerificationError
-from .tableaux import conjugate
+from .tableaux import conjugate, row_insert
 
 
 def _is_path(nodes: tuple[Node, ...]) -> bool:
@@ -124,9 +123,8 @@ def subsequence_type(D: Diagram) -> tuple[int, ...]:
     and top to bottom within each column.  A path is then exactly a
     strictly increasing subsequence of this word, so by Greene's theorem
     (C. Greene, *An extension of Schensted's theorem*, Adv. Math. 14,
-    1974) the type is the shape of the word under row insertion that
-    keeps rows strictly increasing: each entry x bumps the leftmost
-    entry >= x of the row it enters.
+    1974) the type is the shape of the word under ``row_insert``, which
+    keeps rows strictly increasing.
 
     >>> from .diagrams import young_diagram, Diagram
     >>> subsequence_type(young_diagram((3,)))
@@ -136,17 +134,8 @@ def subsequence_type(D: Diagram) -> tuple[int, ...]:
     >>> subsequence_type(young_diagram((2, 2)))
     (2, 2)
     """
-    rows: list[list[int]] = []
-    for _, x in sorted((b, a) for a, b in D.nodes):
-        for row in rows:
-            k = bisect_left(row, x)
-            if k == len(row):
-                row.append(x)
-                break
-            row[k], x = x, row[k]
-        else:
-            rows.append([x])
-    return tuple(len(row) for row in rows)
+    word = [a for _, a in sorted((b, a) for a, b in D.nodes)]
+    return tuple(len(row) for row in row_insert(word))
 
 
 def is_admissible(D: Diagram) -> bool:

@@ -272,15 +272,6 @@ def symmetric_group(n: int) -> Iterator[Permutation]:
         yield Permutation(images)
 
 
-def inversion_set(x: Permutation) -> InversionSet:
-    """The inversion set of x as an InversionSet.
-
-    >>> inversion_set(from_word(3, [1, 2])).pairs()
-    ((1, 2), (1, 3))
-    """
-    return x.inversions()
-
-
 def is_prefix(candidate: Permutation, x: Permutation) -> bool:
     """Whether candidate is a prefix of x in the right weak order.
 

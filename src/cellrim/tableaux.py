@@ -1,13 +1,14 @@
 """Robinson-Schensted insertion and the brute-force right-cell oracle.
 
-Row insertion of the one-line word of a permutation produces a pair of
-standard Young tableaux of a common shape: the insertion tableau records the
-bumped values, the recording tableau the order in which cells were created.
-Under this package's right-action convention, two permutations lie in the
-same right cell exactly when their *recording* tableaux agree; the choice of
-component is pinned empirically by the calibration suite in the tests, which
-checks both candidates against the diagram-admissibility criterion over
-whole symmetric groups and finds that exactly one survives.
+``row_insert`` is the package's one row-insertion loop: it builds the
+insertion rows of a word, and also gives subsequence types of diagrams
+(Greene's theorem).  The recording tableau of a permutation x is the
+insertion tableau of x^-1 (Schützenberger's symmetry), so no recording
+rows are kept.  Under this package's right-action convention, two
+permutations lie in the same right cell exactly when their *recording*
+tableaux agree; the test suite checks both components against the
+diagram-admissibility criterion over whole symmetric groups and finds
+that exactly this one survives.
 
 Shape utilities for compositions and partitions (conjugation, dominance,
 enumeration) also live here.
@@ -15,10 +16,10 @@ enumeration) also live here.
 
 from __future__ import annotations
 
-import bisect
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .permutations import Permutation, check_enumeration_guard, symmetric_group
 
@@ -59,41 +60,43 @@ class StandardYoungTableau:
         return sum(len(row) for row in self.rows)
 
 
-def row_insert(word: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
-    """Insertion and recording rows of a word of distinct values.
+def row_insert(word: Iterable[int]) -> list[list[int]]:
+    """Rows of the insertion tableau of a word whose letters may repeat.
+
+    Each letter enters the first row and bumps the leftmost entry >= it
+    into the next row, so every row strictly increases.
 
     >>> row_insert((3, 1, 2))
-    ([[1, 2], [3]], [[1, 3], [2]])
+    [[1, 2], [3]]
+    >>> row_insert((2, 1, 2, 1))
+    [[1, 2], [1], [2]]
     """
-    p_rows: list[list[int]] = []
-    q_rows: list[list[int]] = []
-    for step, value in enumerate(word, start=1):
-        carried = value
-        for p_row, q_row in zip(p_rows, q_rows):
-            pos = bisect.bisect_left(p_row, carried)
-            if pos == len(p_row):
-                p_row.append(carried)
-                q_row.append(step)
+    rows: list[list[int]] = []
+    for x in word:
+        for row in rows:
+            k = bisect_left(row, x)
+            if k == len(row):
+                row.append(x)
                 break
-            p_row[pos], carried = carried, p_row[pos]
+            row[k], x = x, row[k]
         else:
-            p_rows.append([carried])
-            q_rows.append([step])
-    return p_rows, q_rows
+            rows.append([x])
+    return rows
 
 
 def rs_pair(x: Permutation) -> tuple[StandardYoungTableau, StandardYoungTableau]:
-    """Insertion and recording tableaux of the one-line word of x.
+    """Insertion and recording tableaux of the one-line word of x; the
+    recording tableau is the insertion tableau of x^-1.
 
     >>> p, q = rs_pair(Permutation((3, 1, 2)))
     >>> p.rows, q.rows
     (((1, 2), (3,)), ((1, 3), (2,)))
     """
-    p_rows, q_rows = row_insert(x.images)
-    return (
-        StandardYoungTableau(tuple(tuple(row) for row in p_rows)),
-        StandardYoungTableau(tuple(tuple(row) for row in q_rows)),
+    p, q = (
+        StandardYoungTableau(tuple(map(tuple, row_insert(y.images))))
+        for y in (x, x.inverse())
     )
+    return p, q
 
 
 def insertion_tableau(x: Permutation) -> StandardYoungTableau:

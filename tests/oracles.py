@@ -209,6 +209,31 @@ def standard_tableau_count(shape: tuple[int, ...]) -> int:
     return math.factorial(sum(shape)) // hook_lengths_product(shape)
 
 
+def rs_pair_by_bumping(
+    a: tuple[int, ...],
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Insertion and recording rows of a one-line word, by inserting each
+    value and writing its step number where the new cell appears."""
+    p_rows: list[list[int]] = []
+    q_rows: list[list[int]] = []
+    for step, value in enumerate(a, start=1):
+        r = 0
+        while True:
+            if r == len(p_rows):
+                p_rows.append([value])
+                q_rows.append([step])
+                break
+            row = p_rows[r]
+            bigger = [k for k, v in enumerate(row) if v > value]
+            if not bigger:
+                row.append(value)
+                q_rows[r].append(step)
+                break
+            row[bigger[0]], value = value, row[bigger[0]]
+            r += 1
+    return tuple(map(tuple, p_rows)), tuple(map(tuple, q_rows))
+
+
 # ---------------------------------------------------------------------------
 # diagrams as plain frozensets of (row, column) nodes
 

@@ -46,7 +46,6 @@ from cellrim.permutations import (
     coset_decompose,
     identity,
     in_young_subgroup,
-    inversion_set,
     is_prefix,
     parabolic,
     positive_pairs,
@@ -189,23 +188,18 @@ def test_criterion_06_parabolic_inversion_identities():
             for combo in itertools.combinations(range(1, n), r):
                 gens = frozenset(combo)
                 data = parabolic(gens, n)
-                rep_inversions = inversion_set(data.longest_rep)
+                rep_inversions = data.longest_rep.inversions()
                 assert rep_inversions == full.difference(same_block_pairs(gens, n))
                 for v in everyone:
                     if in_young_subgroup(v, gens):
                         assert rep_inversions.acted_by(v) == rep_inversions
                 for x in everyone:
                     u, d = coset_decompose(x, gens)
-                    upper = inversion_set(u)
-                    moved = inversion_set(d).acted_by(u.inverse())
+                    upper = u.inversions()
+                    moved = d.inversions().acted_by(u.inverse())
                     assert upper.mask & moved.mask == 0
-                    assert upper.union(moved) == inversion_set(x)
+                    assert upper.union(moved) == x.inversions()
     _finish("criterion 6 (coset representative inversion sets)", started, 300.0)
-
-
-def embed(x: Permutation, m: int) -> Permutation:
-    """The same window viewed inside a larger symmetric group."""
-    return Permutation(x.images + tuple(range(x.degree + 1, m + 1)))
 
 
 def test_criterion_07_induced_rims_in_one_higher_degree():
@@ -217,10 +211,10 @@ def test_criterion_07_induced_rims_in_one_higher_degree():
             lifted = set()
             for y in rim(lam):
                 lift = w_of_diagram(hat_diagram(min_column_diagram(y, lam)))
-                assert lift == embed(y, n + 1) * longest_rep
+                assert lift == y.embedded(n + 1) * longest_rep
                 lifted.add(lift)
             direct = {
-                embed(z, n + 1) * x for z in z_ideal(lam) for x in hat.reps
+                z.embedded(n + 1) * x for z in z_ideal(lam) for x in hat.reps
             }
             assert prefix_closure(lifted) == direct, lam
     _finish("criterion 7 (rim induction one degree up)", started, 300.0)

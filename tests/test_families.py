@@ -25,7 +25,6 @@ from cellrim.families import (
     FamilyParams,
     StuShape,
     apply_column_op,
-    calibrate_rs_convention,
     determining_tuple,
     diagram_from_tuple,
     family_diagram,
@@ -45,7 +44,12 @@ from cellrim.permutations import (
     parabolic,
     prefix_closure,
 )
-from cellrim.tableaux import compositions_of, conjugate
+from cellrim.tableaux import (
+    compositions_of,
+    conjugate,
+    insertion_tableau,
+    recording_tableau,
+)
 from fixtures import (
     FAMILY_F_853,
     FAMILY_G_583,
@@ -604,6 +608,41 @@ class TestColumnOps:
         shape = StuShape(8, 5, 3, (3, 8, 5))
         with pytest.raises(ValueError):
             apply_column_op(FAMILY_M_385, ColumnOp.C5, 2, shape)
+
+
+def calibrate_rs_convention(max_n: int) -> frozenset[str]:
+    """Which Robinson-Schensted components detect right-cell membership.
+
+    For every composition of every degree up to max_n, compares the
+    tableau-equality membership test on the longest block permutation
+    times each coset rep against the admissibility of the rep's
+    minimal-column diagram, for both components.  Returns the names of
+    the components that agree in every case.
+    """
+    candidates = {
+        "insertion": insertion_tableau,
+        "recording": recording_tableau,
+    }
+    surviving = set(candidates)
+    for n in range(1, max_n + 1):
+        for lam in compositions_of(n):
+            data = parabolic(composition_generators(lam), n)
+            want = frozenset(
+                e
+                for e in data.reps
+                if is_admissible(min_column_diagram(e, lam))
+            )
+            for name in tuple(surviving):
+                tableau = candidates[name]
+                target = tableau(data.longest)
+                got = frozenset(
+                    e
+                    for e in data.reps
+                    if tableau(data.longest * e) == target
+                )
+                if got != want:
+                    surviving.discard(name)
+    return frozenset(surviving)
 
 
 class TestCalibration:

@@ -20,7 +20,6 @@ from cellrim.permutations import (
     identity,
     in_young_subgroup,
     induced_rim,
-    inversion_set,
     is_coset_rep,
     is_prefix,
     longest_element,
@@ -392,6 +391,6 @@ def test_embedded():
 
 def test_inversion_set_guards():
     with pytest.raises(ValueError):
-        inversion_set(identity(3)).issubset(inversion_set(identity(4)))
+        identity(3).inversions().issubset(identity(4).inversions())
     with pytest.raises(ValueError):
         is_prefix(identity(3), identity(4))

@@ -30,6 +30,7 @@ from cellrim.tableaux import (
     recording_tableau,
     right_cell_of,
     right_equivalent,
+    row_insert,
     rs_pair,
 )
 
@@ -73,6 +74,31 @@ def test_inverse_swaps_the_two_tableaux():
             p, q = rs_pair(x)
             pi, qi = rs_pair(x.inverse())
             assert (pi, qi) == (q, p)
+
+
+def test_rs_pair_matches_direct_bumping():
+    for n in range(1, 7):
+        for x in symmetric_group(n):
+            p, q = rs_pair(x)
+            assert (p.rows, q.rows) == oracles.rs_pair_by_bumping(x.images)
+
+
+@given(
+    st.integers(min_value=7, max_value=10).flatmap(
+        lambda n: st.permutations(list(range(1, n + 1)))
+    )
+)
+def test_rs_pair_matches_direct_bumping_up_to_degree_10(images):
+    p, q = rs_pair(Permutation(tuple(images)))
+    assert (p.rows, q.rows) == oracles.rs_pair_by_bumping(tuple(images))
+
+
+def test_row_insert_with_repeated_letters():
+    # a letter bumps the leftmost entry >= it, so equal letters stack
+    assert row_insert((1, 1, 1)) == [[1], [1], [1]]
+    assert row_insert((2, 1, 2, 1)) == [[1, 2], [1], [2]]
+    assert row_insert((3, 3, 1, 2, 2)) == [[1, 2], [2], [3], [3]]
+    assert row_insert(()) == []
 
 
 def test_cell_class_sizes_per_shape():
