@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from .diagrams import (
     Diagram,
-    hat_diagram,
     is_special,
     min_column_diagram,
     psi_append,
@@ -19,14 +18,11 @@ from .diagrams import (
     young_diagram,
 )
 from .families import (
-    ColumnOp,
     DeterminingTuple,
     FamilyParams,
     RimReport,
     StuShape,
-    apply_column_op,
     determining_tuple,
-    diagram_from_tuple,
     family_diagram,
     family_parameter_sets,
     rim,
@@ -43,21 +39,15 @@ from .paths import (
     find_form_path,
     is_admissible,
     is_ordered,
-    straighten,
     subsequence_type,
 )
 from .permutations import (
     GuardExceeded,
-    InversionSet,
     Permutation,
     VerificationError,
     composition_generators,
-    coset_decompose,
-    from_word,
-    induced_rim,
     is_prefix,
     parabolic,
-    prefix_closure,
     prefix_maximal,
     reduced_word,
     symmetric_group,
@@ -66,8 +56,6 @@ from .tableaux import (
     StandardYoungTableau,
     compositions_of,
     conjugate,
-    insertion_tableau,
-    partitions_of,
     recording_tableau,
     right_cell_of,
     rs_pair,
@@ -76,43 +64,32 @@ from .tableaux import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ColumnOp",
     "DeterminingTuple",
     "Diagram",
     "FamilyParams",
     "FormClass",
     "GuardExceeded",
-    "InversionSet",
     "KPath",
     "Permutation",
     "RimReport",
     "StandardYoungTableau",
     "StuShape",
     "VerificationError",
-    "apply_column_op",
     "classify_form",
     "composition_generators",
     "compositions_of",
     "conjugate",
-    "coset_decompose",
     "determining_tuple",
-    "diagram_from_tuple",
     "family_diagram",
     "family_parameter_sets",
     "family_with_lengths",
     "find_form_path",
-    "from_word",
-    "hat_diagram",
-    "induced_rim",
-    "insertion_tableau",
     "is_admissible",
     "is_ordered",
     "is_prefix",
     "is_special",
     "min_column_diagram",
     "parabolic",
-    "partitions_of",
-    "prefix_closure",
     "prefix_maximal",
     "psi_append",
     "recording_tableau",
@@ -122,7 +99,6 @@ __all__ = [
     "rim_diagrams",
     "rotate_180",
     "rs_pair",
-    "straighten",
     "subsequence_type",
     "symmetric_group",
     "table_counts",

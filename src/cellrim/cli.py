@@ -16,6 +16,7 @@ import json
 import random
 import sys
 from collections.abc import Sequence
+from functools import cache
 
 from .diagrams import (
     Diagram,
@@ -361,6 +362,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cellrim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -14,16 +14,13 @@ fillings of ``D``, which drives everything else in the package.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .permutations import (
     Permutation,
-    VerificationError,
     composition_generators,
     is_coset_rep,
-    prefix_closure,
 )
 
 Node = tuple[int, int]
@@ -133,112 +130,15 @@ def young_diagram(parts: tuple[int, ...]) -> Diagram:
     return Diagram.from_rows([range(1, p + 1) for p in parts])
 
 
-@dataclass(frozen=True, slots=True)
-class DiagramTableau:
-    """A filling of a diagram with 1..n; values follow row-major node order.
-
-    ``values[k]`` is the entry at ``diagram.sorted_nodes[k]``.
-    """
-
-    diagram: Diagram
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        values = tuple(self.values)
-        object.__setattr__(self, "values", values)
-        if sorted(values) != list(range(1, self.diagram.size + 1)):
-            raise ValueError(f"entries are not a bijection onto 1..n: {values!r}")
-
-    def entry(self, node: Node) -> int:
-        return self.values[self.diagram.sorted_nodes.index(node)]
-
-    def acted_by(self, x: Permutation) -> DiagramTableau:
-        """Replace every entry k by x(k)."""
-        if x.degree != self.diagram.size:
-            raise ValueError(f"degree mismatch: {x.degree} != {self.diagram.size}")
-        return DiagramTableau(self.diagram, tuple(x(v) for v in self.values))
-
-
-def row_filling(D: Diagram) -> DiagramTableau:
-    """The filling by rows, top to bottom and left to right."""
-    return DiagramTableau(D, tuple(range(1, D.size + 1)))
-
-
-def column_filling(D: Diagram) -> DiagramTableau:
-    """The filling by columns, left to right and top to bottom."""
-    by_cols = sorted(D.nodes, key=lambda node: (node[1], node[0]))
-    entry = {node: k for k, node in enumerate(by_cols, 1)}
-    return DiagramTableau(D, tuple(entry[node] for node in D.sorted_nodes))
-
-
 def w_of_diagram(D: Diagram) -> Permutation:
     """The permutation carrying the row filling to the column filling.
 
     >>> w_of_diagram(young_diagram((2, 2))).images
     (1, 3, 2, 4)
     """
-    return Permutation(column_filling(D).values)
-
-
-def is_standard(t: DiagramTableau) -> bool:
-    """Whether entries increase weakly along the componentwise node order."""
-    nodes = t.diagram.sorted_nodes
-    for k, (a1, b1) in enumerate(nodes):
-        for l, (a2, b2) in enumerate(nodes):
-            if a1 <= a2 and b1 <= b2 and t.values[k] > t.values[l]:
-                return False
-    return True
-
-
-def standard_tableaux(D: Diagram) -> Iterator[DiagramTableau]:
-    """All standard fillings of D, enumerated deterministically.
-
-    A standard filling assigns 1..n respecting the componentwise order on
-    nodes, so the fillings are the linear extensions of that partial order.
-    """
-    nodes = D.sorted_nodes
-    index = {node: k for k, node in enumerate(nodes)}
-    below = {
-        node: [
-            other
-            for other in nodes
-            if other != node and other[0] <= node[0] and other[1] <= node[1]
-        ]
-        for node in nodes
-    }
-    values = [0] * len(nodes)
-
-    def grow(step: int, remaining: set[Node]) -> Iterator[DiagramTableau]:
-        if not remaining:
-            yield DiagramTableau(D, tuple(values))
-            return
-        for node in sorted(remaining):
-            if any(other in remaining for other in below[node]):
-                continue
-            values[index[node]] = step
-            yield from grow(step + 1, remaining - {node})
-
-    return grow(1, set(nodes))
-
-
-def prefix_tableau_bijection(
-    D: Diagram,
-) -> tuple[tuple[Permutation, ...], tuple[DiagramTableau, ...]]:
-    """The prefixes of w_D alongside the standard fillings of D.
-
-    Acting on the row filling by a prefix of w_D gives a standard filling,
-    and every standard filling arises exactly once this way; the function
-    verifies this correspondence and returns both families.
-    """
-    base = row_filling(D)
-    prefixes = sorted(prefix_closure([w_of_diagram(D)]), key=lambda x: x.sort_key)
-    tableaux = tuple(standard_tableaux(D))
-    images = {base.acted_by(u) for u in prefixes}
-    if len(images) != len(prefixes) or images != set(tableaux):
-        raise VerificationError(
-            f"prefixes of w_D do not match the standard fillings for {D!r}"
-        )
-    return tuple(prefixes), tableaux
+    by_cols = sorted(D.nodes, key=lambda node: (node[1], node[0]))
+    entry = {node: k for k, node in enumerate(by_cols, 1)}
+    return Permutation(tuple(entry[node] for node in D.sorted_nodes))
 
 
 def is_special(D: Diagram) -> bool:
@@ -335,15 +235,3 @@ def psi_append(D: Diagram) -> Diagram:
             if candidate is not None and is_admissible(candidate):
                 return candidate
     raise ValueError(f"no admissible single-node row extension of {D!r}")
-
-
-def hat_diagram(D: Diagram) -> Diagram:
-    """Shift D one column right and hang a lone node on a new bottom row.
-
-    >>> hat_diagram(Diagram({(1, 1)})).sorted_nodes
-    ((1, 2), (2, 1))
-    """
-    r = D.row_count
-    return Diagram(
-        frozenset((a, b + 1) for a, b in D.nodes) | {(r + 1, 1)}
-    )

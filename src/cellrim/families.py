@@ -20,7 +20,6 @@ recording their column profiles.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -40,7 +39,6 @@ from .permutations import (
     VerificationError,
     check_enumeration_guard,
     composition_generators,
-    is_prefix,
     parabolic,
     prefix_maximal,
 )
@@ -139,21 +137,6 @@ class DeterminingTuple:
         return self.entries.count("3") + 1
 
 
-def diagram_from_tuple(alpha: DeterminingTuple) -> Diagram:
-    """The unique four-row diagram with the given column profile.
-
-    >>> diagram_from_tuple(DeterminingTuple(("4",))).sorted_nodes
-    ((1, 1), (2, 1), (3, 1), (4, 1))
-    """
-    return Diagram(
-        frozenset(
-            (a, j)
-            for j, entry in enumerate(alpha.entries, start=1)
-            for a in COLUMN_ROWS[entry]
-        )
-    )
-
-
 def determining_tuple(D: Diagram, shape: StuShape) -> DeterminingTuple:
     """Read the column profile off a diagram, validating its pattern.
 
@@ -186,52 +169,6 @@ def determining_tuple(D: Diagram, shape: StuShape) -> DeterminingTuple:
             f"{alpha.u - 1} triple columns do not match first row size {u}"
         )
     return alpha
-
-
-class ColumnOp(enum.Enum):
-    """Local column moves preserving the determining-tuple pattern.
-
-    C1 through C4 swap adjacent columns whose entries read (1,2),
-    (3,2), (2,1b) or (3,1b); C5 splits a length-two column into a row-3
-    single followed by a row-2 single.
-    """
-
-    C1 = "C1"
-    C2 = "C2"
-    C3 = "C3"
-    C4 = "C4"
-    C5 = "C5"
-
-
-_SWAP_PATTERNS = {
-    ColumnOp.C1: ("1", "2"),
-    ColumnOp.C2: ("3", "2"),
-    ColumnOp.C3: ("2", "1b"),
-    ColumnOp.C4: ("3", "1b"),
-}
-
-
-def apply_column_op(
-    E: Diagram, op: ColumnOp, j: int, shape: StuShape
-) -> Diagram:
-    """Apply one column move at column j (1-based), returning the moved
-    diagram.  The tuple pattern at j must match the operation; the word
-    of the input diagram is a prefix of the word of the output.
-    """
-    alpha = determining_tuple(E, shape)
-    entries = list(alpha.entries)
-    if op is ColumnOp.C5:
-        if not 1 <= j <= len(entries) or entries[j - 1] != "2":
-            raise ValueError(f"column {j} does not carry a 2")
-        entries[j - 1 : j] = ["1b", "1"]
-    else:
-        want = _SWAP_PATTERNS[op]
-        if not 1 <= j < len(entries) or tuple(entries[j - 1 : j + 1]) != want:
-            raise ValueError(
-                f"columns {j}, {j + 1} do not read {want} as {op.value} needs"
-            )
-        entries[j - 1], entries[j] = entries[j], entries[j - 1]
-    return diagram_from_tuple(DeterminingTuple(tuple(entries)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -640,10 +577,10 @@ def verify_rim_family(
 ) -> RimReport:
     """Check a closed-form rim against the enumerated ideal.
 
-    Verifies that the closed-form diagram words form an antichain under
-    the prefix order, that they all belong to the ideal, that every
-    ideal element is a prefix of one of them, and that the counts match
-    the table formulas.  Any failure raises; success returns a report.
+    The closed-form diagram words must be exactly the prefix-maximal
+    elements of the enumerated ideal, each word must rebuild its diagram,
+    and the counts must match the table formulas.  Any failure raises;
+    success returns a report.
     """
     lam = tuple(lam)
     shape = _shape_or_none(lam) or _shape_or_none(tuple(reversed(lam)))
@@ -651,23 +588,18 @@ def verify_rim_family(
         raise ValueError(f"{lam} is outside the closed-form families")
     diagrams, specials = rim_diagrams(lam)
     words = {D: w_of_diagram(D) for D in diagrams}
-    for w1, w2 in itertools.permutations(words.values(), 2):
-        if is_prefix(w1, w2):
-            raise VerificationError(
-                f"rim words are not an antichain for {lam}"
-            )
     ideal = z_ideal(lam, limit)
+    closed, tops = set(words.values()), prefix_maximal(ideal)
+    if closed != tops:
+        raise VerificationError(
+            f"closed-form words for {lam} are not the maxima of the ideal: "
+            f"missing {sorted(w.images for w in tops - closed)}, "
+            f"extra {sorted(w.images for w in closed - tops)}"
+        )
     for D, w in words.items():
-        if w not in ideal:
-            raise VerificationError(f"rim word {w.images} is outside the ideal")
         if min_column_diagram(w, lam) != D:
             raise VerificationError(
                 f"rim word {w.images} does not rebuild its diagram"
-            )
-    for e in ideal:
-        if not any(is_prefix(e, w) for w in words.values()):
-            raise VerificationError(
-                f"ideal element {e.images} reaches no rim word"
             )
     expected = table_counts(shape)
     got = (len(specials), len(diagrams) - len(specials))

@@ -195,57 +195,6 @@ def _chain_masks(
     return chains, follow, by_len
 
 
-def _length_sequences(
-    total: int, slots: int, cap: int
-) -> Iterator[tuple[int, ...]]:
-    """Sequences of the given many lengths summing to total, each between
-    1 and cap, in decreasing lexicographic order."""
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(cap, total - slots + 1), 0, -1):
-        for rest in _length_sequences(total - first, slots - 1, cap):
-            yield (first,) + rest
-
-
-def order_equivalent(pi: KPath) -> KPath:
-    """An ordered path family with the same support.
-
-    The constituent count is the least possible for the support; subject
-    to that, the tuple of listed lengths is lexicographically maximal,
-    and the flattened node sequence breaks remaining ties, least first.
-    The result is a canonical form: applying the function twice gives
-    the same family as applying it once.
-    """
-    support = pi.support
-    row_counts = defaultdict(int)
-    for a, _ in support:
-        row_counts[a] += 1
-    all_lengths = frozenset(range(1, pi.diagram.row_count + 1))
-    chains, follow, by_len = _chain_masks(pi.diagram, support, all_lengths)
-
-    def cover(cand: int, lengths: tuple[int, ...]) -> tuple | None:
-        if not lengths:  # the lengths sum to the support size
-            return ()
-        pool = cand & by_len[lengths[0]]
-        while pool:
-            i = (pool & -pool).bit_length() - 1
-            pool &= pool - 1
-            rest = cover(cand & follow[i], lengths[1:])
-            if rest is not None:
-                return (chains[i],) + rest
-        return None
-
-    cap = max(by_len, default=0)
-    for k in range(max(row_counts.values()), len(support) + 1):
-        for lengths in _length_sequences(len(support), k, cap):
-            full = cover((1 << len(chains)) - 1, lengths)
-            if full is not None:
-                return KPath(pi.diagram, full)
-    raise VerificationError("no ordered family covers the support")
-
-
 def family_with_lengths(
     D: Diagram, lengths: tuple[int, ...]
 ) -> KPath | None:
@@ -504,22 +453,3 @@ def find_form_path(D: Diagram) -> tuple[KPath, FormClass]:
             _check_row_distribution(pi, s, t, u, form)
             return pi, form
     raise VerificationError("admissible diagram yielded no form family")
-
-
-def straighten(pi: KPath) -> Diagram:
-    """Slide each constituent into its own column, keeping rows.
-
-    The family must cover its host diagram.  Constituent j contributes
-    nodes (a, j) for each of its rows a; an ordered input makes the row
-    filling of the host a standard filling of the result, and a form-A
-    input makes the result special.
-    """
-    if pi.support != pi.diagram.nodes:
-        raise ValueError("family must cover the whole diagram")
-    return Diagram(
-        frozenset(
-            (a, j)
-            for j, chain in enumerate(pi.constituents, start=1)
-            for a, _ in chain
-        )
-    )

@@ -75,77 +75,6 @@ def _pair_bits(n: int) -> dict[tuple[int, int], int]:
 
 
 @dataclass(frozen=True, slots=True)
-class InversionSet:
-    """A set of pairs (i, j), i < j, of points of S_n, stored as a bitmask.
-
-    Equality and subset tests require equal degrees.
-    """
-
-    degree: int
-    mask: int
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> InversionSet:
-        bits = _pair_bits(n)
-        mask = 0
-        for pair in pairs:
-            mask |= bits[tuple(pair)]
-        return cls(n, mask)
-
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """The pairs in lexicographic order.
-
-        >>> InversionSet.from_pairs(3, [(2, 3), (1, 2)]).pairs()
-        ((1, 2), (2, 3))
-        """
-        return tuple(
-            pair
-            for k, pair in enumerate(positive_pairs(self.degree))
-            if self.mask >> k & 1
-        )
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return bool(self.mask & _pair_bits(self.degree).get(tuple(pair), 0))
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def _check(self, other: InversionSet) -> None:
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} != {other.degree}")
-
-    def issubset(self, other: InversionSet) -> bool:
-        self._check(other)
-        return self.mask & ~other.mask == 0
-
-    def isdisjoint(self, other: InversionSet) -> bool:
-        self._check(other)
-        return self.mask & other.mask == 0
-
-    def union(self, other: InversionSet) -> InversionSet:
-        self._check(other)
-        return InversionSet(self.degree, self.mask | other.mask)
-
-    def difference(self, other: InversionSet) -> InversionSet:
-        self._check(other)
-        return InversionSet(self.degree, self.mask & ~other.mask)
-
-    def acted_by(self, x: Permutation) -> InversionSet:
-        """Apply x to both members of every pair, reordering increasingly.
-
-        >>> InversionSet.from_pairs(3, [(2, 3)]).acted_by(simple(1, 3)).pairs()
-        ((1, 3),)
-        """
-        if x.degree != self.degree:
-            raise ValueError(f"degree mismatch: {self.degree} != {x.degree}")
-        moved = []
-        for i, j in self.pairs():
-            a, b = x(i), x(j)
-            moved.append((a, b) if a < b else (b, a))
-        return InversionSet.from_pairs(self.degree, moved)
-
-
-@dataclass(frozen=True, slots=True)
 class Permutation:
     """A permutation of {1, .., n} in one-line notation.
 
@@ -167,9 +96,9 @@ class Permutation:
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {images!r}")
         mask = 0
-        for k, (i, j) in enumerate(positive_pairs(n)):
+        for (i, j), bit in _pair_bits(n).items():
             if images[i - 1] > images[j - 1]:
-                mask |= 1 << k
+                mask |= bit
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "mask", mask)
 
@@ -208,32 +137,6 @@ class Permutation:
             inv[v - 1] = k + 1
         return Permutation(tuple(inv))
 
-    def inversions(self) -> InversionSet:
-        return InversionSet(self.degree, self.mask)
-
-    def right_descents(self) -> tuple[int, ...]:
-        """Generator indices i with length(x * s_i) < length(x)."""
-        position = {v: k for k, v in enumerate(self.images)}
-        return tuple(
-            i for i in range(1, self.degree) if position[i] > position[i + 1]
-        )
-
-    def left_descents(self) -> tuple[int, ...]:
-        """Generator indices i with length(s_i * x) < length(x)."""
-        return tuple(
-            i for i in range(1, self.degree) if self.images[i - 1] > self.images[i]
-        )
-
-    def embedded(self, m: int) -> Permutation:
-        """The same permutation inside S_m, fixing the new points.
-
-        >>> Permutation((2, 1)).embedded(4).images
-        (2, 1, 3, 4)
-        """
-        if m < self.degree:
-            raise ValueError(f"cannot embed degree {self.degree} into S_{m}")
-        return Permutation(self.images + tuple(range(self.degree + 1, m + 1)))
-
 
 def identity(n: int) -> Permutation:
     return Permutation(tuple(range(1, n + 1)))
@@ -247,18 +150,6 @@ def simple(i: int, n: int) -> Permutation:
     images = list(range(1, n + 1))
     images[i - 1], images[i] = images[i], images[i - 1]
     return Permutation(tuple(images))
-
-
-def from_word(n: int, word: Iterable[int]) -> Permutation:
-    """The product of the basic transpositions named by the word.
-
-    >>> from_word(3, [2, 1]).images
-    (2, 3, 1)
-    """
-    x = identity(n)
-    for i in word:
-        x = x * simple(i, n)
-    return x
 
 
 def longest_element(n: int) -> Permutation:
@@ -275,9 +166,9 @@ def symmetric_group(n: int) -> Iterator[Permutation]:
 def is_prefix(candidate: Permutation, x: Permutation) -> bool:
     """Whether candidate is a prefix of x in the right weak order.
 
-    >>> is_prefix(simple(2, 3), from_word(3, [2, 1]))
+    >>> is_prefix(simple(2, 3), Permutation((2, 3, 1)))
     True
-    >>> is_prefix(simple(2, 3), from_word(3, [1, 2]))
+    >>> is_prefix(simple(2, 3), Permutation((3, 1, 2)))
     False
     """
     if candidate.degree != x.degree:
@@ -291,7 +182,7 @@ def reduced_word(x: Permutation) -> tuple[int, ...]:
     Greedy: the first letter of any reduced word must be a left descent, so
     repeatedly peel off the smallest one.
 
-    >>> reduced_word(from_word(3, [2, 1]))
+    >>> reduced_word(Permutation((2, 3, 1)))
     (2, 1)
     >>> reduced_word(longest_element(3))
     (1, 2, 1)
@@ -308,24 +199,6 @@ def reduced_word(x: Permutation) -> tuple[int, ...]:
             return tuple(word)
 
 
-def prefix_closure(elements: Iterable[Permutation]) -> set[Permutation]:
-    """All prefixes of all the given permutations.
-
-    >>> sorted(x.images for x in prefix_closure([from_word(3, [2, 1])]))
-    [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
-    """
-    closure: set[Permutation] = set()
-    stack = list(elements)
-    while stack:
-        x = stack.pop()
-        if x in closure:
-            continue
-        closure.add(x)
-        for i in x.right_descents():
-            stack.append(x * simple(i, x.degree))
-    return closure
-
-
 def prefix_maximal(elements: Iterable[Permutation]) -> set[Permutation]:
     """The elements that are not proper prefixes of another element.
 
@@ -334,7 +207,7 @@ def prefix_maximal(elements: Iterable[Permutation]) -> set[Permutation]:
     element below some other element lies below a maximal one, which is
     strictly longer and so already kept.
 
-    >>> sorted(x.images for x in prefix_maximal([simple(1, 3), from_word(3, [1, 2])]))
+    >>> sorted(x.images for x in prefix_maximal([simple(1, 3), Permutation((3, 1, 2))]))
     [(3, 1, 2)]
     """
     maxima: list[Permutation] = []
@@ -374,22 +247,6 @@ def generator_blocks(gens: frozenset[int], n: int) -> tuple[tuple[int, ...], ...
             blocks.append(tuple(range(start, i + 1)))
             start = i + 1
     return tuple(blocks)
-
-
-def same_block_pairs(gens: frozenset[int], n: int) -> InversionSet:
-    """All pairs (i, j) with i and j in the same generator block."""
-    pairs = []
-    for block in generator_blocks(gens, n):
-        pairs.extend(itertools.combinations(block, 2))
-    return InversionSet.from_pairs(n, pairs)
-
-
-def in_young_subgroup(x: Permutation, gens: frozenset[int]) -> bool:
-    """Whether x maps every generator block of S_n to itself."""
-    return all(
-        set(x(k) for k in block) == set(block)
-        for block in generator_blocks(gens, x.degree)
-    )
 
 
 def is_coset_rep(x: Permutation, gens: frozenset[int]) -> bool:
@@ -463,49 +320,3 @@ def parabolic(gens: frozenset[int], n: int) -> ParabolicData:
         longest_rep=longest_rep,
         reps=tuple(sorted(reps, key=lambda x: x.sort_key)),
     )
-
-
-def coset_decompose(
-    x: Permutation, gens: frozenset[int]
-) -> tuple[Permutation, Permutation]:
-    """Split x as u * d with u in the Young subgroup and d a coset rep.
-
-    On each generator block, d takes the images of x in increasing order;
-    u then rearranges the block internally.  Lengths add up:
-    length(x) == length(u) + length(d).
-
-    >>> u, d = coset_decompose(Permutation((3, 1, 2)), frozenset({1}))
-    >>> u.images, d.images
-    ((2, 1, 3), (1, 3, 2))
-    """
-    n = x.degree
-    d_images = [0] * n
-    for block in generator_blocks(frozenset(gens), n):
-        for k, v in zip(block, sorted(x(k) for k in block)):
-            d_images[k - 1] = v
-    d = Permutation(tuple(d_images))
-    u = x * d.inverse()
-    return u, d
-
-
-def induced_rim(rim: Iterable[Permutation], gens: frozenset[int]) -> set[Permutation]:
-    """Transport a rim inside a Young subgroup to the full group.
-
-    Given the set of prefix-maximal elements of a prefix-closed subset of
-    the Young subgroup, multiplying every element by the longest coset
-    representative yields the prefix-maximal elements of the corresponding
-    prefix-closed subset of S_n.
-
-    >>> sorted(x.images for x in induced_rim([identity(3)], frozenset({1})))
-    [(2, 3, 1)]
-    """
-    rim = set(rim)
-    if not rim:
-        return set()
-    n = next(iter(rim)).degree
-    gens = frozenset(gens)
-    for x in rim:
-        if not in_young_subgroup(x, gens):
-            raise ValueError(f"{x!r} is not in the Young subgroup")
-    top = parabolic(gens, n).longest_rep
-    return {x * top for x in rim}

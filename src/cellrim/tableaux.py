@@ -10,8 +10,8 @@ tableaux agree; the test suite checks both components against the
 diagram-admissibility criterion over whole symmetric groups and finds
 that exactly this one survives.
 
-Shape utilities for compositions and partitions (conjugation, dominance,
-enumeration) also live here.
+Shape utilities for compositions (conjugation and enumeration) also
+live here.
 """
 
 from __future__ import annotations
@@ -99,26 +99,8 @@ def rs_pair(x: Permutation) -> tuple[StandardYoungTableau, StandardYoungTableau]
     return p, q
 
 
-def insertion_tableau(x: Permutation) -> StandardYoungTableau:
-    return rs_pair(x)[0]
-
-
 def recording_tableau(x: Permutation) -> StandardYoungTableau:
     return rs_pair(x)[1]
-
-
-def right_equivalent(x: Permutation, y: Permutation) -> bool:
-    """Whether x and y lie in the same right cell: whether they share
-    their recording tableau.
-
-    >>> right_equivalent(Permutation((2, 1, 3)), Permutation((3, 1, 2)))
-    True
-    >>> right_equivalent(Permutation((2, 1, 3)), Permutation((1, 3, 2)))
-    False
-    """
-    if x.degree != y.degree:
-        raise ValueError(f"degree mismatch: {x.degree} != {y.degree}")
-    return recording_tableau(x) == recording_tableau(y)
 
 
 def right_cell_of(w: Permutation, limit: int | None = None) -> set[Permutation]:
@@ -132,13 +114,7 @@ def right_cell_of(w: Permutation, limit: int | None = None) -> set[Permutation]:
 
 
 # ---------------------------------------------------------------------------
-# compositions and partitions, as plain tuples of positive parts
-
-
-def is_partition(parts: tuple[int, ...]) -> bool:
-    return all(a >= b for a, b in zip(parts, parts[1:])) and all(
-        p > 0 for p in parts
-    )
+# compositions, as plain tuples of positive parts
 
 
 def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -156,26 +132,6 @@ def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
-def dominates(upper: tuple[int, ...], lower: tuple[int, ...]) -> bool:
-    """Dominance order on partitions of the same total: every prefix sum of
-    upper is at least the matching prefix sum of lower.
-
-    >>> dominates((3, 1), (2, 2))
-    True
-    >>> dominates((2, 2), (3, 1))
-    False
-    """
-    if sum(upper) != sum(lower):
-        raise ValueError(f"totals differ: {upper!r} vs {lower!r}")
-    acc_u = acc_l = 0
-    for k in range(max(len(upper), len(lower))):
-        acc_u += upper[k] if k < len(upper) else 0
-        acc_l += lower[k] if k < len(lower) else 0
-        if acc_u < acc_l:
-            return False
-    return True
-
-
 def compositions_of(n: int) -> Iterator[tuple[int, ...]]:
     """All compositions of n (ordered tuples of positive parts).
 
@@ -190,11 +146,3 @@ def compositions_of(n: int) -> Iterator[tuple[int, ...]]:
     ):
         bounds = (0,) + cuts + (n,)
         yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
-
-
-def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
-    """All partitions of n, largest part first within each, in the order
-    induced by compositions_of."""
-    for comp in compositions_of(n):
-        if is_partition(comp):
-            yield comp

@@ -1,0 +1,385 @@
+"""The paper's lemmas restated as small functions, for the tests to check.
+
+None of these feed a library output or a CLI command, so they live next
+to the tests.  They work on plain data where the package has no type for
+it: an inversion set is a frozenset of pairs (i, j), i < j, and a filling
+of a diagram is a values tuple, ``values[k]`` sitting at
+``D.sorted_nodes[k]``.
+"""
+
+from __future__ import annotations
+
+import enum
+import itertools
+from collections import defaultdict
+from typing import Iterable, Iterator
+
+from cellrim.diagrams import Diagram, w_of_diagram
+from cellrim.families import COLUMN_ROWS, DeterminingTuple, StuShape, determining_tuple
+from cellrim.paths import KPath, _chain_masks
+from cellrim.permutations import (
+    Permutation,
+    VerificationError,
+    generator_blocks,
+    identity,
+    parabolic,
+    positive_pairs,
+    simple,
+)
+from cellrim.tableaux import compositions_of, recording_tableau, rs_pair
+
+Pairs = frozenset[tuple[int, int]]
+
+# ---------------------------------------------------------------------------
+# permutations
+
+
+def inversions(x: Permutation) -> Pairs:
+    """The pairs whose bits are set in x.mask.
+
+    >>> sorted(inversions(Permutation((2, 3, 1))))
+    [(1, 3), (2, 3)]
+    """
+    pairs = positive_pairs(x.degree)
+    return frozenset(p for k, p in enumerate(pairs) if x.mask >> k & 1)
+
+
+def act_on_pairs(pairs: Iterable[tuple[int, int]], x: Permutation) -> Pairs:
+    """Apply x to both members of every pair, reordering increasingly.
+
+    >>> sorted(act_on_pairs({(2, 3)}, Permutation((2, 1, 3))))
+    [(1, 3)]
+    """
+    images = x.images
+    if any(j > len(images) for _, j in pairs):
+        raise ValueError(f"degree mismatch: pairs outside S_{x.degree}")
+    moved = ((images[i - 1], images[j - 1]) for i, j in pairs)
+    return frozenset((a, b) if a < b else (b, a) for a, b in moved)
+
+
+def left_descents(x: Permutation) -> tuple[int, ...]:
+    """Generator indices i with length(s_i * x) < length(x)."""
+    return tuple(i for i in range(1, x.degree) if x(i) > x(i + 1))
+
+
+def embedded(x: Permutation, m: int) -> Permutation:
+    """The same permutation inside S_m, fixing the new points.
+
+    >>> embedded(Permutation((2, 1)), 4).images
+    (2, 1, 3, 4)
+    """
+    if m < x.degree:
+        raise ValueError(f"cannot embed degree {x.degree} into S_{m}")
+    return Permutation(x.images + tuple(range(x.degree + 1, m + 1)))
+
+
+def from_word(n: int, word: Iterable[int]) -> Permutation:
+    """The product of the basic transpositions named by the word.
+
+    >>> from_word(3, [2, 1]).images
+    (2, 3, 1)
+    """
+    x = identity(n)
+    for i in word:
+        x = x * simple(i, n)
+    return x
+
+
+def prefix_closure(elements: Iterable[Permutation]) -> set[Permutation]:
+    """All prefixes of all the given permutations, by peeling right descents.
+
+    >>> sorted(x.images for x in prefix_closure([from_word(3, [2, 1])]))
+    [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
+    """
+    closure: set[Permutation] = set()
+    stack = list(elements)
+    while stack:
+        x = stack.pop()
+        if x not in closure:
+            closure.add(x)
+            at = x.images.index
+            descents = [i for i in range(1, x.degree) if at(i) > at(i + 1)]
+            stack.extend(x * simple(i, x.degree) for i in descents)
+    return closure
+
+
+def same_block_pairs(gens: frozenset[int], n: int) -> Pairs:
+    """All pairs (i, j) with i and j in the same generator block."""
+    blocks = generator_blocks(gens, n)
+    return frozenset(p for block in blocks for p in itertools.combinations(block, 2))
+
+
+def in_young_subgroup(x: Permutation, gens: frozenset[int]) -> bool:
+    """Whether x maps every generator block of S_n to itself."""
+    blocks = generator_blocks(gens, x.degree)
+    return all({x(k) for k in block} == set(block) for block in blocks)
+
+
+def coset_decompose(
+    x: Permutation, gens: frozenset[int]
+) -> tuple[Permutation, Permutation]:
+    """Split x as u * d with u in the Young subgroup and d a coset rep.
+
+    On each generator block, d takes the images of x in increasing order;
+    u then rearranges the block internally.
+
+    >>> u, d = coset_decompose(Permutation((3, 1, 2)), frozenset({1}))
+    >>> u.images, d.images
+    ((2, 1, 3), (1, 3, 2))
+    """
+    d_images = [0] * x.degree
+    for block in generator_blocks(frozenset(gens), x.degree):
+        for k, v in zip(block, sorted(x(k) for k in block)):
+            d_images[k - 1] = v
+    d = Permutation(tuple(d_images))
+    return x * d.inverse(), d
+
+
+def induced_rim(rim: Iterable[Permutation], gens: frozenset[int]) -> set[Permutation]:
+    """Transport the rim of a prefix-closed subset of the Young subgroup to
+    S_n by multiplying each element by the longest coset representative.
+
+    >>> sorted(x.images for x in induced_rim([identity(3)], frozenset({1})))
+    [(2, 3, 1)]
+    """
+    rim = set(rim)
+    for x in rim:
+        if not in_young_subgroup(x, gens):
+            raise ValueError(f"{x!r} is not in the Young subgroup")
+    return {x * parabolic(frozenset(gens), x.degree).longest_rep for x in rim}
+
+
+# ---------------------------------------------------------------------------
+# fillings of diagrams
+
+
+def filling(D: Diagram, values: Iterable[int]) -> tuple[int, ...]:
+    """Validate a filling of D: its values must be exactly 1..|D|."""
+    values = tuple(values)
+    if sorted(values) != list(range(1, D.size + 1)):
+        raise ValueError(f"entries are not a bijection onto 1..n: {values!r}")
+    return values
+
+
+def act_on_values(values: tuple[int, ...], x: Permutation) -> tuple[int, ...]:
+    """Replace every entry k by x(k)."""
+    if x.degree != len(values):
+        raise ValueError(f"degree mismatch: {x.degree} != {len(values)}")
+    return tuple(x(v) for v in values)
+
+
+def row_filling(D: Diagram) -> tuple[int, ...]:
+    """The filling by rows, top to bottom and left to right."""
+    return tuple(range(1, D.size + 1))
+
+
+def column_filling(D: Diagram) -> tuple[int, ...]:
+    """The filling by columns, left to right and top to bottom."""
+    by_cols = sorted(D.nodes, key=lambda node: (node[1], node[0]))
+    return tuple(by_cols.index(node) + 1 for node in D.sorted_nodes)
+
+
+def is_standard(D: Diagram, values: tuple[int, ...]) -> bool:
+    """Whether entries increase weakly along the componentwise node order."""
+    cells = list(zip(D.sorted_nodes, values))
+    return not any(
+        a1 <= a2 and b1 <= b2 and v1 > v2
+        for (a1, b1), v1 in cells
+        for (a2, b2), v2 in cells
+    )
+
+
+def standard_tableaux(D: Diagram) -> Iterator[tuple[int, ...]]:
+    """All standard fillings of D: the linear extensions of the
+    componentwise order on its nodes, in a fixed order."""
+    nodes = D.sorted_nodes
+    values = [0] * len(nodes)
+
+    def grow(step: int, remaining: list[int]) -> Iterator[tuple[int, ...]]:
+        if not remaining:
+            yield tuple(values)
+        for k in remaining:
+            a, b = nodes[k]
+            rest = [o for o in remaining if o != k]
+            if not any(nodes[o][0] <= a and nodes[o][1] <= b for o in rest):
+                values[k] = step
+                yield from grow(step + 1, rest)
+
+    return grow(1, list(range(len(nodes))))
+
+
+def prefix_tableau_bijection(
+    D: Diagram,
+) -> tuple[tuple[Permutation, ...], tuple[tuple[int, ...], ...]]:
+    """The prefixes of w_D alongside the standard fillings of D, after
+    checking that acting on the row filling by the prefixes gives every
+    standard filling exactly once."""
+    prefixes = sorted(prefix_closure([w_of_diagram(D)]), key=lambda x: x.sort_key)
+    tableaux = tuple(standard_tableaux(D))
+    images = {act_on_values(row_filling(D), u) for u in prefixes}
+    if len(images) != len(prefixes) or images != set(tableaux):
+        raise VerificationError(
+            f"prefixes of w_D do not match the standard fillings for {D!r}"
+        )
+    return tuple(prefixes), tableaux
+
+
+def hat_diagram(D: Diagram) -> Diagram:
+    """Shift D one column right and hang a lone node on a new bottom row.
+
+    >>> hat_diagram(Diagram({(1, 1)})).sorted_nodes
+    ((1, 2), (2, 1))
+    """
+    return Diagram(frozenset((a, b + 1) for a, b in D.nodes) | {(D.row_count + 1, 1)})
+
+
+# ---------------------------------------------------------------------------
+# path families
+
+
+def _length_sequences(total: int, slots: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Sequences of the given many lengths summing to total, each between
+    1 and cap, in decreasing lexicographic order."""
+    if slots == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(cap, total - slots + 1), 0, -1):
+        for rest in _length_sequences(total - first, slots - 1, cap):
+            yield (first,) + rest
+
+
+def order_equivalent(pi: KPath) -> KPath:
+    """An ordered path family with the same support.
+
+    The constituent count is the least possible for the support; subject
+    to that, the tuple of listed lengths is lexicographically maximal, and
+    the flattened node sequence breaks remaining ties, least first.  So
+    applying the function twice gives the same family as applying it once.
+    """
+    support = pi.support
+    row_counts: dict[int, int] = defaultdict(int)
+    for a, _ in support:
+        row_counts[a] += 1
+    all_lengths = frozenset(range(1, pi.diagram.row_count + 1))
+    chains, follow, by_len = _chain_masks(pi.diagram, support, all_lengths)
+
+    def cover(cand: int, lengths: tuple[int, ...]) -> tuple | None:
+        if not lengths:  # the lengths sum to the support size
+            return ()
+        pool = cand & by_len[lengths[0]]
+        while pool:
+            i = (pool & -pool).bit_length() - 1
+            pool &= pool - 1
+            rest = cover(cand & follow[i], lengths[1:])
+            if rest is not None:
+                return (chains[i],) + rest
+        return None
+
+    cap = max(by_len, default=0)
+    for k in range(max(row_counts.values()), len(support) + 1):
+        for lengths in _length_sequences(len(support), k, cap):
+            full = cover((1 << len(chains)) - 1, lengths)
+            if full is not None:
+                return KPath(pi.diagram, full)
+    raise VerificationError("no ordered family covers the support")
+
+
+def straighten(pi: KPath) -> Diagram:
+    """Slide each constituent into its own column, keeping rows.
+
+    The family must cover its host diagram.  An ordered input makes the
+    row filling of the host a standard filling of the result, and a form-A
+    input makes the result special.
+    """
+    if pi.support != pi.diagram.nodes:
+        raise ValueError("family must cover the whole diagram")
+    columns = enumerate(pi.constituents, 1)
+    return Diagram(frozenset((a, j) for j, chain in columns for a, _ in chain))
+
+
+# ---------------------------------------------------------------------------
+# column moves on determining tuples
+
+
+class ColumnOp(enum.Enum):
+    """Local column moves preserving the determining-tuple pattern.
+
+    C1 through C4 swap adjacent columns reading (1,2), (3,2), (2,1b) or
+    (3,1b); C5 splits a length-two column into a row-3 single followed by
+    a row-2 single.  Each value is the run of entries the move needs.
+    """
+
+    C1 = ("1", "2")
+    C2 = ("3", "2")
+    C3 = ("2", "1b")
+    C4 = ("3", "1b")
+    C5 = ("2",)
+
+
+def diagram_from_tuple(alpha: DeterminingTuple) -> Diagram:
+    """The unique four-row diagram with the given column profile.
+
+    >>> diagram_from_tuple(DeterminingTuple(("4",))).sorted_nodes
+    ((1, 1), (2, 1), (3, 1), (4, 1))
+    """
+    columns = enumerate(alpha.entries, 1)
+    return Diagram(frozenset((a, j) for j, e in columns for a in COLUMN_ROWS[e]))
+
+
+def apply_column_op(E: Diagram, op: ColumnOp, j: int, shape: StuShape) -> Diagram:
+    """Apply one column move at column j (1-based).  The tuple pattern at
+    j must match the move; the word of E is a prefix of the word of the
+    result."""
+    entries = list(determining_tuple(E, shape).entries)
+    width = len(op.value)
+    if j < 1 or tuple(entries[j - 1 : j - 1 + width]) != op.value:
+        raise ValueError(f"columns from {j} do not read {op.value} as {op.name} needs")
+    moved = ("1b", "1") if op is ColumnOp.C5 else op.value[::-1]
+    entries[j - 1 : j - 1 + width] = moved
+    return diagram_from_tuple(DeterminingTuple(tuple(entries)))
+
+
+# ---------------------------------------------------------------------------
+# tableaux and partitions
+
+
+def insertion_tableau(x: Permutation):
+    return rs_pair(x)[0]
+
+
+def right_equivalent(x: Permutation, y: Permutation) -> bool:
+    """Whether x and y lie in the same right cell: whether they share
+    their recording tableau.
+
+    >>> right_equivalent(Permutation((2, 1, 3)), Permutation((3, 1, 2)))
+    True
+    >>> right_equivalent(Permutation((2, 1, 3)), Permutation((1, 3, 2)))
+    False
+    """
+    if x.degree != y.degree:
+        raise ValueError(f"degree mismatch: {x.degree} != {y.degree}")
+    return recording_tableau(x) == recording_tableau(y)
+
+
+def is_partition(parts: tuple[int, ...]) -> bool:
+    return all(a >= b for a, b in zip(parts, parts[1:])) and all(p > 0 for p in parts)
+
+
+def dominates(upper: tuple[int, ...], lower: tuple[int, ...]) -> bool:
+    """Dominance order on partitions of the same total: every prefix sum of
+    upper is at least the matching prefix sum of lower.
+
+    >>> dominates((3, 1), (2, 2)), dominates((2, 2), (3, 1))
+    (True, False)
+    """
+    if sum(upper) != sum(lower):
+        raise ValueError(f"totals differ: {upper!r} vs {lower!r}")
+    pad = max(len(upper), len(lower))
+    sums = zip(*(itertools.accumulate(p + (0,) * pad) for p in (upper, lower)))
+    return all(u >= l for u, l in sums)
+
+
+def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
+    """All partitions of n, in the order induced by compositions_of."""
+    return filter(is_partition, compositions_of(n))

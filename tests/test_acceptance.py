@@ -14,7 +14,6 @@ import time
 
 from cellrim.diagrams import (
     is_special,
-    hat_diagram,
     min_column_diagram,
     psi_append,
     rotate_180,
@@ -37,25 +36,31 @@ from cellrim.paths import (
     classify_form,
     family_with_lengths,
     is_admissible,
-    straighten,
 )
 from cellrim.permutations import (
-    InversionSet,
     Permutation,
     composition_generators,
-    coset_decompose,
     identity,
-    in_young_subgroup,
     is_prefix,
     parabolic,
     positive_pairs,
-    prefix_closure,
     prefix_maximal,
-    same_block_pairs,
     simple,
     symmetric_group,
 )
 from cellrim.tableaux import compositions_of, conjugate, recording_tableau
+
+from claims import (
+    act_on_pairs,
+    coset_decompose,
+    embedded,
+    hat_diagram,
+    in_young_subgroup,
+    inversions,
+    prefix_closure,
+    same_block_pairs,
+    straighten,
+)
 
 from fixtures import (
     ADMISSIBLE_NO_CONJUGATE_PATH,
@@ -183,22 +188,22 @@ def test_criterion_06_parabolic_inversion_identities():
     started = time.perf_counter()
     for n in range(1, 8):
         everyone = list(symmetric_group(n))
-        full = InversionSet.from_pairs(n, positive_pairs(n))
+        full = frozenset(positive_pairs(n))
         for r in range(n):
             for combo in itertools.combinations(range(1, n), r):
                 gens = frozenset(combo)
                 data = parabolic(gens, n)
-                rep_inversions = data.longest_rep.inversions()
-                assert rep_inversions == full.difference(same_block_pairs(gens, n))
+                rep_inversions = inversions(data.longest_rep)
+                assert rep_inversions == full - same_block_pairs(gens, n)
                 for v in everyone:
                     if in_young_subgroup(v, gens):
-                        assert rep_inversions.acted_by(v) == rep_inversions
+                        assert act_on_pairs(rep_inversions, v) == rep_inversions
                 for x in everyone:
                     u, d = coset_decompose(x, gens)
-                    upper = u.inversions()
-                    moved = d.inversions().acted_by(u.inverse())
-                    assert upper.mask & moved.mask == 0
-                    assert upper.union(moved) == x.inversions()
+                    upper = inversions(u)
+                    moved = act_on_pairs(inversions(d), u.inverse())
+                    assert upper.isdisjoint(moved)
+                    assert upper | moved == inversions(x)
     _finish("criterion 6 (coset representative inversion sets)", started, 300.0)
 
 
@@ -211,10 +216,10 @@ def test_criterion_07_induced_rims_in_one_higher_degree():
             lifted = set()
             for y in rim(lam):
                 lift = w_of_diagram(hat_diagram(min_column_diagram(y, lam)))
-                assert lift == y.embedded(n + 1) * longest_rep
+                assert lift == embedded(y, n + 1) * longest_rep
                 lifted.add(lift)
             direct = {
-                z.embedded(n + 1) * x for z in z_ideal(lam) for x in hat.reps
+                embedded(z, n + 1) * x for z in z_ideal(lam) for x in hat.reps
             }
             assert prefix_closure(lifted) == direct, lam
     _finish("criterion 7 (rim induction one degree up)", started, 300.0)

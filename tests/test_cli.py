@@ -8,7 +8,7 @@ import pytest
 
 from cellrim.cli import main
 from cellrim.diagrams import Diagram, w_of_diagram
-from cellrim.permutations import from_word
+from claims import from_word
 from fixtures import FAMILY_H_538, FAMILY_M_385, FAMILY_M_385_TUPLE
 
 

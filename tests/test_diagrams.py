@@ -9,16 +9,9 @@ from hypothesis import strategies as st
 import oracles
 from cellrim.diagrams import (
     Diagram,
-    DiagramTableau,
-    column_filling,
-    hat_diagram,
     is_special,
-    is_standard,
     min_column_diagram,
-    prefix_tableau_bijection,
     rotate_180,
-    row_filling,
-    standard_tableaux,
     w_of_diagram,
     young_diagram,
 )
@@ -29,10 +22,22 @@ from cellrim.permutations import (
     is_coset_rep,
     longest_element,
     parabolic,
-    prefix_closure,
     simple,
 )
-from cellrim.tableaux import compositions_of, partitions_of
+from cellrim.tableaux import compositions_of
+from claims import (
+    act_on_values,
+    column_filling,
+    embedded,
+    filling,
+    hat_diagram,
+    is_standard,
+    partitions_of,
+    prefix_closure,
+    prefix_tableau_bijection,
+    row_filling,
+    standard_tableaux,
+)
 from fixtures import DIAGRAM_4631, FAMILY_F_853, FAMILY_M_385, box_diagrams
 
 CORPUS = box_diagrams(3, 3)
@@ -92,8 +97,8 @@ class TestDiagramBasics:
 class TestFillings:
     def test_fillings_of_young_2_2(self):
         D = young_diagram((2, 2))
-        assert row_filling(D).values == (1, 2, 3, 4)
-        assert column_filling(D).values == (1, 3, 2, 4)
+        assert row_filling(D) == (1, 2, 3, 4)
+        assert column_filling(D) == (1, 3, 2, 4)
         assert w_of_diagram(D) == simple(2, 4)
 
     def test_single_row_word_is_identity(self):
@@ -106,17 +111,17 @@ class TestFillings:
     def test_tableau_entry_and_action(self):
         D = young_diagram((2, 2))
         t = row_filling(D)
-        assert t.entry((2, 1)) == 3
-        assert t.acted_by(w_of_diagram(D)) == column_filling(D)
+        assert t[D.sorted_nodes.index((2, 1))] == 3
+        assert act_on_values(t, w_of_diagram(D)) == column_filling(D)
 
     def test_tableau_validation(self):
         D = young_diagram((2, 1))
         with pytest.raises(ValueError):
-            DiagramTableau(D, (1, 1, 2))
+            filling(D, (1, 1, 2))
         with pytest.raises(ValueError):
-            DiagramTableau(D, (1, 2))
+            filling(D, (1, 2))
         with pytest.raises(ValueError):
-            row_filling(D).acted_by(identity(4))
+            act_on_values(row_filling(D), identity(4))
 
     def test_word_matches_plain_tuple_oracle(self):
         for D in CORPUS:
@@ -124,18 +129,18 @@ class TestFillings:
 
     def test_row_filling_acted_by_word_gives_column_filling(self):
         for D in CORPUS:
-            assert row_filling(D).acted_by(w_of_diagram(D)) == column_filling(D)
+            assert act_on_values(row_filling(D), w_of_diagram(D)) == column_filling(D)
 
 
 class TestStandardTableaux:
     def test_both_fillings_are_standard(self):
         for D in CORPUS:
-            assert is_standard(row_filling(D))
-            assert is_standard(column_filling(D))
+            assert is_standard(D, row_filling(D))
+            assert is_standard(D, column_filling(D))
 
     def test_non_standard_example(self):
         D = young_diagram((2, 2))
-        assert not is_standard(DiagramTableau(D, (1, 3, 4, 2)))
+        assert not is_standard(D, filling(D, (1, 3, 4, 2)))
 
     def test_counts_match_hook_length_formula(self):
         for n in range(1, 7):
@@ -252,7 +257,7 @@ class TestHatDiagram:
             assert H.size == n + 1
             assert H.row_composition() == D.row_composition() + (1,)
             assert H.column_composition() == (1,) + D.column_composition()
-            assert w_of_diagram(H) == w_of_diagram(D).embedded(n + 1) * hat_rep(n)
+            assert w_of_diagram(H) == embedded(w_of_diagram(D), n + 1) * hat_rep(n)
 
     def test_hat_rep_is_cycle(self):
         assert hat_rep(3).images == (2, 3, 4, 1)

@@ -1,4 +1,5 @@
-"""Run the docstring examples across every package module."""
+"""Run the docstring examples across every package module and the
+lemma checkers in ``tests/claims.py``."""
 
 from __future__ import annotations
 
@@ -12,8 +13,10 @@ import cellrim.families
 import cellrim.paths
 import cellrim.permutations
 import cellrim.tableaux
+import claims
 
 MODULES = [
+    claims,
     cellrim.cli,
     cellrim.diagrams,
     cellrim.families,

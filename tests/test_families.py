@@ -20,13 +20,10 @@ from cellrim.diagrams import (
     young_diagram,
 )
 from cellrim.families import (
-    ColumnOp,
     DeterminingTuple,
     FamilyParams,
     StuShape,
-    apply_column_op,
     determining_tuple,
-    diagram_from_tuple,
     family_diagram,
     family_parameter_sets,
     rim,
@@ -42,13 +39,14 @@ from cellrim.permutations import (
     identity,
     is_prefix,
     parabolic,
-    prefix_closure,
 )
-from cellrim.tableaux import (
-    compositions_of,
-    conjugate,
+from cellrim.tableaux import compositions_of, conjugate, recording_tableau
+from claims import (
+    ColumnOp,
+    apply_column_op,
+    diagram_from_tuple,
     insertion_tableau,
-    recording_tableau,
+    prefix_closure,
 )
 from fixtures import (
     FAMILY_F_853,
@@ -541,6 +539,29 @@ class TestVerifyRimFamily:
         monkeypatch.setattr(families, "table_counts", lambda shape: (0, 0))
         with pytest.raises(VerificationError):
             families.verify_rim_family((1, 3, 2, 1))
+
+    def test_detects_a_dropped_member(self, monkeypatch):
+        closed_rim = families._closed_rim
+
+        def without_first(shape):
+            members = sorted(closed_rim(shape), key=lambda D: D.sorted_nodes)
+            return frozenset(members[1:])
+
+        monkeypatch.setattr(families, "_closed_rim", without_first)
+        with pytest.raises(VerificationError, match="missing"):
+            verify_rim_family((1, 3, 2, 1))
+
+    def test_detects_a_non_maximal_member(self, monkeypatch):
+        lam = (1, 3, 2, 1)
+        below = max(z_ideal(lam) - rim(lam), key=lambda e: e.sort_key)
+        closed_rim = families._closed_rim
+        monkeypatch.setattr(
+            families, "_closed_rim",
+            lambda shape: closed_rim(shape) | {min_column_diagram(below, lam)},
+        )
+        with pytest.raises(VerificationError, match="extra") as caught:
+            verify_rim_family(lam)
+        assert str(below.images) in str(caught.value).split("extra")[1]
 
 
 class TestColumnOps:

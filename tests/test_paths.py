@@ -12,13 +12,10 @@ from hypothesis import strategies as st
 import oracles
 from cellrim.diagrams import (
     Diagram,
-    DiagramTableau,
     is_special,
-    is_standard,
     min_column_diagram,
     psi_append,
     rotate_180,
-    row_filling,
     young_diagram,
 )
 from cellrim.families import StuShape, family_diagram, family_parameter_sets
@@ -33,8 +30,6 @@ from cellrim.paths import (
     insert_singletons,
     is_admissible,
     is_ordered,
-    order_equivalent,
-    straighten,
     subsequence_type,
 )
 from cellrim.permutations import (
@@ -42,7 +37,16 @@ from cellrim.permutations import (
     composition_generators,
     parabolic,
 )
-from cellrim.tableaux import conjugate, dominates, partitions_of
+from cellrim.tableaux import conjugate
+from claims import (
+    dominates,
+    filling,
+    is_standard,
+    order_equivalent,
+    partitions_of,
+    row_filling,
+    straighten,
+)
 from fixtures import (
     ADMISSIBLE_NO_CONJUGATE_PATH,
     DIAGRAM_4631,
@@ -121,15 +125,15 @@ def singleton_family(D: Diagram) -> KPath:
     return KPath(D, tuple((n,) for n in D.sorted_nodes))
 
 
-def transported_row_filling(pi: KPath) -> DiagramTableau:
+def transported_row_filling(pi: KPath) -> tuple[Diagram, tuple[int, ...]]:
     """The host's row filling carried onto the straightened diagram."""
     E = straighten(pi)
-    host = row_filling(pi.diagram)
+    host = dict(zip(pi.diagram.sorted_nodes, row_filling(pi.diagram)))
     entry = {}
     for j, chain in enumerate(pi.constituents, start=1):
         for a, b in chain:
-            entry[a, j] = host.entry((a, b))
-    return DiagramTableau(E, tuple(entry[n] for n in E.sorted_nodes))
+            entry[a, j] = host[a, b]
+    return E, filling(E, (entry[n] for n in E.sorted_nodes))
 
 
 class TestKPathValidation:
@@ -510,7 +514,7 @@ class TestFindFormPath:
                     assert form is FormClass.A
                 if form is FormClass.A:
                     assert is_special(straighten(pi))
-                assert is_standard(transported_row_filling(pi))
+                assert is_standard(*transported_row_filling(pi))
             assert admissible_count == expected
 
 
@@ -536,7 +540,7 @@ class TestStraighten:
             (FAMILY_M_385, PATH_B_M_385),
             (FAMILY_N_358, PATH_B_N_358),
         ):
-            assert is_standard(transported_row_filling(KPath(D, path)))
+            assert is_standard(*transported_row_filling(KPath(D, path)))
 
     def test_form_a_straightens_special_but_b_need_not(self):
         assert is_special(straighten(KPath(DIAGRAM_4631, PATH_A_4631)))

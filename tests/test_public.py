@@ -1,0 +1,41 @@
+"""The names ``cellrim`` exports, pinned."""
+
+from __future__ import annotations
+
+import pytest
+
+import cellrim
+
+EXPORTED = [
+    "DeterminingTuple", "Diagram", "FamilyParams", "FormClass", "GuardExceeded",
+    "KPath", "Permutation", "RimReport", "StandardYoungTableau", "StuShape",
+    "VerificationError", "classify_form", "composition_generators",
+    "compositions_of", "conjugate", "determining_tuple", "family_diagram",
+    "family_parameter_sets", "family_with_lengths", "find_form_path",
+    "is_admissible", "is_ordered", "is_prefix", "is_special",
+    "min_column_diagram", "parabolic", "prefix_maximal", "psi_append",
+    "recording_tableau", "reduced_word", "right_cell_of", "rim", "rim_diagrams",
+    "rotate_180", "rs_pair", "subsequence_type", "symmetric_group",
+    "table_counts", "verify_rim_family", "w_of_diagram", "young_diagram",
+    "z_ideal",
+]
+
+# Lemma checkers that feed no output; they live in tests/claims.py.
+MOVED = [
+    "ColumnOp", "InversionSet", "apply_column_op", "coset_decompose",
+    "diagram_from_tuple", "from_word", "hat_diagram", "induced_rim",
+    "insertion_tableau", "partitions_of", "prefix_closure", "straighten",
+]
+
+
+def test_exported_names_are_pinned_and_resolve():
+    assert sorted(cellrim.__all__) == EXPORTED
+    for name in EXPORTED:
+        assert getattr(cellrim, name) is not None
+
+
+def test_moved_names_are_not_importable():
+    for name in MOVED:
+        assert not hasattr(cellrim, name)
+        with pytest.raises(ImportError):
+            exec(f"from cellrim import {name}", {})

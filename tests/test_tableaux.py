@@ -23,18 +23,14 @@ from cellrim.tableaux import (
     StandardYoungTableau,
     compositions_of,
     conjugate,
-    dominates,
-    insertion_tableau,
-    is_partition,
-    partitions_of,
     recording_tableau,
     right_cell_of,
-    right_equivalent,
     row_insert,
     rs_pair,
 )
 
 import oracles
+from claims import dominates, is_partition, partitions_of, right_equivalent
 
 
 def test_rs_frozen_examples():
