@@ -4,11 +4,11 @@ For a composition of n, the coset representatives e whose product with
 the longest block permutation stays in that element's right cell form
 a prefix-closed ideal.  The ideal is determined by its prefix-maximal
 elements, its rim; each rim element is encoded by a minimal-column
-diagram.  This module computes the ideal and rim by enumeration,
-builds the closed-form diagram families that describe the rims of
-compositions with three leading parts followed by rows of size one,
-evaluates the counting formulas for those families, and verifies the
-closed forms against enumeration.
+diagram.  This module computes the ideal and rim by reverse search
+from the identity along prefix covers, builds the closed-form diagram
+families that describe the rims of compositions with three leading
+parts followed by rows of size one, evaluates the counting formulas for
+those families, and verifies the closed forms against the search.
 
 Conventions for the closed families, with (s, t, u) the leading parts
 in non-increasing order: a sorted head gives the single Young diagram;
@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
+from typing import Iterator
 
 from .diagrams import (
     Diagram,
@@ -39,10 +40,11 @@ from .permutations import (
     VerificationError,
     check_enumeration_guard,
     composition_generators,
+    identity,
     parabolic,
     prefix_maximal,
 )
-from .tableaux import StandardYoungTableau, recording_tableau, row_insert
+from .tableaux import recording_tableau, row_insert
 
 
 @dataclass(frozen=True, slots=True)
@@ -461,48 +463,97 @@ def table_counts(shape: StuShape) -> tuple[int, int]:
     return s - u + 1, (t - u) * (s - t) + comb(t - u + 1, 2)
 
 
-def z_ideal(
-    lam: tuple[int, ...], limit: int | None = None
-) -> frozenset[Permutation]:
-    """The prefix-closed ideal of coset representatives for a composition.
+def _reverse_search(
+    lam: tuple[int, ...], limit: int | None
+) -> Iterator[tuple[Permutation, bool]]:
+    """Each member of the ideal once, flagged when it is a rim element.
 
-    Membership is computed two independent ways on every representative
-    e, and they must agree: the recording tableau of the product with
-    the longest block permutation matches that permutation's own, and
-    the minimal-column diagram of e is admissible.  A disagreement
-    raises VerificationError naming the composition and e.
+    Members e are coset representatives, so a cover e * s_i in prefix
+    order swaps the values i and i + 1, with i before i + 1 and the two
+    in different blocks.  As the ideal is prefix-closed it is a tree
+    under canonical parents: a member other than the identity reaches
+    its parent by undoing its largest right descent (Avis and Fukuda's
+    reverse search).  So from each member only the covers it is the
+    canonical parent of are tested, and nothing found is stored.  A
+    member is a rim element exactly when no cover is a member; when no
+    child is, the other covers are tested up to the first member.
 
-    >>> sorted(e.images for e in z_ideal((2, 1)))
-    [(1, 2, 3), (1, 3, 2)]
+    Membership is computed two independent ways on every candidate
+    tested, and they must agree: the recording tableau of the product
+    with the longest block permutation matches that permutation's own,
+    and the minimal-column diagram of the candidate is admissible.  A
+    disagreement raises VerificationError naming the composition and
+    the candidate.
     """
-    lam = tuple(lam)
     n = sum(lam)
     check_enumeration_guard(n, limit)
-    data = parabolic(composition_generators(lam), n)
-    target = recording_tableau(data.longest)
-    longest = data.longest.images
-    points = list(range(1, n + 1))
-    members = []
-    for e in data.reps:
-        # the one-line word of (data.longest * e)^-1, whose insertion
-        # tableau is the recording tableau of data.longest * e; as
-        # data.longest is an involution, the inverse sends e(k) to
-        # data.longest(k)
+    longest = parabolic(composition_generators(lam), n).longest
+    target = [list(row) for row in recording_tableau(longest).rows]
+    block_of = [a for a, p in enumerate(lam) for _ in range(p)]
+
+    def is_member(e: Permutation) -> bool:
+        # the one-line word of (longest * e)^-1, whose insertion tableau
+        # is the recording tableau of longest * e; as longest is an
+        # involution, the inverse sends e(k) to longest(k)
         word = [0] * n
-        for w_k, e_k in zip(longest, e.images):
+        for w_k, e_k in zip(longest.images, e.images):
             word[e_k - 1] = w_k
-        if sorted(word) != points:
-            raise ValueError(f"not a permutation of 1..{n}: {word!r}")
-        by_cell = StandardYoungTableau(tuple(map(tuple, row_insert(word)))) == target
+        by_cell = row_insert(word) == target
         by_diagram = is_admissible(min_column_diagram(e, lam))
         if by_cell != by_diagram:
             raise VerificationError(
                 f"cell route and diagram route disagree for {lam} at "
                 f"{e.images}: cell says {by_cell}, diagram says {by_diagram}"
             )
-        if by_cell:
-            members.append(e)
-    return frozenset(members)
+        return by_cell
+
+    def cover(images: tuple[int, ...], i: int) -> Permutation:
+        return Permutation(
+            tuple(i + 1 if v == i else i if v == i + 1 else v for v in images)
+        )
+
+    stack = [identity(n)]
+    while stack:
+        e = stack.pop()
+        images = e.images
+        # at[v] is the position of the value v; at[n + 1] lies past the end
+        at = [0] * (n + 2)
+        for k, v in enumerate(images):
+            at[v] = k
+        at[n + 1] = n
+        last_descent = max(
+            (j for j in range(1, n) if at[j] > at[j + 1]), default=0
+        )
+        children, others = [], []
+        for i in range(1, n):
+            if at[i] > at[i + 1] or block_of[at[i]] == block_of[at[i + 1]]:
+                continue
+            # i is the cover's largest right descent when e has none past
+            # i + 1 and the swap leaves i + 1 before i + 2
+            if last_descent <= i + 1 and at[i] < at[i + 2]:
+                children.append(i)
+            else:
+                others.append(i)
+        found = [f for f in (cover(images, i) for i in children) if is_member(f)]
+        stack.extend(found)
+        yield e, not found and not any(is_member(cover(images, i)) for i in others)
+
+
+def z_ideal(
+    lam: tuple[int, ...], limit: int | None = None
+) -> frozenset[Permutation]:
+    """The prefix-closed ideal of coset representatives for a composition.
+
+    The ideal is walked up from the identity by reverse search along
+    prefix covers.  Membership is tested by both routes on every
+    candidate the search reaches, and a disagreement raises
+    VerificationError; the tests compare the result with both routes run
+    on every coset representative.
+
+    >>> sorted(e.images for e in z_ideal((2, 1)))
+    [(1, 2, 3), (1, 3, 2)]
+    """
+    return frozenset(e for e, _ in _reverse_search(tuple(lam), limit))
 
 
 def rim(
@@ -513,7 +564,7 @@ def rim(
     >>> [y.images for y in rim((3,))]
     [(1, 2, 3)]
     """
-    return frozenset(prefix_maximal(z_ideal(lam, limit)))
+    return frozenset(e for e, top in _reverse_search(tuple(lam), limit) if top)
 
 
 def _closed_rim(shape: StuShape) -> frozenset[Diagram]:
@@ -537,7 +588,7 @@ def rim_diagrams(
     Compositions with three leading parts followed by ones (or the
     reverse) use the closed families, extended one row at a time past
     four rows and rotated for the reversed arrangement.  Any other
-    composition falls back to enumeration under the guard.
+    composition falls back to the ideal search under the guard.
 
     >>> E, E_s = rim_diagrams((3, 2, 1, 1))
     >>> len(E), len(E_s)
@@ -563,7 +614,7 @@ def rim_diagrams(
 
 @dataclass(frozen=True, slots=True)
 class RimReport:
-    """Outcome of checking a closed-form rim against enumeration."""
+    """Outcome of checking a closed-form rim against the ideal search."""
 
     composition: tuple[int, ...]
     rim_size: int
@@ -575,10 +626,10 @@ class RimReport:
 def verify_rim_family(
     lam: tuple[int, ...], limit: int | None = None
 ) -> RimReport:
-    """Check a closed-form rim against the enumerated ideal.
+    """Check a closed-form rim against the searched ideal.
 
     The closed-form diagram words must be exactly the prefix-maximal
-    elements of the enumerated ideal, each word must rebuild its diagram,
+    elements of the searched ideal, each word must rebuild its diagram,
     and the counts must match the table formulas.  Any failure raises;
     success returns a report.
     """

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterable, Iterator
 
 DEFAULT_MAX_DEGREE = 9
@@ -269,23 +269,39 @@ class ParabolicData:
         longest_rep: the unique longest distinguished coset representative.
         reps: all distinguished representatives, sorted by length then
             one-line notation.  Every representative is a prefix of
-            longest_rep, and conversely.
+            longest_rep, and conversely.  The list is built when first
+            read: the package's own computations need only longest, and
+            the full list serves the tests that enumerate every rep.
+
+    A representative increases on every generator block, so it is fixed
+    by the set of values each block receives.  The representatives are
+    built directly, one per choice of those sets, block by block.
     """
 
     gens: frozenset[int]
     degree: int
     longest: Permutation
     longest_rep: Permutation
-    reps: tuple[Permutation, ...]
+
+    @cached_property
+    def reps(self) -> tuple[Permutation, ...]:
+        n = self.degree
+        rep_images: list[tuple[int, ...]] = [()]
+        for block in generator_blocks(self.gens, n):
+            rep_images = [
+                head + chosen
+                for head in rep_images
+                for chosen in itertools.combinations(
+                    sorted(set(range(1, n + 1)).difference(head)), len(block)
+                )
+            ]
+        reps = [Permutation(images) for images in rep_images]
+        return tuple(sorted(reps, key=lambda x: x.sort_key))
 
 
 @cache
 def parabolic(gens: frozenset[int], n: int) -> ParabolicData:
     """Coset data for the Young subgroup generated by the given indices.
-
-    A representative increases on every generator block, so it is fixed
-    by the set of values each block receives.  The representatives are
-    built directly, one per choice of those sets, block by block.
 
     >>> data = parabolic(frozenset({1}), 3)
     >>> data.longest_rep.images
@@ -296,27 +312,13 @@ def parabolic(gens: frozenset[int], n: int) -> ParabolicData:
     gens = frozenset(gens)
     if not all(1 <= i <= n - 1 for i in gens):
         raise ValueError(f"generator indices {sorted(gens)} out of range for S_{n}")
-    blocks = generator_blocks(gens, n)
     longest_images = []
-    for block in blocks:
+    for block in generator_blocks(gens, n):
         longest_images.extend(reversed(block))
     longest = Permutation(tuple(longest_images))
-    longest_rep = longest * longest_element(n)
-
-    rep_images: list[tuple[int, ...]] = [()]
-    for block in blocks:
-        rep_images = [
-            head + chosen
-            for head in rep_images
-            for chosen in itertools.combinations(
-                sorted(set(range(1, n + 1)).difference(head)), len(block)
-            )
-        ]
-    reps = [Permutation(images) for images in rep_images]
     return ParabolicData(
         gens=gens,
         degree=n,
         longest=longest,
-        longest_rep=longest_rep,
-        reps=tuple(sorted(reps, key=lambda x: x.sort_key)),
+        longest_rep=longest * longest_element(n),
     )

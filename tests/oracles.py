@@ -5,6 +5,10 @@ types, so that a bug in the package cannot leak into an expected value.  The
 conventions match the package: one-line notation is 1-based and products
 compose left to right, so ``compose(a, b)[k-1]`` is the image of ``k`` under
 "first a, then b".
+
+The one exception is the ideal by enumeration, which runs the package's two
+membership routes on every coset representative: it checks the reverse
+search in ``families``, which tests only the covers it reaches.
 """
 
 from __future__ import annotations
@@ -12,6 +16,16 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from functools import lru_cache
+
+from cellrim.diagrams import min_column_diagram
+from cellrim.paths import is_admissible
+from cellrim.permutations import (
+    Permutation,
+    VerificationError,
+    composition_generators,
+    parabolic,
+)
+from cellrim.tableaux import StandardYoungTableau, recording_tableau, row_insert
 
 # ---------------------------------------------------------------------------
 # permutations on plain tuples
@@ -135,6 +149,60 @@ def coset_reps_by_weak_order(
                     fresh.append(y)
         frontier = fresh
     return tuple(sorted(reps, key=lambda a: (count_inversions(a), a)))
+
+
+def canonical_parent(a: tuple[int, ...]) -> tuple[int, ...]:
+    """The element one step down at the largest right descent of a.
+
+    A right descent is a value i that a places after i + 1; undoing the
+    largest one swaps the two values back.
+    """
+    at = invert(a)
+    i = max(i for i in range(1, len(a)) if at[i - 1] > at[i])
+    return tuple(i + 1 if v == i else i if v == i + 1 else v for v in a)
+
+
+def membership_routes(e: Permutation, lam: tuple[int, ...]) -> tuple[bool, bool]:
+    """Cell and diagram membership of a coset representative of lam.
+
+    The cell route compares the recording tableau of longest * e, read as
+    the insertion tableau of the word sending e(k) to longest(k), with the
+    recording tableau of the longest block permutation; the diagram route
+    asks whether the minimal-column diagram of e is admissible.
+    """
+    longest, target = _cell_route_data(lam)
+    word = [0] * e.degree
+    for w_k, e_k in zip(longest, e.images):
+        word[e_k - 1] = w_k
+    tableau = StandardYoungTableau(tuple(map(tuple, row_insert(word))))
+    return tableau == target, is_admissible(min_column_diagram(e, lam))
+
+
+@lru_cache(maxsize=None)
+def _cell_route_data(
+    lam: tuple[int, ...],
+) -> tuple[tuple[int, ...], StandardYoungTableau]:
+    longest = parabolic(composition_generators(lam), sum(lam)).longest
+    return longest.images, recording_tableau(longest)
+
+
+def z_ideal_by_enumeration(lam: tuple[int, ...]) -> frozenset[Permutation]:
+    """The ideal of lam from both membership routes on every coset rep.
+
+    A disagreement between the routes raises VerificationError naming lam
+    and the representative.
+    """
+    members = []
+    for e in parabolic(composition_generators(lam), sum(lam)).reps:
+        by_cell, by_diagram = membership_routes(e, lam)
+        if by_cell != by_diagram:
+            raise VerificationError(
+                f"cell route and diagram route disagree for {lam} at "
+                f"{e.images}: cell says {by_cell}, diagram says {by_diagram}"
+            )
+        if by_cell:
+            members.append(e)
+    return frozenset(members)
 
 
 def prefix_maximal_pairwise(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -34,11 +35,13 @@ from cellrim.families import (
 )
 from cellrim.paths import FormClass, find_form_path, is_admissible
 from cellrim.permutations import (
+    Permutation,
     VerificationError,
     composition_generators,
     identity,
     is_prefix,
     parabolic,
+    prefix_maximal,
 )
 from cellrim.tableaux import compositions_of, conjugate, recording_tableau
 from claims import (
@@ -408,7 +411,18 @@ class TestZIdeal:
         lam = (2, 1, 1)
         ideal = z_ideal(lam)
         reps = parabolic(composition_generators(lam), 4).reps
-        rep = next(e for e in reversed(reps) if (e in ideal) == member)
+        if member:
+            rep = next(e for e in reversed(reps) if e in ideal)
+        else:
+            # the search tests non-members only among the covers of members
+            rep = next(
+                f
+                for f in reversed(reps)
+                if f not in ideal
+                and any(
+                    e.length + 1 == f.length and is_prefix(e, f) for e in ideal
+                )
+            )
         flipped = min_column_diagram(rep, lam)
         monkeypatch.setattr(
             families, "is_admissible",
@@ -418,6 +432,48 @@ class TestZIdeal:
             z_ideal(lam)
         assert str(lam) in str(caught.value)
         assert str(rep.images) in str(caught.value)
+
+    def test_search_matches_enumeration(self):
+        for n in range(1, 8):
+            for lam in compositions_of(n):
+                want = oracles.z_ideal_by_enumeration(lam)
+                assert z_ideal(lam) == want, lam
+                assert rim(lam) == prefix_maximal(want), lam
+                # the search reaches each member from its canonical parent
+                images = {e.images for e in want}
+                for x in images - {identity(n).images}:
+                    assert oracles.canonical_parent(x) in images, (lam, x)
+
+    @pytest.mark.parametrize(
+        "lam", [(3, 5, 2), (2, 4, 1, 3), (2, 5, 4), (1, 3, 2, 4, 1)]
+    )
+    def test_canonical_parent_chains_above_enumeration(self, lam):
+        n = sum(lam)
+        rng = random.Random(2021)
+        bounds = list(itertools.accumulate((0,) + lam))
+        ideal = z_ideal(lam, limit=n)
+        on_chains: set[tuple[int, ...]] = set()
+        drawn = {True: 0, False: 0}
+        for _ in range(300):
+            values = rng.sample(range(1, n + 1), n)
+            e = Permutation(
+                tuple(
+                    v
+                    for a, b in zip(bounds, bounds[1:])
+                    for v in sorted(values[a:b])
+                )
+            )
+            by_cell, by_diagram = oracles.membership_routes(e, lam)
+            assert by_cell == by_diagram, (lam, e.images)
+            assert (e in ideal) == by_cell, (lam, e.images)
+            drawn[by_cell] += 1
+            x = e.images
+            while by_cell and x not in on_chains and x != identity(n).images:
+                on_chains.add(x)
+                x = oracles.canonical_parent(x)
+                routes = oracles.membership_routes(Permutation(x), lam)
+                assert routes == (True, True), (lam, e.images, x)
+        assert drawn[True] and drawn[False], (lam, drawn)
 
     def test_rim_elements_are_maximal(self):
         for lam in [(1, 2, 1), (2, 1, 2), (1, 3, 1)]:
