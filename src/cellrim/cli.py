@@ -163,7 +163,10 @@ def cmd_cell(args: argparse.Namespace) -> int:
 def _build_family(args: argparse.Namespace) -> Diagram:
     if args.stu is None or args.order is None:
         raise ValueError("family diagrams need --stu and --order")
-    s, t, u = sorted(_parse_ints(args.stu, "stu"), reverse=True)
+    stu = _parse_ints(args.stu, "stu")
+    if len(stu) != 3:
+        raise ValueError(f"--stu needs three parts s,t,u, got {args.stu!r}")
+    s, t, u = sorted(stu, reverse=True)
     order = _parse_order(args.order, s, t, u)
     shape = StuShape(s, t, u, order)
     columns = frozenset(_parse_ints(args.C, "C")) if args.C else frozenset()
@@ -357,6 +360,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "oracle": _verify_oracle,
         "bijections": _verify_bijections,
     }
+    if args.max_n is not None and args.max_n < 1:
+        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
+    if args.spots < 0:
+        raise ValueError(f"--spots must not be negative, got {args.spots}")
     payload, lines = suites[args.suite](args)
     _emit(args, payload, lines)
     return 0

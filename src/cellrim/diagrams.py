@@ -144,23 +144,17 @@ def w_of_diagram(D: Diagram) -> Permutation:
 def is_special(D: Diagram) -> bool:
     """Whether D is a Young diagram with rows and columns shuffled.
 
-    Decided by sorting rows and columns by length, stably, and comparing
-    with the Young diagram of the sorted row composition.
+    That holds exactly when the row sets of its columns are nested: the
+    columns of a Young diagram are the nested row ranges ``1..c``, and nested
+    columns sorted by size, with rows sorted by length, form a Young diagram.
 
     >>> is_special(Diagram({(1, 1), (2, 1), (2, 2)}))
     True
     >>> is_special(Diagram({(1, 2), (2, 1)}))
     False
     """
-    parts = D.row_composition()
-    target = tuple(sorted(parts, reverse=True))
-    row_order = sorted(range(1, D.row_count + 1), key=lambda a: -parts[a - 1])
-    cols = D.column_composition()
-    col_order = sorted(range(1, D.column_count + 1), key=lambda b: -cols[b - 1])
-    row_rank = {a: k for k, a in enumerate(row_order, 1)}
-    col_rank = {b: k for k, b in enumerate(col_order, 1)}
-    shuffled = frozenset((row_rank[a], col_rank[b]) for a, b in D.nodes)
-    return shuffled == young_diagram(target).nodes
+    cols = sorted(map(frozenset, D.columns()), key=len, reverse=True)
+    return all(wider >= narrower for wider, narrower in zip(cols, cols[1:]))
 
 
 def min_column_diagram(d: Permutation, parts: tuple[int, ...]) -> Diagram:

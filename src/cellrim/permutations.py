@@ -54,8 +54,8 @@ def check_enumeration_guard(n: int, explicit: int | None = None) -> None:
     if n > limit:
         raise GuardExceeded(
             f"degree {n} exceeds the enumeration bound {limit}; raise it via "
-            "an explicit limit argument or the CELLRIM_MAX_N environment "
-            "variable if the run time is acceptable"
+            "the limit argument, the CLI's --max-n option or the "
+            "CELLRIM_MAX_N environment variable if the run time is acceptable"
         )
 
 
@@ -116,10 +116,6 @@ class Permutation:
     def length(self) -> int:
         """Coxeter length: the number of inversions."""
         return self.mask.bit_count()
-
-    @property
-    def is_identity(self) -> bool:
-        return self.mask == 0
 
     @property
     def sort_key(self) -> tuple[int, tuple[int, ...]]:

@@ -356,6 +356,21 @@ def search_min_column_diagrams(
     return found
 
 
+def is_special_by_sorting(nodes: frozenset[tuple[int, int]]) -> bool:
+    """Whether sorting rows and columns by length, stably, turns the diagram
+    into the Young diagram of its sorted row sizes.
+    """
+    rows = sorted({a for a, _ in nodes})
+    cols = sorted({b for _, b in nodes})
+    row_len = {a: len(r) for a, r in zip(rows, diagram_rows(nodes))}
+    col_len = {b: sum(1 for _, c in nodes if c == b) for b in cols}
+    row_rank = {a: k for k, a in enumerate(sorted(rows, key=lambda a: -row_len[a]), 1)}
+    col_rank = {b: k for k, b in enumerate(sorted(cols, key=lambda b: -col_len[b]), 1)}
+    shape = sorted(row_len.values(), reverse=True)
+    young = {(a + 1, b + 1) for a, p in enumerate(shape) for b in range(p)}
+    return {(row_rank[a], col_rank[b]) for a, b in nodes} == young
+
+
 def is_special_by_search(nodes: frozenset[tuple[int, int]]) -> bool:
     """Whether some row and column permutation turns the diagram into the
     Young diagram of its sorted row sizes.  Factorial; tiny diagrams only.

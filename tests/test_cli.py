@@ -138,6 +138,11 @@ class TestDiagram:
         assert code == 1
         assert "stu" in err
 
+    def test_stu_needs_three_parts(self, capsys):
+        code, _, err = run(capsys, "diagram", "M", "--stu", "3,2", "--order", "u,s,t")
+        assert code == 1
+        assert "invalid input: --stu needs three parts" in err
+
     def test_form_path_at_10_7_4(self, capsys):
         # The M member at (10,7,4) on which an exhaustive walk of the
         # empty form-A search tree is slowest; the expected family was
@@ -202,6 +207,21 @@ class TestVerify:
         assert payload["ok"] is True
         assert payload["rotation_checked"] == 15
 
+    @pytest.mark.parametrize("suite", ["tables", "oracle", "bijections"])
+    def test_degree_bound_below_one_is_rejected(self, capsys, suite):
+        code, out, err = run(capsys, "verify", suite, "--max-n", "0")
+        assert code == 1
+        assert "PASS" not in out
+        assert "invalid input: --max-n must be at least 1" in err
+
+    def test_negative_spots_are_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "oracle", "--max-n", "3", "--spots", "-1",
+        )
+        assert code == 1
+        assert "PASS" not in out
+        assert "invalid input: --spots must not be negative" in err
+
     def test_failed_assertion_exits_3(self, capsys, monkeypatch):
         import cellrim.families as families
 
@@ -243,6 +263,8 @@ class TestExitCodes:
         code, _, err = run(capsys, "rim", "--composition", "2,2,2,2,2")
         assert code == 2
         assert "guard" in err.lower() or "bound" in err.lower()
+        for way in ("limit argument", "--max-n", "CELLRIM_MAX_N"):
+            assert way in err
 
     def test_guard_override_allows_run(self, capsys):
         # (9, 1) is past the default guard but has only ten coset reps

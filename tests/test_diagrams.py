@@ -225,6 +225,15 @@ class TestSpecial:
         for D in CORPUS:
             assert is_special(D) == oracles.is_special_by_search(D.nodes)
 
+    def test_matches_sorting_oracle_on_4x4_box(self):
+        diagrams = box_diagrams(4, 4)
+        special = 0
+        for D in diagrams:
+            verdict = is_special(D)
+            assert verdict == oracles.is_special_by_sorting(D.nodes), D
+            special += verdict
+        assert (len(diagrams), special) == (46312, 2840)
+
 
 class TestRotation:
     def test_single_node(self):
