@@ -32,6 +32,7 @@ from .families import (
     StuShape,
     determining_tuple,
     family_diagram,
+    rim,
     rim_diagrams,
     verify_rim_family,
     z_ideal,
@@ -337,7 +338,11 @@ def _verify_bijections(args: argparse.Namespace) -> tuple[dict, list[str]]:
             if lam[-1] != 1:
                 continue
             E, _ = rim_diagrams(lam, limit=bound)
-            grown, _ = rim_diagrams(lam + (1,), limit=bound + 1)
+            # the searched rim: rim_diagrams builds closed shapes by psi_append
+            grown = frozenset(
+                min_column_diagram(y, lam + (1,))
+                for y in rim(lam + (1,), limit=bound + 1)
+            )
             if grown != frozenset(psi_append(D) for D in E):
                 raise VerificationError(f"row-append transport fails for {lam}")
             appends += 1

@@ -206,26 +206,39 @@ def rotate_180(D: Diagram) -> Diagram:
 
 
 def psi_append(D: Diagram) -> Diagram:
-    """Append a single-node row below D, at the least column index keeping
-    the diagram admissible.
+    """Append a single-node row below D, at the least column keeping the
+    diagram admissible.
 
-    The new node lands at (r+1, c) for the least workable c, trying columns
-    in ascending order.  At each c the node may join the existing column c,
-    or sit in a fresh column inserted there (old columns from c onward shift
-    right one place); joining is preferred when both work.  Inputs from a
-    rim always admit some placement; other inputs may not, in which case
-    this raises.
+    The new node (r + 1, c), for D with r rows, either joins column c or
+    sits in a fresh column inserted at c, and joining wins a tie.  The
+    placement is built, not searched.  In the column reading word whose
+    insertion shape is the subsequence type (Greene's theorem; see
+    ``paths.subsequence_type``) the new node is the largest letter r + 1.
+    Row insertion restricted to the smaller letters is unchanged by it, so
+    it adds one box to D's type, and the extension is admissible exactly
+    when D is and that box is in the first row.  By Schensted's theorem
+    the box is there when the letters read before r + 1 hold 1, 2, ..., r
+    as a subsequence: for joining column c, when columns 1..c do; for a
+    fresh column at c, when columns 1..c - 1 do.  So the answer joins the
+    first column p at which a greedy match of 1..r completes.
+
+    The one candidate is still checked, so an input that is not
+    admissible raises even when the match completes.
+
+    >>> psi_append(young_diagram((2, 1))).sorted_nodes
+    ((1, 1), (1, 2), (2, 1), (3, 1))
     """
     from .paths import is_admissible  # deferred: paths builds on this module
 
-    r, m = D.row_count, D.column_count
-    for c in range(1, m + 2):
-        shared = Diagram(D.nodes | {(r + 1, c)}) if c <= m else None
-        fresh = Diagram(
-            frozenset((a, b + 1 if b >= c else b) for a, b in D.nodes)
-            | {(r + 1, c)}
-        )
-        for candidate in (shared, fresh):
-            if candidate is not None and is_admissible(candidate):
+    r = D.row_count
+    wanted = 1
+    for p, column in enumerate(D.columns(), 1):
+        for a in column:
+            if a == wanted:
+                wanted += 1
+        if wanted > r:
+            candidate = Diagram(D.nodes | {(r + 1, p)})
+            if is_admissible(candidate):
                 return candidate
+            break
     raise ValueError(f"no admissible single-node row extension of {D!r}")

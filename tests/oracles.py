@@ -6,9 +6,12 @@ conventions match the package: one-line notation is 1-based and products
 compose left to right, so ``compose(a, b)[k-1]`` is the image of ``k`` under
 "first a, then b".
 
-The one exception is the ideal by enumeration, which runs the package's two
+There are two exceptions.  The ideal by enumeration runs the package's two
 membership routes on every coset representative: it checks the reverse
-search in ``families``, which tests only the covers it reaches.
+search in ``families``, which tests only the covers it reaches.  The
+single-node row extension by trial tests admissibility with the package's
+``row_insert``: it checks the placement ``diagrams.psi_append`` builds from
+Schensted's theorem, not the insertion itself, which has oracles of its own.
 """
 
 from __future__ import annotations
@@ -386,6 +389,38 @@ def is_special_by_search(nodes: frozenset[tuple[int, int]]) -> bool:
             if {(row_map[a], col_map[b]) for a, b in nodes} == young:
                 return True
     return False
+
+
+def _admissible_by_insertion(nodes: frozenset[tuple[int, int]]) -> bool:
+    """Whether the insertion shape of the column reading word is the
+    conjugate of the row sizes."""
+    word = [a for _, a in sorted((b, a) for a, b in nodes)]
+    shape = [len(row) for row in row_insert(word)]
+    sizes = [len(row) for row in diagram_rows(nodes)]
+    conjugate = [sum(1 for p in sizes if p > k) for k in range(max(sizes))]
+    return shape == conjugate
+
+
+def psi_append_by_trial(
+    nodes: frozenset[tuple[int, int]]
+) -> frozenset[tuple[int, int]]:
+    """Append a one-node row below a principal diagram at the least
+    admissible placement, trying every column.
+
+    At column c the node (r + 1, c) first joins column c, then sits in a
+    fresh column inserted at c, shifting columns c onward right.  Raises
+    ValueError when no placement is admissible.
+    """
+    r = max(a for a, _ in nodes)
+    m = max(b for _, b in nodes)
+    for c in range(1, m + 2):
+        node = (r + 1, c)
+        joined = nodes | {node}
+        fresh = frozenset((a, b + 1 if b >= c else b) for a, b in nodes) | {node}
+        for candidate in (joined, fresh) if c <= m else (fresh,):
+            if _admissible_by_insertion(candidate):
+                return candidate
+    raise ValueError("no admissible single-node row extension")
 
 
 def max_path_family_size(

@@ -515,6 +515,8 @@ class TestRimDiagrams:
             base, _ = rim_diagrams(head + (1,))
             grown, _ = rim_diagrams(head + (1, 1))
             assert grown == {psi_append(D) for D in base}
+            # rim_diagrams builds grown by psi_append; the search does not
+            assert grown == brute_rim_diagrams(head + (1, 1))
 
     def test_reversed_composition_rotates(self):
         for head in HEADS:

@@ -136,6 +136,20 @@ def transported_row_filling(pi: KPath) -> tuple[Diagram, tuple[int, ...]]:
     return E, filling(E, (entry[n] for n in E.sorted_nodes))
 
 
+def assert_matches_trial(D: Diagram) -> Diagram | None:
+    """psi_append and the trial oracle agree, raising on the same inputs;
+    returns the extension, or None when both raise."""
+    try:
+        expected = oracles.psi_append_by_trial(D.nodes)
+    except ValueError:
+        with pytest.raises(ValueError, match="no admissible"):
+            psi_append(D)
+        return None
+    E = psi_append(D)
+    assert E.nodes == expected, D
+    return E
+
+
 class TestKPathValidation:
     def test_accessors(self):
         pi = KPath(DIAGRAM_4631, PATH_A_4631)
@@ -571,3 +585,23 @@ class TestPsiAppend:
     def test_no_admissible_extension_raises(self):
         with pytest.raises(ValueError, match="no admissible"):
             psi_append(Diagram(frozenset({(1, 2), (2, 1)})))
+
+    def test_first_column_match_still_checks_admissibility(self):
+        # Column 1 reads 1, 2, but the type is (2, 1, 1), not (2, 2).
+        with pytest.raises(ValueError, match="no admissible"):
+            psi_append(Diagram.from_rows([(1, 3), (1, 2)]))
+
+    def test_matches_trial_oracle_on_every_box_diagram(self):
+        diagrams = box_diagrams(3, 4) + box_diagrams(4, 3)
+        extended = sum(assert_matches_trial(D) is not None for D in diagrams)
+        assert (len(diagrams), extended) == (5136, 2470)
+
+    @settings(max_examples=200, deadline=None)
+    @given(large_node_sets)
+    def test_random_diagrams_match_trial_oracle(self, nodes):
+        # extensions are extended again, as trailing-one transport does
+        D = Diagram(nodes)
+        for _ in range(3):
+            D = assert_matches_trial(D)
+            if D is None:
+                break
