@@ -14,7 +14,7 @@ fillings of ``D``, which drives everything else in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict
 from typing import Iterable
 
 from .permutations import (
@@ -26,24 +26,36 @@ from .permutations import (
 Node = tuple[int, int]
 
 
-@dataclass(frozen=True, slots=True)
 class Diagram:
     """A principal diagram: a normalized, non-empty set of (row, col) nodes.
+
+    It is stored once, as its normalized rows: ``rows()[a - 1]`` holds the
+    increasing columns of row ``a``.  Construction buckets the nodes by row
+    and re-ranks the columns only when the used ones are not ``1..c``;
+    every other view is read off the rows.
 
     >>> Diagram({(2, 5), (2, 7), (4, 5)}).sorted_nodes
     ((1, 1), (1, 2), (2, 1))
     """
 
-    nodes: frozenset[Node]
+    __slots__ = ("_rows",)
 
-    def __post_init__(self) -> None:
-        raw = {(int(a), int(b)) for a, b in self.nodes}
+    def __init__(self, nodes: Iterable[Iterable[int]]) -> None:
+        raw = defaultdict(set)
+        for a, b in nodes:
+            raw[a].add(b)
         if not raw:
             raise ValueError("a diagram needs at least one node")
-        row_rank = {a: k for k, a in enumerate(sorted({a for a, _ in raw}), 1)}
-        col_rank = {b: k for k, b in enumerate(sorted({b for _, b in raw}), 1)}
-        normalized = frozenset((row_rank[a], col_rank[b]) for a, b in raw)
-        object.__setattr__(self, "nodes", normalized)
+        # coerce per row after bucketing, which beats two int() calls a node
+        by_row: dict[int, set[int]] = defaultdict(set)
+        for a, cols in raw.items():
+            by_row[int(a)].update(map(int, cols))
+        rows = [sorted(by_row[a]) for a in sorted(by_row)]
+        used = set().union(*by_row.values())
+        if min(used) != 1 or max(used) != len(used):
+            rank = {b: k for k, b in enumerate(sorted(used), 1)}
+            rows = [[rank[b] for b in row] for row in rows]
+        object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> Diagram:
@@ -52,31 +64,50 @@ class Diagram:
         >>> Diagram.from_rows([(1, 2), (2,)]).sorted_nodes
         ((1, 1), (1, 2), (2, 2))
         """
-        return cls(
-            frozenset(
-                (a, b) for a, cols in enumerate(rows, 1) for b in cols
-            )
-        )
+        return cls((a, b) for a, cols in enumerate(rows, 1) for b in cols)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("a Diagram is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("a Diagram is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through from_rows, as __setattr__ refuses
+        return Diagram.from_rows, (self._rows,)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Diagram):
+            return NotImplemented
+        return self._rows == other._rows
+
+    def __hash__(self) -> int:
+        return hash(self._rows)
 
     def __repr__(self) -> str:
-        return f"Diagram.from_rows({list(self.rows())!r})"
+        return f"Diagram.from_rows({list(self._rows)!r})"
+
+    @property
+    def nodes(self) -> frozenset[Node]:
+        """The normalized node set."""
+        return frozenset(self.sorted_nodes)
 
     @property
     def size(self) -> int:
-        return len(self.nodes)
+        return sum(map(len, self._rows))
 
     @property
     def sorted_nodes(self) -> tuple[Node, ...]:
         """Nodes in row-major order (the order of the row filling)."""
-        return tuple(sorted(self.nodes))
+        return tuple((a, b) for a, row in enumerate(self._rows, 1) for b in row)
 
     @property
     def row_count(self) -> int:
-        return max(a for a, _ in self.nodes)
+        return len(self._rows)
 
     @property
     def column_count(self) -> int:
-        return max(b for _, b in self.nodes)
+        return max(row[-1] for row in self._rows)
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """Column indices on each row, top to bottom.
@@ -84,21 +115,19 @@ class Diagram:
         >>> Diagram({(1, 1), (1, 2), (2, 1)}).rows()
         ((1, 2), (1,))
         """
-        out: list[list[int]] = [[] for _ in range(self.row_count)]
-        for a, b in self.sorted_nodes:
-            out[a - 1].append(b)
-        return tuple(tuple(row) for row in out)
+        return self._rows
 
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """Row indices on each column, left to right."""
         out: list[list[int]] = [[] for _ in range(self.column_count)]
-        for a, b in sorted(self.nodes, key=lambda node: (node[1], node[0])):
-            out[b - 1].append(a)
-        return tuple(tuple(col) for col in out)
+        for a, row in enumerate(self._rows, 1):
+            for b in row:
+                out[b - 1].append(a)
+        return tuple(map(tuple, out))
 
     def row_composition(self) -> tuple[int, ...]:
         """Number of nodes on each row."""
-        return tuple(len(row) for row in self.rows())
+        return tuple(map(len, self._rows))
 
     def column_composition(self) -> tuple[int, ...]:
         """Number of nodes on each column."""
@@ -113,7 +142,7 @@ class Diagram:
         """
         width = self.column_count
         lines = []
-        for row in self.rows():
+        for row in self._rows:
             cells = [node_char if b in row else empty_char for b in range(1, width + 1)]
             lines.append(" ".join(cells))
         return "\n".join(lines)
@@ -136,7 +165,7 @@ def w_of_diagram(D: Diagram) -> Permutation:
     >>> w_of_diagram(young_diagram((2, 2))).images
     (1, 3, 2, 4)
     """
-    by_cols = sorted(D.nodes, key=lambda node: (node[1], node[0]))
+    by_cols = ((a, b) for b, col in enumerate(D.columns(), 1) for a in col)
     entry = {node: k for k, node in enumerate(by_cols, 1)}
     return Permutation(tuple(entry[node] for node in D.sorted_nodes))
 
@@ -147,14 +176,19 @@ def is_special(D: Diagram) -> bool:
     That holds exactly when the row sets of its columns are nested: the
     columns of a Young diagram are the nested row ranges ``1..c``, and nested
     columns sorted by size, with rows sorted by length, form a Young diagram.
+    Read as a 0/1 matrix, D has nested columns exactly when it has nested
+    rows: both say that no two rows and two columns meet in the pattern
+    ``[[1, 0], [0, 1]]``.  So the test runs on the column sets of the rows,
+    which are fewer than the columns on the closed families (four rows
+    against up to dozens of columns).
 
     >>> is_special(Diagram({(1, 1), (2, 1), (2, 2)}))
     True
     >>> is_special(Diagram({(1, 2), (2, 1)}))
     False
     """
-    cols = sorted(map(frozenset, D.columns()), key=len, reverse=True)
-    return all(wider >= narrower for wider, narrower in zip(cols, cols[1:]))
+    rows = sorted(map(frozenset, D.rows()), key=len, reverse=True)
+    return all(wider >= narrower for wider, narrower in zip(rows, rows[1:]))
 
 
 def min_column_diagram(d: Permutation, parts: tuple[int, ...]) -> Diagram:
@@ -192,7 +226,7 @@ def min_column_diagram(d: Permutation, parts: tuple[int, ...]) -> Diagram:
             column += 1
         nodes.append((row, column))
         previous_row = row
-    return Diagram(frozenset(nodes))
+    return Diagram(nodes)
 
 
 def rotate_180(D: Diagram) -> Diagram:
@@ -201,8 +235,10 @@ def rotate_180(D: Diagram) -> Diagram:
     >>> rotate_180(Diagram({(1, 1), (1, 2), (2, 1)})).sorted_nodes
     ((1, 2), (2, 1), (2, 2))
     """
-    r, c = D.row_count, D.column_count
-    return Diagram(frozenset((r + 1 - a, c + 1 - b) for a, b in D.nodes))
+    c = D.column_count
+    return Diagram.from_rows(
+        [c + 1 - b for b in reversed(row)] for row in reversed(D.rows())
+    )
 
 
 def psi_append(D: Diagram) -> Diagram:
@@ -237,7 +273,7 @@ def psi_append(D: Diagram) -> Diagram:
             if a == wanted:
                 wanted += 1
         if wanted > r:
-            candidate = Diagram(D.nodes | {(r + 1, p)})
+            candidate = Diagram.from_rows(D.rows() + ((p,),))
             if is_admissible(candidate):
                 return candidate
             break

@@ -49,13 +49,14 @@ class KPath:
     def __post_init__(self) -> None:
         constituents = tuple(tuple(c) for c in self.constituents)
         object.__setattr__(self, "constituents", constituents)
+        host = self.diagram.nodes
         seen: set[Node] = set()
         for nodes in constituents:
             if not nodes:
                 raise ValueError("constituent paths must be non-empty")
             if not _is_path(nodes):
                 raise ValueError(f"not a path: {nodes}")
-            if not self.diagram.nodes.issuperset(nodes):
+            if not host.issuperset(nodes):
                 raise ValueError(f"nodes outside the diagram: {nodes}")
             if seen.intersection(nodes):
                 raise ValueError("constituent paths must be disjoint")
@@ -134,7 +135,7 @@ def subsequence_type(D: Diagram) -> tuple[int, ...]:
     >>> subsequence_type(young_diagram((2, 2)))
     (2, 2)
     """
-    word = [a for _, a in sorted((b, a) for a, b in D.nodes)]
+    word = [a for column in D.columns() for a in column]
     return tuple(len(row) for row in row_insert(word))
 
 

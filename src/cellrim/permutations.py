@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Iterable, Iterator
@@ -176,23 +177,26 @@ def reduced_word(x: Permutation) -> tuple[int, ...]:
     """The lexicographically smallest reduced word for x.
 
     Greedy: the first letter of any reduced word must be a left descent, so
-    repeatedly peel off the smallest one.
+    repeatedly peel off the smallest one, swapping the first descent.  The
+    entries before that descent are ascending, so the swapped entry keeps
+    moving left until it is in place and the scan then goes on from there:
+    the greedy is insertion sort.  The entry at 0-based position j moves
+    past the earlier entries larger than it, so if k earlier entries are
+    smaller its swaps read j, j - 1, ..., k + 1.  One pass that keeps the
+    earlier entries sorted builds the word.
 
     >>> reduced_word(Permutation((2, 3, 1)))
     (2, 1)
     >>> reduced_word(longest_element(3))
     (1, 2, 1)
     """
-    images = list(x.images)
-    word = []
-    while True:
-        for i in range(len(images) - 1):
-            if images[i] > images[i + 1]:
-                word.append(i + 1)
-                images[i], images[i + 1] = images[i + 1], images[i]
-                break
-        else:
-            return tuple(word)
+    prefix: list[int] = []
+    word: list[int] = []
+    for j, value in enumerate(x.images):
+        k = bisect(prefix, value)
+        word.extend(range(j, k, -1))
+        prefix.insert(k, value)
+    return tuple(word)
 
 
 def prefix_maximal(elements: Iterable[Permutation]) -> set[Permutation]:

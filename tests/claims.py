@@ -127,12 +127,29 @@ def coset_decompose(
     >>> u.images, d.images
     ((2, 1, 3), (1, 3, 2))
     """
-    d_images = [0] * x.degree
-    for block in generator_blocks(frozenset(gens), x.degree):
-        for k, v in zip(block, sorted(x(k) for k in block)):
-            d_images[k - 1] = v
-    d = Permutation(tuple(d_images))
-    return x * d.inverse(), d
+    blocks = generator_blocks(frozenset(gens), x.degree)
+    u, d = coset_decompose_images(x.images, blocks)
+    return Permutation(u), Permutation(d)
+
+
+def coset_decompose_images(
+    images: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``coset_decompose`` on one-line images, for the generator blocks
+    ``blocks``: returns the images of u and of d.
+
+    >>> coset_decompose_images((3, 1, 2), ((1, 2), (3,)))
+    ((2, 1, 3), (1, 3, 2))
+    """
+    d = [0] * len(images)
+    for block in blocks:
+        for k, v in zip(block, sorted(images[k - 1] for k in block)):
+            d[k - 1] = v
+    d_inverse = [0] * len(images)
+    for k, v in enumerate(d, 1):
+        d_inverse[v - 1] = k
+    # u = x * d^-1: first x, then d^-1
+    return tuple(d_inverse[v - 1] for v in images), tuple(d)
 
 
 def induced_rim(rim: Iterable[Permutation], gens: frozenset[int]) -> set[Permutation]:

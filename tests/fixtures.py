@@ -7,6 +7,7 @@ values bit for bit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from cellrim.diagrams import Diagram
@@ -132,8 +133,12 @@ ADMISSIBLE_NO_CONJUGATE_PATH = Diagram(
 )
 
 
+@functools.cache
 def box_diagrams(max_rows: int, max_cols: int) -> list[Diagram]:
-    """Every distinct normalized diagram held inside the given box."""
+    """Every distinct normalized diagram held inside the given box.
+
+    Cached: several tests walk the same box, and none changes the list.
+    """
     cells = [
         (a, b)
         for a in range(1, max_rows + 1)

@@ -104,6 +104,22 @@ def all_reduced_words(a: tuple[int, ...]) -> set[tuple[int, ...]]:
     return words
 
 
+def reduced_word_by_restart(a: tuple[int, ...]) -> tuple[int, ...]:
+    """The lexicographically smallest reduced word of a, by swapping the
+    first descent and rescanning from the start each time: O(n * length).
+    """
+    images = list(a)
+    word = []
+    while True:
+        for i in range(len(images) - 1):
+            if images[i] > images[i + 1]:
+                word.append(i + 1)
+                images[i], images[i + 1] = images[i + 1], images[i]
+                break
+        else:
+            return tuple(word)
+
+
 def prefixes_by_words(a: tuple[int, ...]) -> set[tuple[int, ...]]:
     """All prefixes of a, as the initial segments of all reduced words."""
     out = set()
@@ -309,6 +325,26 @@ def rs_pair_by_bumping(
 # diagrams as plain frozensets of (row, column) nodes
 
 
+def normalize_by_ranking(nodes) -> frozenset[tuple[int, int]]:
+    """The principal node set: coerce every coordinate with int(), then
+    rank the used rows and the used columns separately, so both run
+    1..max with no gaps.  Raises ValueError on no nodes.
+    """
+    raw = {(int(a), int(b)) for a, b in nodes}
+    if not raw:
+        raise ValueError("a diagram needs at least one node")
+    row_rank = {a: k for k, a in enumerate(sorted({a for a, _ in raw}), 1)}
+    col_rank = {b: k for k, b in enumerate(sorted({b for _, b in raw}), 1)}
+    return frozenset((row_rank[a], col_rank[b]) for a, b in raw)
+
+
+def diagram_columns(nodes: frozenset[tuple[int, int]]) -> list[list[int]]:
+    cols: dict[int, list[int]] = {}
+    for a, b in nodes:
+        cols.setdefault(b, []).append(a)
+    return [sorted(cols[b]) for b in sorted(cols)]
+
+
 def diagram_rows(nodes: frozenset[tuple[int, int]]) -> list[list[int]]:
     rows: dict[int, list[int]] = {}
     for a, b in nodes:
@@ -372,6 +408,12 @@ def is_special_by_sorting(nodes: frozenset[tuple[int, int]]) -> bool:
     shape = sorted(row_len.values(), reverse=True)
     young = {(a + 1, b + 1) for a, p in enumerate(shape) for b in range(p)}
     return {(row_rank[a], col_rank[b]) for a, b in nodes} == young
+
+
+def has_nested_columns(nodes: frozenset[tuple[int, int]]) -> bool:
+    """Whether every two columns' row sets are comparable under inclusion."""
+    cols = [set(col) for col in diagram_columns(nodes)]
+    return all(c <= d or d <= c for c, d in itertools.combinations(cols, 2))
 
 
 def is_special_by_search(nodes: frozenset[tuple[int, int]]) -> bool:

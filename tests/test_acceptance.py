@@ -40,6 +40,7 @@ from cellrim.paths import (
 from cellrim.permutations import (
     Permutation,
     composition_generators,
+    generator_blocks,
     identity,
     is_prefix,
     parabolic,
@@ -53,6 +54,7 @@ from cellrim.tableaux import compositions_of, conjugate, recording_tableau
 from claims import (
     act_on_pairs,
     coset_decompose,
+    coset_decompose_images,
     embedded,
     hat_diagram,
     in_young_subgroup,
@@ -188,8 +190,9 @@ def test_criterion_06_parabolic_inversion_identities():
     started = time.perf_counter()
     for n in range(1, 8):
         everyone = list(symmetric_group(n))
-        pairs = {x: inversions(x) for x in everyone}
-        inverses = {x: x.inverse() for x in everyone}
+        # keyed by images, so decomposing builds no Permutation
+        pairs = {x.images: inversions(x) for x in everyone}
+        inverses = {x.images: x.inverse() for x in everyone}
         full = frozenset(positive_pairs(n))
         for r in range(n):
             for combo in itertools.combinations(range(1, n), r):
@@ -200,12 +203,13 @@ def test_criterion_06_parabolic_inversion_identities():
                 for v in everyone:
                     if in_young_subgroup(v, gens):
                         assert act_on_pairs(rep_inversions, v) == rep_inversions
+                blocks = generator_blocks(gens, n)
                 for x in everyone:
-                    u, d = coset_decompose(x, gens)
+                    u, d = coset_decompose_images(x.images, blocks)
                     upper = pairs[u]
                     moved = act_on_pairs(pairs[d], inverses[u])
                     assert upper.isdisjoint(moved)
-                    assert upper | moved == pairs[x]
+                    assert upper | moved == pairs[x.images]
     _finish("criterion 6 (coset representative inversion sets)", started, 300.0)
 
 

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+import itertools
+import pickle
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -45,6 +49,39 @@ CORPUS = box_diagrams(3, 3)
 node_sets = st.frozensets(
     st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=10
 )
+
+
+@st.composite
+def offset_node_sets(draw) -> frozenset[tuple[int, int]]:
+    """Node sets on at most six rows and six columns, drawn from arbitrary
+    integer labels, so that rows and columns come with gaps and offsets."""
+    labels = st.lists(st.integers(-5, 20), min_size=1, max_size=6, unique=True)
+    cells = [(a, b) for a in draw(labels) for b in draw(labels)]
+    return draw(st.frozensets(st.sampled_from(cells), min_size=1))
+
+
+def padded_rows(nodes: frozenset[tuple[int, int]]) -> list[list[int]]:
+    """Rows for ``from_rows``: one list per row label from the least to the
+    greatest used, empty where a label is unused, each listing its columns
+    twice and out of order."""
+    low = min(a for a, _ in nodes)
+    high = max(a for a, _ in nodes)
+    rows = []
+    for label in range(low, high + 1):
+        cols = sorted(b for a, b in nodes if a == label)
+        rows.append(cols[::-1] + cols)
+    return rows
+
+
+def assert_matches_ranking(D: Diagram, nodes) -> None:
+    """Every view of D equals the one read off the ranked node set."""
+    ranked = oracles.normalize_by_ranking(nodes)
+    assert D.nodes == ranked
+    assert D.rows() == tuple(map(tuple, oracles.diagram_rows(ranked)))
+    assert D.columns() == tuple(map(tuple, oracles.diagram_columns(ranked)))
+    assert D.sorted_nodes == tuple(sorted(ranked))
+    assert D.row_count == max(a for a, _ in ranked)
+    assert D.column_count == max(b for _, b in ranked)
 
 
 def hat_rep(n: int) -> Permutation:
@@ -92,6 +129,68 @@ class TestDiagramBasics:
         assert Diagram(D.nodes) == D
         assert sum(D.row_composition()) == D.size
         assert sum(D.column_composition()) == D.size
+
+
+class TestRowStorage:
+    """The stored rows against the old rank-and-rebuild normalization."""
+
+    def test_every_3x3_node_set_matches_ranking(self):
+        cells = [(a, b) for a in range(1, 4) for b in range(1, 4)]
+        subsets = [
+            frozenset(subset)
+            for k in range(1, len(cells) + 1)
+            for subset in itertools.combinations(cells, k)
+        ]
+        diagrams = []
+        for nodes in subsets:
+            D = Diagram(nodes)
+            assert_matches_ranking(D, nodes)
+            from_rows = Diagram.from_rows(padded_rows(nodes))
+            assert_matches_ranking(from_rows, nodes)
+            assert from_rows == D and hash(from_rows) == hash(D)
+            diagrams.append(D)
+        ranked = [oracles.normalize_by_ranking(nodes) for nodes in subsets]
+        hashes = [hash(D) for D in diagrams]
+        for D, r, h in zip(diagrams, ranked, hashes):
+            for E, q, g in zip(diagrams, ranked, hashes):
+                assert (D == E) == (r == q)
+                if r == q:
+                    assert h == g
+
+    @settings(max_examples=200, deadline=None)
+    @given(offset_node_sets(), offset_node_sets(), st.integers(-9, 9))
+    @example(frozenset({(1, 0), (2, 2)}), frozenset({(1, 1), (2, 2)}), 0)
+    def test_offset_node_sets_match_ranking(self, nodes, other, shift):
+        D = Diagram(nodes)
+        assert_matches_ranking(D, nodes)
+        from_rows = Diagram.from_rows(padded_rows(nodes))
+        assert_matches_ranking(from_rows, nodes)
+        assert from_rows == D
+        # a monotone relabelling, fed as floats and strings, is the same diagram
+        moved = Diagram((float(3 * a + shift), str(2 * b - shift)) for a, b in nodes)
+        assert moved == D and hash(moved) == hash(D)
+        E = Diagram(other)
+        same = oracles.normalize_by_ranking(nodes) == oracles.normalize_by_ranking(other)
+        assert (D == E) == same
+        if same:
+            assert hash(D) == hash(E)
+
+    def test_from_rows_skips_empty_rows(self):
+        D = Diagram.from_rows([(), (4, 2, 4), (), (9,)])
+        assert D.rows() == ((1, 2), (3,))
+        with pytest.raises(ValueError):
+            Diagram.from_rows([(), ()])
+
+    def test_immutable_and_copyable(self):
+        D = DIAGRAM_4631
+        for name in ("nodes", "_rows", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(D, name, None)
+        with pytest.raises(AttributeError):
+            del D._rows
+        assert pickle.loads(pickle.dumps(D)) == D
+        assert copy.deepcopy(D) == D
+        assert D != D.rows() and D != D.nodes
 
 
 class TestFillings:
@@ -233,6 +332,12 @@ class TestSpecial:
             assert verdict == oracles.is_special_by_sorting(D.nodes), D
             special += verdict
         assert (len(diagrams), special) == (46312, 2840)
+
+    def test_nested_rows_match_nested_columns_on_4x4_box(self):
+        # the row test against the column test; the test above compares it
+        # with the sorting oracle on the same box
+        for D in box_diagrams(4, 4):
+            assert is_special(D) == oracles.has_nested_columns(D.nodes), D
 
 
 class TestRotation:

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cellrim.diagrams import Diagram, w_of_diagram
+from cellrim.families import rim_diagrams
 from cellrim.permutations import (
     Permutation,
     composition_generators,
@@ -121,6 +123,21 @@ def test_reduced_word_is_lex_least():
             assert from_word(n, word) == x
             assert len(word) == x.length
             assert word == min(oracles.all_reduced_words(images))
+
+
+def test_reduced_word_matches_restart_oracle_up_to_s7():
+    for n in range(1, 8):
+        for x in symmetric_group(n):
+            assert reduced_word(x) == oracles.reduced_word_by_restart(x.images)
+
+
+def test_reduced_word_matches_restart_oracle_on_a_large_rim():
+    # every 16th rim word of (6, 20, 12, 1): degree 39, lengths up to 287
+    diagrams = sorted(rim_diagrams((6, 20, 12, 1))[0], key=Diagram.rows)
+    assert len(diagrams) == 48048
+    for D in diagrams[::16]:
+        w = w_of_diagram(D)
+        assert reduced_word(w) == oracles.reduced_word_by_restart(w.images)
 
 
 # ---------------------------------------------------------------------------
