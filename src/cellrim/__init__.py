@@ -50,7 +50,6 @@ from .permutations import (
     parabolic,
     prefix_maximal,
     reduced_word,
-    symmetric_group,
 )
 from .tableaux import (
     StandardYoungTableau,
@@ -100,7 +99,6 @@ __all__ = [
     "rotate_180",
     "rs_pair",
     "subsequence_type",
-    "symmetric_group",
     "table_counts",
     "verify_rim_family",
     "w_of_diagram",

@@ -127,20 +127,22 @@ def cmd_rim(args: argparse.Namespace) -> int:
     E, E_s = rim_diagrams(lam, limit=args.max_n)
     ordered = _sorted_diagrams(E)
     words = [reduced_word(w_of_diagram(D)) for D in ordered]
-    payload = {
-        "lambda": list(lam),
-        "rim_size": len(E),
-        "special": len(E_s),
-        "diagrams": [_diagram_json(D) for D in ordered],
-        "reduced_words": [list(word) for word in words],
-    }
-    node, empty = _glyphs(args)
-    lines = [f"lambda: {lam}  rim size: {len(E)}  special: {len(E_s)}"]
-    for k, (D, word) in enumerate(zip(ordered, words), start=1):
-        tag = "special" if D in E_s else "non-special"
-        lines.append("")
-        lines.append(f"[{k}] {tag}  word: {_word_text(word)}")
-        lines.append(D.render(node_char=node, empty_char=empty))
+    payload, lines = {}, []
+    if args.format == "json":
+        payload = {
+            "lambda": list(lam),
+            "rim_size": len(E),
+            "special": len(E_s),
+            "diagrams": [_diagram_json(D) for D in ordered],
+            "reduced_words": [list(word) for word in words],
+        }
+    else:
+        node, empty = _glyphs(args)
+        lines.append(f"lambda: {lam}  rim size: {len(E)}  special: {len(E_s)}")
+        for k, (D, word) in enumerate(zip(ordered, words), start=1):
+            tag = "special" if D in E_s else "non-special"
+            lines += ["", f"[{k}] {tag}  word: {_word_text(word)}"]
+            lines.append(D.render(node_char=node, empty_char=empty))
     _emit(args, payload, lines)
     return 0
 

@@ -4,11 +4,12 @@ For a composition of n, the coset representatives e whose product with
 the longest block permutation stays in that element's right cell form
 a prefix-closed ideal.  The ideal is determined by its prefix-maximal
 elements, its rim; each rim element is encoded by a minimal-column
-diagram.  This module computes the ideal and rim by reverse search
-from the identity along prefix covers, builds the closed-form diagram
+diagram.  This module builds the ideal by inverse Robinson-Schensted
+insertion, one member per standard tableau, and finds its rim through
+Knuth moves and cover tests; it also builds the closed-form diagram
 families that describe the rims of compositions with three leading
 parts followed by rows of size one, evaluates the counting formulas for
-those families, and verifies the closed forms against the search.
+those families, and verifies the closed forms against the construction.
 
 Conventions for the closed families, with (s, t, u) the leading parts
 in non-increasing order: a sorted head gives the single Young diagram;
@@ -40,11 +41,10 @@ from .permutations import (
     VerificationError,
     check_enumeration_guard,
     composition_generators,
-    identity,
     parabolic,
     prefix_maximal,
 )
-from .tableaux import recording_tableau, row_insert
+from .tableaux import recording_tableau, row_insert, rs_inverse, standard_tableaux
 
 
 @dataclass(frozen=True, slots=True)
@@ -463,42 +463,34 @@ def table_counts(shape: StuShape) -> tuple[int, int]:
     return s - u + 1, (t - u) * (s - t) + comb(t - u + 1, 2)
 
 
-def _reverse_search(
+def _ideal_members(
     lam: tuple[int, ...], limit: int | None
 ) -> Iterator[tuple[Permutation, bool]]:
     """Each member of the ideal once, flagged when it is a rim element.
 
-    Members e are coset representatives, so a cover e * s_i in prefix
-    order swaps the values i and i + 1, with i before i + 1 and the two
-    in different blocks.  As the ideal is prefix-closed it is a tree
-    under canonical parents: a member other than the identity reaches
-    its parent by undoing its largest right descent (Avis and Fukuda's
-    reverse search).  So from each member only the covers it is the
-    canonical parent of are tested, and nothing found is stored.  A
-    member is a rim element exactly when no cover is a member; when no
-    child is, the other covers are tested up to the first member.
+    With w the longest block permutation, the members e are the coset
+    representatives with w * e in the right cell of w.  The word of
+    (w * e)^-1 holds w(k) at position e(k), as w is an involution, so
+    it is the inverse insertion of the recording tableau of w and some
+    standard tableau of that shape: one member for each (Schensted 1961).
 
-    Membership is computed two independent ways on every candidate
-    tested, and they must agree: the recording tableau of the product
-    with the longest block permutation matches that permutation's own,
-    and the minimal-column diagram of the candidate is admissible.  A
-    disagreement raises VerificationError naming the composition and
-    the candidate.
+    A cover e * s_i swaps positions i and i + 1 of the word when their
+    letters lie in increasing blocks.  A neighbouring letter strictly
+    between them makes the swap a Knuth move, which keeps the insertion
+    tableau (Knuth 1970), so e is not a rim element.  Otherwise covers
+    are tested up to the first member.  The diagram route checks every
+    member, and each cover tested goes through both routes; a disagreement
+    raises VerificationError naming the composition and the candidate.
     """
     n = sum(lam)
     check_enumeration_guard(n, limit)
     longest = parabolic(composition_generators(lam), n).longest
-    target = [list(row) for row in recording_tableau(longest).rows]
-    block_of = [a for a, p in enumerate(lam) for _ in range(p)]
+    target = recording_tableau(longest)
+    insertion = [list(row) for row in target.rows]
+    # block_of[v] is the block of the point v, and of the letter v
+    block_of = [0] + [a for a, p in enumerate(lam) for _ in range(p)]
 
-    def is_member(e: Permutation) -> bool:
-        # the one-line word of (longest * e)^-1, whose insertion tableau
-        # is the recording tableau of longest * e; as longest is an
-        # involution, the inverse sends e(k) to longest(k)
-        word = [0] * n
-        for w_k, e_k in zip(longest.images, e.images):
-            word[e_k - 1] = w_k
-        by_cell = row_insert(word) == target
+    def check(e: Permutation, by_cell: bool) -> bool:
         by_diagram = is_admissible(min_column_diagram(e, lam))
         if by_cell != by_diagram:
             raise VerificationError(
@@ -507,36 +499,21 @@ def _reverse_search(
             )
         return by_cell
 
-    def cover(images: tuple[int, ...], i: int) -> Permutation:
-        return Permutation(
-            tuple(i + 1 if v == i else i if v == i + 1 else v for v in images)
-        )
+    def cover_is_member(word: tuple[int, ...], e: Permutation, i: int) -> bool:
+        swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
+        values = {i + 1: i + 2, i + 2: i + 1}
+        cover = Permutation(tuple(values.get(v, v) for v in e.images))
+        return check(cover, row_insert(swapped) == insertion)
 
-    stack = [identity(n)]
-    while stack:
-        e = stack.pop()
-        images = e.images
-        # at[v] is the position of the value v; at[n + 1] lies past the end
-        at = [0] * (n + 2)
-        for k, v in enumerate(images):
-            at[v] = k
-        at[n + 1] = n
-        last_descent = max(
-            (j for j in range(1, n) if at[j] > at[j + 1]), default=0
+    for t in standard_tableaux(target.shape):
+        word = rs_inverse(target.rows, t)
+        e = Permutation(tuple(word.index(v) + 1 for v in longest.images))
+        check(e, True)
+        covers = [i for i in range(n - 1) if block_of[word[i]] < block_of[word[i + 1]]]
+        knuth = any(
+            word[i] < v < word[i + 1] for i in covers for v in word[max(i - 1, 0) : i + 3]
         )
-        children, others = [], []
-        for i in range(1, n):
-            if at[i] > at[i + 1] or block_of[at[i]] == block_of[at[i + 1]]:
-                continue
-            # i is the cover's largest right descent when e has none past
-            # i + 1 and the swap leaves i + 1 before i + 2
-            if last_descent <= i + 1 and at[i] < at[i + 2]:
-                children.append(i)
-            else:
-                others.append(i)
-        found = [f for f in (cover(images, i) for i in children) if is_member(f)]
-        stack.extend(found)
-        yield e, not found and not any(is_member(cover(images, i)) for i in others)
+        yield e, not knuth and not any(cover_is_member(word, e, i) for i in covers)
 
 
 def z_ideal(
@@ -544,16 +521,15 @@ def z_ideal(
 ) -> frozenset[Permutation]:
     """The prefix-closed ideal of coset representatives for a composition.
 
-    The ideal is walked up from the identity by reverse search along
-    prefix covers.  Membership is tested by both routes on every
-    candidate the search reaches, and a disagreement raises
-    VerificationError; the tests compare the result with both routes run
-    on every coset representative.
+    The members are built by inverse Robinson-Schensted insertion, one
+    per standard tableau, and the diagram route checks every one, with
+    a disagreement raising VerificationError; the tests compare the
+    result with both routes run on every coset representative.
 
     >>> sorted(e.images for e in z_ideal((2, 1)))
     [(1, 2, 3), (1, 3, 2)]
     """
-    return frozenset(e for e, _ in _reverse_search(tuple(lam), limit))
+    return frozenset(e for e, _ in _ideal_members(tuple(lam), limit))
 
 
 def rim(
@@ -564,7 +540,7 @@ def rim(
     >>> [y.images for y in rim((3,))]
     [(1, 2, 3)]
     """
-    return frozenset(e for e, top in _reverse_search(tuple(lam), limit) if top)
+    return frozenset(e for e, top in _ideal_members(tuple(lam), limit) if top)
 
 
 def _closed_rim(shape: StuShape) -> frozenset[Diagram]:
@@ -588,7 +564,7 @@ def rim_diagrams(
     Compositions with three leading parts followed by ones (or the
     reverse) use the closed families, extended one row at a time past
     four rows and rotated for the reversed arrangement.  Any other
-    composition falls back to the ideal search under the guard.
+    composition falls back to the ideal construction under the guard.
 
     >>> E, E_s = rim_diagrams((3, 2, 1, 1))
     >>> len(E), len(E_s)
@@ -614,7 +590,7 @@ def rim_diagrams(
 
 @dataclass(frozen=True, slots=True)
 class RimReport:
-    """Outcome of checking a closed-form rim against the ideal search."""
+    """Outcome of checking a closed-form rim against the constructed ideal."""
 
     composition: tuple[int, ...]
     rim_size: int
@@ -626,10 +602,10 @@ class RimReport:
 def verify_rim_family(
     lam: tuple[int, ...], limit: int | None = None
 ) -> RimReport:
-    """Check a closed-form rim against the searched ideal.
+    """Check a closed-form rim against the constructed ideal.
 
     The closed-form diagram words must be exactly the prefix-maximal
-    elements of the searched ideal, each word must rebuild its diagram,
+    elements of the constructed ideal, each word must rebuild its diagram,
     and the counts must match the table formulas.  Any failure raises;
     success returns a report.
     """

@@ -25,7 +25,7 @@ import os
 from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 DEFAULT_MAX_DEGREE = 9
 
@@ -152,12 +152,6 @@ def simple(i: int, n: int) -> Permutation:
 def longest_element(n: int) -> Permutation:
     """The order-reversing permutation, the longest element of S_n."""
     return Permutation(tuple(range(n, 0, -1)))
-
-
-def symmetric_group(n: int) -> Iterator[Permutation]:
-    """All of S_n, in lexicographic order of one-line notation."""
-    for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation(images)
 
 
 def is_prefix(candidate: Permutation, x: Permutation) -> bool:

@@ -1,4 +1,4 @@
-"""Robinson-Schensted insertion and the brute-force right-cell oracle.
+"""Robinson-Schensted insertion, its inverse, and right cells.
 
 ``row_insert`` is the package's one row-insertion loop: it builds the
 insertion rows of a word, and also gives subsequence types of diagrams
@@ -9,6 +9,9 @@ permutations lie in the same right cell exactly when their *recording*
 tableaux agree; the test suite checks both components against the
 diagram-admissibility criterion over whole symmetric groups and finds
 that exactly this one survives.
+
+``rs_inverse`` undoes the insertion, so a right cell is built, not
+searched, from the standard tableaux that ``standard_tableaux`` lists.
 
 Shape utilities for compositions (conjugation and enumeration) also
 live here.
@@ -21,8 +24,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .permutations import Permutation, check_enumeration_guard, symmetric_group
+from .permutations import Permutation, check_enumeration_guard
 
+Rows = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True, slots=True)
 class StandardYoungTableau:
@@ -103,14 +107,60 @@ def recording_tableau(x: Permutation) -> StandardYoungTableau:
     return rs_pair(x)[1]
 
 
-def right_cell_of(w: Permutation, limit: int | None = None) -> set[Permutation]:
-    """All elements of S_n right-equivalent to w, by full enumeration.
+def rs_inverse(p_rows: Rows, q_rows: Rows) -> tuple[int, ...]:
+    """The word with insertion rows p_rows and recording rows q_rows, by
+    reverse bumping (Schensted 1961): the cell of the largest recording
+    entry empties, and its entry bumps the largest smaller entry of each
+    row above, until the first row gives up the last letter.
 
-    Subject to the enumeration guard; pass an explicit limit to override.
+    >>> rs_inverse(((1, 2), (3,)), ((1, 3), (2,)))
+    (3, 1, 2)
+    """
+    p = [list(row) for row in p_rows]
+    row_of = {v: r for r, row in enumerate(q_rows) for v in row}
+    word = [0] * len(row_of)
+    for m in range(len(row_of), 0, -1):
+        x = p[row_of[m]].pop()
+        for row in reversed(p[: row_of[m]]):
+            k = bisect_left(row, x) - 1
+            row[k], x = x, row[k]
+        word[m - 1] = x
+    return tuple(word)
+
+
+def standard_tableaux(shape: tuple[int, ...]) -> Iterator[Rows]:
+    """The rows of every standard Young tableau of a partition shape:
+    entries 1..n go in turn to the end of a row shorter than its part
+    and than the row above.
+
+    >>> list(standard_tableaux((2, 1)))
+    [((1, 2), (3,)), ((1, 3), (2,))]
+    """
+    rows: list[list[int]] = [[] for _ in shape]
+
+    def fill(k: int) -> Iterator[Rows]:
+        if k > sum(shape):
+            yield tuple(map(tuple, rows))
+        for r, row in enumerate(rows):
+            if len(row) < shape[r] and (r == 0 or len(row) < len(rows[r - 1])):
+                row.append(k)
+                yield from fill(k + 1)
+                row.pop()
+
+    return fill(1)
+
+
+def right_cell_of(w: Permutation, limit: int | None = None) -> set[Permutation]:
+    """All elements of S_n right-equivalent to w, built by inverse
+    insertion.  Subject to the enumeration guard; pass an explicit limit
+    to override.
+
+    >>> sorted(x.images for x in right_cell_of(Permutation((2, 1, 3))))
+    [(2, 1, 3), (3, 1, 2)]
     """
     check_enumeration_guard(w.degree, limit)
-    target = recording_tableau(w)
-    return {y for y in symmetric_group(w.degree) if recording_tableau(y) == target}
+    q = recording_tableau(w)
+    return {Permutation(rs_inverse(t, q.rows)) for t in standard_tableaux(q.shape)}
 
 
 # ---------------------------------------------------------------------------

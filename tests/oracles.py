@@ -6,10 +6,13 @@ conventions match the package: one-line notation is 1-based and products
 compose left to right, so ``compose(a, b)[k-1]`` is the image of ``k`` under
 "first a, then b".
 
-There are two exceptions.  The ideal by enumeration runs the package's two
-membership routes on every coset representative: it checks the reverse
-search in ``families``, which tests only the covers it reaches.  The
-single-node row extension by trial tests admissibility with the package's
+There are three exceptions.  ``symmetric_group`` yields the package's
+permutations, for the tests that range over a whole group.  The ideal by
+enumeration runs the package's two membership routes on every coset
+representative, and the ideal by reverse search runs them on the covers
+it reaches: both check the construction in ``families``, which builds
+the members by inverse Robinson-Schensted insertion.  The single-node
+row extension by trial tests admissibility with the package's
 ``row_insert``: it checks the placement ``diagrams.psi_append`` builds from
 Schensted's theorem, not the insertion itself, which has oracles of its own.
 """
@@ -19,6 +22,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from functools import lru_cache
+from typing import Iterator
 
 from cellrim.diagrams import min_column_diagram
 from cellrim.paths import is_admissible
@@ -26,6 +30,7 @@ from cellrim.permutations import (
     Permutation,
     VerificationError,
     composition_generators,
+    identity,
     parabolic,
 )
 from cellrim.tableaux import StandardYoungTableau, recording_tableau, row_insert
@@ -57,6 +62,13 @@ def inversion_pairs(a: tuple[int, ...]) -> set[tuple[int, int]]:
 
 def count_inversions(a: tuple[int, ...]) -> int:
     return len(inversion_pairs(a))
+
+
+def symmetric_group(n: int) -> Iterator[Permutation]:
+    """All of S_n as package permutations, in lexicographic order of
+    one-line notation."""
+    for images in itertools.permutations(range(1, n + 1)):
+        yield Permutation(images)
 
 
 def word_to_images(n: int, word: tuple[int, ...]) -> tuple[int, ...]:
@@ -224,6 +236,69 @@ def z_ideal_by_enumeration(lam: tuple[int, ...]) -> frozenset[Permutation]:
     return frozenset(members)
 
 
+def z_ideal_by_reverse_search(
+    lam: tuple[int, ...],
+) -> dict[Permutation, bool]:
+    """Each member of the ideal of lam, mapped to whether it is a rim
+    element, by reverse search from the identity along prefix covers.
+
+    A cover e * s_i swaps the values i and i + 1, with i before i + 1 and
+    the two in different blocks.  As the ideal is prefix-closed it is a
+    tree under canonical parents, a member reaching its parent by undoing
+    its largest right descent (Avis and Fukuda 1996), so from each member
+    only the covers it is the canonical parent of are walked.  A member is
+    a rim element exactly when no cover is a member.  Membership is
+    tested by both routes on every candidate, and a disagreement raises
+    VerificationError naming lam and the candidate.
+    """
+    n = sum(lam)
+    block_of = [a for a, p in enumerate(lam) for _ in range(p)]
+
+    def is_member(e: Permutation) -> bool:
+        by_cell, by_diagram = membership_routes(e, lam)
+        if by_cell != by_diagram:
+            raise VerificationError(
+                f"cell route and diagram route disagree for {lam} at "
+                f"{e.images}: cell says {by_cell}, diagram says {by_diagram}"
+            )
+        return by_cell
+
+    def cover(images: tuple[int, ...], i: int) -> Permutation:
+        return Permutation(
+            tuple(i + 1 if v == i else i if v == i + 1 else v for v in images)
+        )
+
+    members: dict[Permutation, bool] = {}
+    stack = [identity(n)]
+    while stack:
+        e = stack.pop()
+        images = e.images
+        # at[v] is the position of the value v; at[n + 1] lies past the end
+        at = [0] * (n + 2)
+        for k, v in enumerate(images):
+            at[v] = k
+        at[n + 1] = n
+        last_descent = max(
+            (j for j in range(1, n) if at[j] > at[j + 1]), default=0
+        )
+        children, others = [], []
+        for i in range(1, n):
+            if at[i] > at[i + 1] or block_of[at[i]] == block_of[at[i + 1]]:
+                continue
+            # i is the cover's largest right descent when e has none past
+            # i + 1 and the swap leaves i + 1 before i + 2
+            if last_descent <= i + 1 and at[i] < at[i + 2]:
+                children.append(i)
+            else:
+                others.append(i)
+        found = [f for f in (cover(images, i) for i in children) if is_member(f)]
+        stack.extend(found)
+        members[e] = not found and not any(
+            is_member(cover(images, i)) for i in others
+        )
+    return members
+
+
 def prefix_maximal_pairwise(
     elements: set[tuple[int, ...]],
 ) -> set[tuple[int, ...]]:
@@ -319,6 +394,20 @@ def rs_pair_by_bumping(
             row[bigger[0]], value = value, row[bigger[0]]
             r += 1
     return tuple(map(tuple, p_rows)), tuple(map(tuple, q_rows))
+
+
+def right_cell_by_scan(w: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The right cell of w: the permutations of its degree whose recording
+    tableau is that of w, found by scanning the whole group."""
+    return set(_recording_classes(len(w))[rs_pair_by_bumping(w)[1]])
+
+
+@lru_cache(maxsize=None)
+def _recording_classes(n: int) -> dict:
+    classes: defaultdict = defaultdict(list)
+    for x in itertools.permutations(range(1, n + 1)):
+        classes[rs_pair_by_bumping(x)[1]].append(x)
+    return dict(classes)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from cellrim.permutations import (
     positive_pairs,
     prefix_maximal,
     simple,
-    symmetric_group,
 )
 from cellrim.tableaux import compositions_of, conjugate, recording_tableau
 
@@ -82,6 +81,7 @@ from fixtures import (
     PATH_B_N_358,
     STRAIGHTENED_A_4631,
 )
+from oracles import symmetric_group
 
 # Expected (special, nonspecial) rim sizes for the six orderings of
 # (3, 2, 1) with one trailing part equal to 1.

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from cellrim import cli
 from cellrim.cli import main
 from cellrim.diagrams import Diagram, w_of_diagram
 from claims import from_word
@@ -68,6 +69,15 @@ class TestRim:
         assert code == 0
         assert "×" not in out
         assert "x" in out
+
+    def test_json_builds_no_ascii_lines(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ascii output built under --format json")
+
+        monkeypatch.setattr(Diagram, "render", refuse)
+        monkeypatch.setattr(cli, "_word_text", refuse)
+        payload = run_json(capsys, "rim", "--composition", "1,3,2,1")
+        assert payload["rim_size"] == 5
 
 
 class TestCell:

@@ -439,10 +439,24 @@ class TestZIdeal:
                 want = oracles.z_ideal_by_enumeration(lam)
                 assert z_ideal(lam) == want, lam
                 assert rim(lam) == prefix_maximal(want), lam
-                # the search reaches each member from its canonical parent
+                # the reverse-search oracle reaches each member from its
+                # canonical parent
                 images = {e.images for e in want}
                 for x in images - {identity(n).images}:
                     assert oracles.canonical_parent(x) in images, (lam, x)
+
+    def test_construction_matches_reverse_search(self):
+        for n in range(1, 9):
+            for lam in compositions_of(n):
+                members = oracles.z_ideal_by_reverse_search(lam)
+                assert z_ideal(lam) == set(members), lam
+                assert rim(lam) == {e for e, top in members.items() if top}, lam
+
+    @pytest.mark.parametrize("lam", [(3, 1, 2, 1, 3, 1), (2, 4, 1, 3, 1)])
+    def test_construction_matches_reverse_search_at_degree_11(self, lam):
+        members = oracles.z_ideal_by_reverse_search(lam)
+        assert z_ideal(lam, limit=11) == set(members)
+        assert rim(lam, limit=11) == {e for e, top in members.items() if top}
 
     @pytest.mark.parametrize(
         "lam", [(3, 5, 2), (2, 4, 1, 3), (2, 5, 4), (1, 3, 2, 4, 1)]

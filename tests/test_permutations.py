@@ -25,11 +25,11 @@ from cellrim.permutations import (
     prefix_maximal,
     reduced_word,
     simple,
-    symmetric_group,
 )
 from cellrim.tableaux import compositions_of
 
 import oracles
+from oracles import symmetric_group
 from claims import (
     act_on_pairs,
     coset_decompose,

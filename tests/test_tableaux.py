@@ -17,7 +17,6 @@ from cellrim.permutations import (
     identity,
     longest_element,
     parabolic,
-    symmetric_group,
 )
 from cellrim.tableaux import (
     StandardYoungTableau,
@@ -26,10 +25,13 @@ from cellrim.tableaux import (
     recording_tableau,
     right_cell_of,
     row_insert,
+    rs_inverse,
     rs_pair,
+    standard_tableaux,
 )
 
 import oracles
+from oracles import symmetric_group
 from claims import dominates, is_partition, partitions_of, right_equivalent
 
 
@@ -89,6 +91,33 @@ def test_rs_pair_matches_direct_bumping_up_to_degree_10(images):
     assert (p.rows, q.rows) == oracles.rs_pair_by_bumping(tuple(images))
 
 
+def test_rs_inverse_undoes_rs_pair_up_to_s7():
+    for n in range(1, 8):
+        for x in symmetric_group(n):
+            assert rs_inverse(*(t.rows for t in rs_pair(x))) == x.images
+
+
+@given(
+    st.integers(min_value=8, max_value=12).flatmap(
+        lambda n: st.permutations(list(range(1, n + 1)))
+    )
+)
+def test_rs_inverse_undoes_bumping_up_to_degree_12(images):
+    assert rs_inverse(*oracles.rs_pair_by_bumping(tuple(images))) == tuple(images)
+
+
+def test_standard_tableaux_are_all_tableaux_of_the_shape():
+    assert list(standard_tableaux(())) == [()]
+    for n in range(1, 10):
+        for shape in partitions_of(n):
+            tableaux = list(standard_tableaux(shape))
+            assert len(set(tableaux)) == len(tableaux), shape
+            assert len(tableaux) == oracles.standard_tableau_count(shape), shape
+            for rows in tableaux:
+                assert type(rows) is tuple and all(type(r) is tuple for r in rows)
+                assert StandardYoungTableau(rows).shape == shape
+
+
 def test_row_insert_with_repeated_letters():
     # a letter bumps the leftmost entry >= it, so equal letters stack
     assert row_insert((1, 1, 1)) == [[1], [1], [1]]
@@ -129,6 +158,21 @@ def test_right_cell_frozen_examples():
     w = parabolic(composition_generators((2, 1)), 3).longest
     cell = right_cell_of(w)
     assert {x.images for x in cell} == {(2, 1, 3), (3, 1, 2)}
+
+
+def test_right_cell_matches_the_scan_up_to_s6():
+    for n in range(1, 7):
+        for w in symmetric_group(n):
+            cell = {x.images for x in right_cell_of(w)}
+            assert cell == oracles.right_cell_by_scan(w.images), w
+
+
+def test_right_cell_at_degree_12_shares_the_recording_tableau():
+    w = Permutation(tuple(v for k in range(1, 13, 2) for v in (k + 1, k)))
+    cell = right_cell_of(w, limit=12)
+    assert len(cell) == oracles.standard_tableau_count((6, 6)) == 132
+    target = oracles.rs_pair_by_bumping(w.images)[1]
+    assert all(oracles.rs_pair_by_bumping(x.images)[1] == target for x in cell)
 
 
 def test_cell_of_subgroup_longest_stays_in_coset():
