@@ -96,7 +96,7 @@ def _parse_order(text: str, s: int, t: int, u: int) -> tuple[int, int, int]:
 
 
 def _glyphs(args: argparse.Namespace) -> tuple[str, str]:
-    if getattr(args, "plain_x", False):
+    if args.plain_x:
         return "x", "."
     return "×", "·"
 
@@ -381,28 +381,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cellrim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, *, glyphs: bool, guard: bool) -> None:
         p.add_argument(
             "--format", choices=("json", "ascii"), default="ascii",
             help="output format",
         )
-        p.add_argument(
-            "--plain-x", action="store_true",
-            help="render diagrams with x/. instead of the default glyphs",
-        )
-        p.add_argument(
-            "--max-n", type=int, default=None,
-            help="override the enumeration guard",
-        )
+        if glyphs:
+            p.add_argument(
+                "--plain-x", action="store_true",
+                help="render diagrams with x/. instead of the default glyphs",
+            )
+        if guard:
+            p.add_argument(
+                "--max-n", type=int, default=None,
+                help="override the enumeration guard",
+            )
 
     p_rim = sub.add_parser("rim", help="rim of a composition")
     p_rim.add_argument("--composition", required=True)
-    common(p_rim)
+    common(p_rim, glyphs=True, guard=True)
     p_rim.set_defaults(func=cmd_rim)
 
     p_cell = sub.add_parser("cell", help="right cell of a permutation")
     p_cell.add_argument("--permutation", required=True, help="one-line images")
-    common(p_cell)
+    common(p_cell, glyphs=False, guard=True)
     p_cell.set_defaults(func=cmd_cell)
 
     p_diag = sub.add_parser("diagram", help="build and annotate a diagram")
@@ -416,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--C", help="column set, e.g. 7,8")
     p_diag.add_argument("--v", type=int, help="fourth-row column for H")
     p_diag.add_argument("--params", help="block sizes for M or N")
-    common(p_diag)
+    common(p_diag, glyphs=True, guard=False)
     p_diag.set_defaults(func=cmd_diagram)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
@@ -427,13 +429,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trailing-ones", type=int, default=1)
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--spots", type=int, default=0)
-    common(p_verify)
+    common(p_verify, glyphs=False, guard=True)
     p_verify.set_defaults(func=cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="two-route ideal membership probe")
     p_oracle.add_argument("--composition", required=True)
     p_oracle.add_argument("--list", action="store_true", help="list members")
-    common(p_oracle)
+    common(p_oracle, glyphs=False, guard=True)
     p_oracle.set_defaults(func=cmd_oracle)
 
     return parser

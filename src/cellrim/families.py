@@ -14,9 +14,10 @@ those families, and verifies the closed forms against the construction.
 Conventions for the closed families, with (s, t, u) the leading parts
 in non-increasing order: a sorted head gives the single Young diagram;
 the other five arrangements give the F, G, H, M and N families in the
-order (s,u,t), (t,s,u), (t,u,s), (u,s,t), (u,t,s).  M and N diagrams
-are described by determining tuples over the alphabet 1, 1b, 2, 3, 4
-recording their column profiles.
+order (s,u,t), (t,s,u), (t,u,s), (u,s,t), (u,t,s); one table gives each
+family's arrangement, builder, parameters and counts.  M and N diagrams
+are described, and built, by determining tuples over the alphabet
+1, 1b, 2, 3, 4 recording their column profiles.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .diagrams import (
     Diagram,
@@ -142,15 +143,14 @@ class DeterminingTuple:
 def determining_tuple(D: Diagram, shape: StuShape) -> DeterminingTuple:
     """Read the column profile off a diagram, validating its pattern.
 
-    The shape must put its smallest part first with t > u and a single
-    trailing one; the diagram must have that row profile, every column
-    must match one of the five recognised profiles, and the profile
-    counts must fit the shape.
+    The shape must be an M or N arrangement (smallest part first, t > u)
+    with a single trailing one; the diagram must have that row profile,
+    every column must match one of the five recognised profiles, and the
+    profile counts must fit the shape.
     """
-    s, t, u = shape.s, shape.t, shape.u
     if shape.trailing_ones != 1:
         raise ValueError("column profiles are defined for four-row diagrams")
-    if t <= u or shape.order[0] != u:
+    if _variant(shape) not in ("M", "N"):
         raise ValueError(
             f"shape {shape.order} does not lead with its smallest part"
         )
@@ -166,11 +166,18 @@ def determining_tuple(D: Diagram, shape: StuShape) -> DeterminingTuple:
             raise ValueError(f"column on rows {rows} fits no profile entry")
         entries.append(entry)
     alpha = DeterminingTuple(tuple(entries))
-    if alpha.u != u:
+    if alpha.u != shape.u:
         raise ValueError(
-            f"{alpha.u - 1} triple columns do not match first row size {u}"
+            f"{alpha.u - 1} triple columns do not match first row size {shape.u}"
         )
     return alpha
+
+
+def _profile_diagram(entries: list[str]) -> Diagram:
+    """The diagram whose column b holds the rows COLUMN_ROWS[entries[b - 1]]."""
+    return Diagram(
+        (a, b) for b, entry in enumerate(entries, 1) for a in COLUMN_ROWS[entry]
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,7 +199,7 @@ class FamilyParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "columns", frozenset(self.columns))
         object.__setattr__(self, "counts", tuple(self.counts))
-        if self.variant not in ("F", "G", "H", "M", "N"):
+        if self.variant not in _VARIANTS:
             raise ValueError(f"unknown family variant {self.variant!r}")
 
 
@@ -269,19 +276,10 @@ def _family_m(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
         raise ValueError(
             f"need a {u - 1}-subset of the last {psi} columns, got {sorted(triples)}"
         )
-    full = eps + eta + 1
-    return Diagram.from_rows(
-        [
-            sorted({full} | triples),
-            list(range(1, full + 1)) + list(range(full + theta + 1, m + 1)),
-            sorted(
-                set(range(1, eps + 1))
-                | set(range(full, full + theta + zeta + 1))
-                | triples
-            ),
-            (full,),
-        ]
-    )
+    profile = ["2"] * eps + ["1"] * eta + ["4"] + ["1b"] * theta + ["2"] * zeta + ["1"] * psi
+    for c in triples:
+        profile[c - 1] = "3"
+    return _profile_diagram(profile)
 
 
 def _family_n(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
@@ -296,54 +294,10 @@ def _family_n(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
         raise ValueError(f"block sizes {params.counts} do not fit t = {t}")
     if phi < theta:
         raise ValueError(f"need phi >= theta, got {phi} < {theta}")
-    m = s + theta
-    full = eta + eps + theta + 1
-    return Diagram.from_rows(
-        [
-            [full] + list(range(m - u + 2, m + 1)),
-            list(range(eta + 1, full + 1)) + list(range(m - u - zeta + 2, m + 1)),
-            list(range(1, eta + eps + 1)) + list(range(full, m + 1)),
-            (full,),
-        ]
+    return _profile_diagram(
+        ["1b"] * eta + ["2"] * eps + ["1"] * theta + ["4"]
+        + ["1b"] * phi + ["2"] * zeta + ["3"] * (u - 1)
     )
-
-
-_BUILDERS = {
-    "F": _family_f,
-    "G": _family_g,
-    "H": _family_h,
-    "M": _family_m,
-    "N": _family_n,
-}
-
-_VARIANT_ORDERS = {
-    "F": lambda s, t, u: (s, u, t),
-    "G": lambda s, t, u: (t, s, u),
-    "H": lambda s, t, u: (t, u, s),
-    "M": lambda s, t, u: (u, s, t),
-    "N": lambda s, t, u: (u, t, s),
-}
-
-
-def family_diagram(params: FamilyParams, shape: StuShape) -> Diagram:
-    """Build one member of a closed family for a four-row shape.
-
-    The shape's arrangement must match the variant, and the parameters
-    must satisfy the variant's side conditions.
-    """
-    if shape.trailing_ones != 1:
-        raise ValueError("families are built on four-row shapes")
-    s, t, u = shape.s, shape.t, shape.u
-    if shape.order != _VARIANT_ORDERS[params.variant](s, t, u):
-        raise ValueError(
-            f"variant {params.variant} does not serve arrangement {shape.order}"
-        )
-    D = _BUILDERS[params.variant](params, s, t, u)
-    if D.row_composition() != shape.composition:
-        raise VerificationError(
-            f"built rows {D.row_composition()}, wanted {shape.composition}"
-        )
-    return D
 
 
 def _f_params(s: int, t: int, u: int) -> tuple[FamilyParams, ...]:
@@ -377,9 +331,8 @@ def _m_params(s: int, t: int, u: int) -> tuple[FamilyParams, ...]:
             eps = t - u - theta - zeta
             etas = (theta,) if zeta > 0 else range(theta, s - eps - u + 1)
             for eta in etas:
+                # psi >= u - 1 by eta's range, or by s >= t when zeta > 0
                 psi = s - eps - eta - 1 - zeta
-                if psi < u - 1:
-                    continue
                 m = s + theta
                 for triples in itertools.combinations(
                     range(m - psi + 1, m + 1), u - 1
@@ -407,13 +360,62 @@ def _n_params(s: int, t: int, u: int) -> tuple[FamilyParams, ...]:
     return tuple(out)
 
 
-_PARAM_ENUMERATORS = {
-    "F": _f_params,
-    "G": _g_params,
-    "H": _h_params,
-    "M": _m_params,
-    "N": _n_params,
+class _Variant(NamedTuple):
+    """A closed family: the arrangement of (s, t, u) it serves, its builder,
+    its parameter enumerator, and its (special, non-special) rim sizes as
+    formulas in s, t, u and v = s - t + u."""
+
+    arrangement: Callable
+    build: Callable
+    params: Callable
+    counts: Callable
+
+
+# listed in the order that breaks ties between arrangements of equal parts
+_VARIANTS = {
+    "F": _Variant(lambda s, t, u: (s, u, t), _family_f, _f_params,
+                  lambda s, t, u, v: (comb(t, u), 0)),
+    "G": _Variant(lambda s, t, u: (t, s, u), _family_g, _g_params,
+                  lambda s, t, u, v: (comb(v, u), 0)),
+    "H": _Variant(lambda s, t, u: (t, u, s), _family_h, _h_params,
+                  lambda s, t, u, v: ((s - t) * comb(t - 1, u - 1) + comb(t, u), 0)),
+    "M": _Variant(lambda s, t, u: (u, s, t), _family_m, _m_params,
+                  lambda s, t, u, v: ((t - u) * comb(v - 1, u - 1) + comb(v, u),
+                                      comb(t - u, 2) * comb(v - 1, u - 1)
+                                      + (t - u) * comb(v, u))),
+    "N": _Variant(lambda s, t, u: (u, t, s), _family_n, _n_params,
+                  lambda s, t, u, v: (s - u + 1, (t - u) * (s - t) + comb(t - u + 1, 2))),
 }
+
+
+def _variant(shape: StuShape) -> str | None:
+    """The first family serving the shape's arrangement; None for a sorted head."""
+    s, t, u = shape.s, shape.t, shape.u
+    if shape.order == (s, t, u):
+        return None
+    return next(n for n, f in _VARIANTS.items() if f.arrangement(s, t, u) == shape.order)
+
+
+def family_diagram(params: FamilyParams, shape: StuShape) -> Diagram:
+    """Build one member of a closed family for a four-row shape.
+
+    The shape's arrangement must match the variant, and the parameters
+    must satisfy the variant's side conditions.
+    """
+    if shape.trailing_ones != 1:
+        raise ValueError("families are built on four-row shapes")
+    s, t, u = shape.s, shape.t, shape.u
+    variant = _VARIANTS[params.variant]
+    if shape.order != variant.arrangement(s, t, u):
+        raise ValueError(
+            f"variant {params.variant} does not serve arrangement {shape.order}"
+        )
+    D = variant.build(params, s, t, u)
+    if D.row_composition() != shape.composition:
+        raise VerificationError(
+            f"built rows {D.row_composition()}, wanted {shape.composition}"
+        )
+    return D
 
 
 def family_parameter_sets(shape: StuShape) -> tuple[FamilyParams, ...]:
@@ -425,14 +427,8 @@ def family_parameter_sets(shape: StuShape) -> tuple[FamilyParams, ...]:
     unless phi = theta.  Ties between arrangements are resolved in the
     order F, G, H, M, N; the constructions coincide on ties.
     """
-    s, t, u = shape.s, shape.t, shape.u
-    order = shape.order
-    if order == (s, t, u):
-        return ()
-    for variant, arrangement in _VARIANT_ORDERS.items():
-        if order == arrangement(s, t, u):
-            return _PARAM_ENUMERATORS[variant](s, t, u)
-    raise AssertionError(f"unreachable arrangement {order}")
+    name = _variant(shape)
+    return _VARIANTS[name].params(shape.s, shape.t, shape.u) if name else ()
 
 
 def table_counts(shape: StuShape) -> tuple[int, int]:
@@ -445,22 +441,8 @@ def table_counts(shape: StuShape) -> tuple[int, int]:
     (40, 50)
     """
     s, t, u = shape.s, shape.t, shape.u
-    v = s - t + u
-    order = shape.order
-    if order == (s, t, u):
-        return 1, 0
-    if order == (s, u, t):
-        return comb(t, u), 0
-    if order == (t, s, u):
-        return comb(v, u), 0
-    if order == (t, u, s):
-        return (s - t) * comb(t - 1, u - 1) + comb(t, u), 0
-    if order == (u, s, t):
-        return (
-            (t - u) * comb(v - 1, u - 1) + comb(v, u),
-            comb(t - u, 2) * comb(v - 1, u - 1) + (t - u) * comb(v, u),
-        )
-    return s - u + 1, (t - u) * (s - t) + comb(t - u + 1, 2)
+    name = _variant(shape)
+    return _VARIANTS[name].counts(s, t, u, s - t + u) if name else (1, 0)
 
 
 def _ideal_members(
@@ -545,12 +527,10 @@ def rim(
 
 def _closed_rim(shape: StuShape) -> frozenset[Diagram]:
     base = StuShape(shape.s, shape.t, shape.u, shape.order, 1)
-    if shape.order == (shape.s, shape.t, shape.u):
+    if _variant(base) is None:
         diagrams = {young_diagram(base.composition)}
     else:
-        diagrams = {
-            family_diagram(p, base) for p in family_parameter_sets(base)
-        }
+        diagrams = {family_diagram(p, base) for p in family_parameter_sets(base)}
     for _ in range(shape.trailing_ones - 1):
         diagrams = {psi_append(D) for D in diagrams}
     return frozenset(diagrams)

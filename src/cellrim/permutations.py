@@ -38,20 +38,16 @@ class VerificationError(RuntimeError):
     """A cross-check between two independent computation routes failed."""
 
 
-def enumeration_limit(explicit: int | None = None) -> int:
-    """The active bound on group-wide enumeration degree.
-
-    Precedence: explicit argument, then the CELLRIM_MAX_N environment
-    variable, then the package default.
-    """
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("CELLRIM_MAX_N")
-    return int(env) if env else DEFAULT_MAX_DEGREE
-
-
 def check_enumeration_guard(n: int, explicit: int | None = None) -> None:
-    limit = enumeration_limit(explicit)
+    """Refuse a group-wide enumeration of degree n above the active bound.
+
+    Precedence for the bound: explicit argument, then the CELLRIM_MAX_N
+    environment variable, then the package default.
+    """
+    limit = explicit
+    if limit is None:
+        env = os.environ.get("CELLRIM_MAX_N")
+        limit = int(env) if env else DEFAULT_MAX_DEGREE
     if n > limit:
         raise GuardExceeded(
             f"degree {n} exceeds the enumeration bound {limit}; raise it via "

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from functools import lru_cache
+from math import comb
 from typing import Iterator
 
 from cellrim.diagrams import min_column_diagram
@@ -776,3 +777,67 @@ def ordered_cores_by_backtracking(
             counts[len(chain)] += 1
 
     yield from extend([], frozenset(), dict(length_counts))
+
+
+# ---------------------------------------------------------------------------
+# closed families by row arithmetic
+
+
+def family_m_rows(
+    s: int, counts: tuple[int, ...], triples: frozenset[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Rows of the M member with block sizes (eps, eta, theta, zeta, psi)
+    and the given triple columns, by set arithmetic on column ranges.
+
+    The full column sits at eps + eta + 1; row 2 skips the theta columns
+    after it, and row 3 holds the first eps columns, the full column with
+    the theta + zeta columns after it, and the triples.
+    """
+    eps, eta, theta, zeta, _ = counts
+    m = s + theta
+    full = eps + eta + 1
+    rows = (
+        {full} | triples,
+        set(range(1, full + 1)) | set(range(full + theta + 1, m + 1)),
+        set(range(1, eps + 1)) | set(range(full, full + theta + zeta + 1)) | triples,
+        {full},
+    )
+    return tuple(tuple(sorted(row)) for row in rows)
+
+
+def family_n_rows(s: int, u: int, counts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Rows of the N member with block sizes (eta, eps, theta, phi, zeta),
+    by concatenating column ranges.  The full column sits at
+    eta + eps + theta + 1 and the last u - 1 columns are triples.
+    """
+    eta, eps, theta, _, zeta = counts
+    m = s + theta
+    full = eta + eps + theta + 1
+    return (
+        (full, *range(m - u + 2, m + 1)),
+        (*range(eta + 1, full + 1), *range(m - u - zeta + 2, m + 1)),
+        (*range(1, eta + eps + 1), *range(full, m + 1)),
+        (full,),
+    )
+
+
+def table_counts_by_arrangement(
+    s: int, t: int, u: int, order: tuple[int, int, int]
+) -> tuple[int, int]:
+    """(special, non-special) rim sizes, one arrangement test per family
+    in the tie-breaking order sorted, F, G, H, M, N."""
+    v = s - t + u
+    if order == (s, t, u):
+        return 1, 0
+    if order == (s, u, t):
+        return comb(t, u), 0
+    if order == (t, s, u):
+        return comb(v, u), 0
+    if order == (t, u, s):
+        return (s - t) * comb(t - 1, u - 1) + comb(t, u), 0
+    if order == (u, s, t):
+        return (
+            (t - u) * comb(v - 1, u - 1) + comb(v, u),
+            comb(t - u, 2) * comb(v - 1, u - 1) + (t - u) * comb(v, u),
+        )
+    return s - u + 1, (t - u) * (s - t) + comb(t - u + 1, 2)

@@ -285,5 +285,10 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["routes_agree"] is True
 
+    def test_flags_only_where_read(self, capsys):
+        # diagram builds nothing under the guard; cell draws no diagram
+        assert main(["diagram", "young", "--partition", "2,1", "--max-n", "3"]) == 1
+        assert main(["cell", "--permutation", "2,1", "--plain-x"]) == 1
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -115,6 +115,13 @@ class TestDeterminingTuple:
         assert diagram_from_tuple(DeterminingTuple(FAMILY_M_385_TUPLE)) == FAMILY_M_385
         assert diagram_from_tuple(DeterminingTuple(FAMILY_N_358_TUPLE)) == FAMILY_N_358
 
+    def test_m_and_n_members_round_trip(self):
+        for s, t, u in [(8, 5, 3), (10, 7, 4)]:
+            for order in [(u, s, t), (u, t, s)]:
+                shape = StuShape(s, t, u, order)
+                for D in family_members(s, t, u, order):
+                    assert diagram_from_tuple(determining_tuple(D, shape)) == D
+
     def test_single_full_column(self):
         assert diagram_from_tuple(DeterminingTuple(("4",))) == Diagram(
             {(1, 1), (2, 1), (3, 1), (4, 1)}
@@ -184,6 +191,21 @@ class TestFamilyConstructors:
         assert low.rows() == ((1, 3), (1,), (1, 2, 3), (1,))
         high = family_diagram(FamilyParams("H", v=2), shape)
         assert high.rows() == ((2, 3), (2,), (1, 2, 3), (2,))
+
+    def test_m_and_n_match_row_oracle(self):
+        checked = 0
+        for s, t, u in itertools.combinations_with_replacement(range(9, 0, -1), 3):
+            m_shape = StuShape(s, t, u, (u, s, t))
+            for p in families._m_params(s, t, u):
+                rows = oracles.family_m_rows(s, p.counts, p.columns)
+                assert family_diagram(p, m_shape).rows() == rows, (s, t, u, p)
+                checked += 1
+            n_shape = StuShape(s, t, u, (u, t, s))
+            for p in families._n_params(s, t, u):
+                rows = oracles.family_n_rows(s, u, p.counts)
+                assert family_diagram(p, n_shape).rows() == rows, (s, t, u, p)
+                checked += 1
+        assert checked == 7692
 
     def test_variant_must_match_arrangement(self):
         shape = StuShape(8, 5, 3, (8, 3, 5))
@@ -290,6 +312,12 @@ class TestTableCounts:
                 _, nonspecial = table_counts(shape)
                 if order[0] in (s, t):
                     assert nonspecial == 0
+
+    def test_matches_arrangement_oracle(self):
+        for s, t, u in itertools.combinations_with_replacement(range(12, 0, -1), 3):
+            for order in set(itertools.permutations((s, t, u))):
+                expected = oracles.table_counts_by_arrangement(s, t, u, order)
+                assert table_counts(StuShape(s, t, u, order)) == expected, order
 
     def test_small_cases_match_enumeration(self):
         for head in HEADS:
@@ -587,6 +615,12 @@ class TestVerifyRimFamily:
         assert report.special_size == 3
         assert report.ideal_size == 35
         assert report.expected_counts == (3, 2)
+
+    def test_passes_on_m_members_with_both_inner_blocks(self):
+        # t - u = 2 is the least gap giving M members with theta and zeta
+        # both positive, the only ones whose 1b and 2 blocks can be confused
+        report = verify_rim_family((1, 4, 3, 1))
+        assert (report.rim_size, report.special_size) == (9, 4)
 
     def test_passes_with_two_members(self):
         report = verify_rim_family((2, 3, 1, 1))
