@@ -30,9 +30,12 @@ class Diagram:
     """A principal diagram: a normalized, non-empty set of (row, col) nodes.
 
     It is stored once, as its normalized rows: ``rows()[a - 1]`` holds the
-    increasing columns of row ``a``.  Construction buckets the nodes by row
-    and re-ranks the columns only when the used ones are not ``1..c``;
-    every other view is read off the rows.
+    increasing columns of row ``a``.  Construction works row by row: each
+    row is coerced to ``int``, sorted and deduplicated, empty rows are
+    dropped, and the columns are re-ranked only when the used ones are
+    not ``1..c``.  ``Diagram(nodes)`` first buckets its nodes by row;
+    ``from_rows`` hands its rows over as they are.  Every other view is
+    read off the rows.
 
     >>> Diagram({(2, 5), (2, 7), (4, 5)}).sorted_nodes
     ((1, 1), (1, 2), (2, 1))
@@ -40,22 +43,26 @@ class Diagram:
 
     __slots__ = ("_rows",)
 
-    def __init__(self, nodes: Iterable[Iterable[int]]) -> None:
-        raw = defaultdict(set)
-        for a, b in nodes:
-            raw[a].add(b)
-        if not raw:
+    def __init__(
+        self,
+        nodes: Iterable[Iterable[int]] = (),
+        *,
+        rows: Iterable[Iterable[int]] | None = None,
+    ) -> None:
+        if rows is None:
+            by_row: dict[int, list[int]] = defaultdict(list)
+            for a, b in nodes:
+                by_row[int(a)].append(b)
+            rows = [by_row[a] for a in sorted(by_row)]
+        normal = [tuple(sorted(set(map(int, row)))) for row in rows]
+        normal = [row for row in normal if row]
+        if not normal:
             raise ValueError("a diagram needs at least one node")
-        # coerce per row after bucketing, which beats two int() calls a node
-        by_row: dict[int, set[int]] = defaultdict(set)
-        for a, cols in raw.items():
-            by_row[int(a)].update(map(int, cols))
-        rows = [sorted(by_row[a]) for a in sorted(by_row)]
-        used = set().union(*by_row.values())
+        used = set().union(*normal)
         if min(used) != 1 or max(used) != len(used):
             rank = {b: k for k, b in enumerate(sorted(used), 1)}
-            rows = [[rank[b] for b in row] for row in rows]
-        object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
+            normal = [tuple([rank[b] for b in row]) for row in normal]
+        object.__setattr__(self, "_rows", tuple(normal))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> Diagram:
@@ -64,7 +71,7 @@ class Diagram:
         >>> Diagram.from_rows([(1, 2), (2,)]).sorted_nodes
         ((1, 1), (1, 2), (2, 2))
         """
-        return cls((a, b) for a, cols in enumerate(rows, 1) for b in cols)
+        return cls(rows=rows)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("a Diagram is immutable")
@@ -218,15 +225,15 @@ def min_column_diagram(d: Permutation, parts: tuple[int, ...]) -> Diagram:
     row_at = [0] * n
     for point, value in enumerate(d.images):
         row_at[value - 1] = row_of[point]
-    nodes = []
-    column = 0
+    rows: list[list[int]] = [[] for _ in parts]
+    column = 1
     previous_row = 0
     for row in row_at:
-        if row <= previous_row or column == 0:
+        if row <= previous_row:
             column += 1
-        nodes.append((row, column))
+        rows[row - 1].append(column)
         previous_row = row
-    return Diagram(nodes)
+    return Diagram.from_rows(rows)
 
 
 def rotate_180(D: Diagram) -> Diagram:

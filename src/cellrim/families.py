@@ -43,7 +43,6 @@ from .permutations import (
     check_enumeration_guard,
     composition_generators,
     parabolic,
-    prefix_maximal,
 )
 from .tableaux import recording_tableau, row_insert, rs_inverse, standard_tableaux
 
@@ -175,9 +174,11 @@ def determining_tuple(D: Diagram, shape: StuShape) -> DeterminingTuple:
 
 def _profile_diagram(entries: list[str]) -> Diagram:
     """The diagram whose column b holds the rows COLUMN_ROWS[entries[b - 1]]."""
-    return Diagram(
-        (a, b) for b, entry in enumerate(entries, 1) for a in COLUMN_ROWS[entry]
-    )
+    rows: tuple[list[int], ...] = ([], [], [], [])
+    for b, entry in enumerate(entries, 1):
+        for a in COLUMN_ROWS[entry]:
+            rows[a - 1].append(b)
+    return Diagram.from_rows(rows)
 
 
 @dataclass(frozen=True, slots=True)
@@ -586,8 +587,9 @@ def verify_rim_family(
 
     The closed-form diagram words must be exactly the prefix-maximal
     elements of the constructed ideal, each word must rebuild its diagram,
-    and the counts must match the table formulas.  Any failure raises;
-    success returns a report.
+    and the counts must match the table formulas.  The ideal is streamed,
+    as ``rim`` streams it: only its size and its rim elements are kept.
+    Any failure raises; success returns a report.
     """
     lam = tuple(lam)
     shape = _shape_or_none(lam) or _shape_or_none(tuple(reversed(lam)))
@@ -595,8 +597,12 @@ def verify_rim_family(
         raise ValueError(f"{lam} is outside the closed-form families")
     diagrams, specials = rim_diagrams(lam)
     words = {D: w_of_diagram(D) for D in diagrams}
-    ideal = z_ideal(lam, limit)
-    closed, tops = set(words.values()), prefix_maximal(ideal)
+    ideal_size, tops = 0, set()
+    for e, top in _ideal_members(lam, limit):
+        ideal_size += 1
+        if top:
+            tops.add(e)
+    closed = set(words.values())
     if closed != tops:
         raise VerificationError(
             f"closed-form words for {lam} are not the maxima of the ideal: "
@@ -618,6 +624,6 @@ def verify_rim_family(
         composition=lam,
         rim_size=len(diagrams),
         special_size=len(specials),
-        ideal_size=len(ideal),
+        ideal_size=ideal_size,
         expected_counts=expected,
     )

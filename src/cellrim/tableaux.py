@@ -137,9 +137,10 @@ def standard_tableaux(shape: tuple[int, ...]) -> Iterator[Rows]:
     [((1, 2), (3,)), ((1, 3), (2,))]
     """
     rows: list[list[int]] = [[] for _ in shape]
+    n = sum(shape)
 
     def fill(k: int) -> Iterator[Rows]:
-        if k > sum(shape):
+        if k > n:
             yield tuple(map(tuple, rows))
         for r, row in enumerate(rows):
             if len(row) < shape[r] and (r == 0 or len(row) < len(rows[r - 1])):

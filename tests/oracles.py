@@ -455,6 +455,52 @@ def diagram_word(nodes: frozenset[tuple[int, int]]) -> tuple[int, ...]:
     return tuple(col_entry[node] for node in by_rows)
 
 
+def rows_by_bucketing(nodes) -> tuple[tuple[int, ...], ...]:
+    """The normalized rows of a node set, built as ``Diagram`` built them
+    from node pairs: bucket the nodes by their raw row label, merge the
+    buckets by ``int`` row, coerce each row's columns, and re-rank the
+    columns only when the used ones are not ``1..c``.  Raises ValueError
+    on no nodes.
+    """
+    raw = defaultdict(set)
+    for a, b in nodes:
+        raw[a].add(b)
+    if not raw:
+        raise ValueError("a diagram needs at least one node")
+    by_row: dict[int, set[int]] = defaultdict(set)
+    for a, cols in raw.items():
+        by_row[int(a)].update(map(int, cols))
+    rows = [sorted(by_row[a]) for a in sorted(by_row)]
+    used = set().union(*by_row.values())
+    if min(used) != 1 or max(used) != len(used):
+        rank = {b: k for k, b in enumerate(sorted(used), 1)}
+        rows = [[rank[b] for b in row] for row in rows]
+    return tuple(map(tuple, rows))
+
+
+def min_column_nodes(
+    d: tuple[int, ...], parts: tuple[int, ...]
+) -> list[tuple[int, int]]:
+    """The nodes of the minimal-column diagram of a coset representative
+    d, listed in column-filling order: walk the rows holding 1, 2, ..., n
+    in the column filling and open a column whenever the row fails to
+    climb.
+    """
+    row_of = [a for a, p in enumerate(parts, 1) for _ in range(p)]
+    row_at = [0] * len(d)
+    for point, value in enumerate(d):
+        row_at[value - 1] = row_of[point]
+    nodes = []
+    column = 0
+    previous_row = 0
+    for row in row_at:
+        if row <= previous_row or column == 0:
+            column += 1
+        nodes.append((row, column))
+        previous_row = row
+    return nodes
+
+
 def search_min_column_diagrams(
     d: tuple[int, ...], parts: tuple[int, ...]
 ) -> list[frozenset[tuple[int, int]]]:

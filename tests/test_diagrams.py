@@ -60,6 +60,20 @@ def offset_node_sets(draw) -> frozenset[tuple[int, int]]:
     return draw(st.frozensets(st.sampled_from(cells), min_size=1))
 
 
+@st.composite
+def raw_rows(draw) -> list[list]:
+    """Row lists as a caller might pass them: empty rows, repeated,
+    unsorted and gapped columns, each column an int, a float or a
+    string of an int."""
+    label = st.integers(-5, 20)
+    column = st.one_of(
+        label,
+        st.builds(lambda k, f: k + f, label, st.sampled_from([0.0, 0.25, 0.75])),
+        label.map(str),
+    )
+    return draw(st.lists(st.lists(column, max_size=6), max_size=6))
+
+
 def padded_rows(nodes: frozenset[tuple[int, int]]) -> list[list[int]]:
     """Rows for ``from_rows``: one list per row label from the least to the
     greatest used, empty where a label is unused, each listing its columns
@@ -181,6 +195,35 @@ class TestRowStorage:
         with pytest.raises(ValueError):
             Diagram.from_rows([(), ()])
 
+    @settings(max_examples=300, deadline=None)
+    @given(raw_rows(), st.lists(st.sampled_from([int, float, str]), min_size=1, max_size=3))
+    @example([[], [3, 3, "1"], [], [2.75, 9]], [str])
+    @example([[], []], [int])
+    def test_rows_and_nodes_match_bucketing_oracle(self, rows, labels):
+        nodes = [(a, b) for a, row in enumerate(rows, 1) for b in row]
+        # row labels from 8 up, in turn as ints, floats and strings, so
+        # one row arrives under several labels that sort apart as text
+        labelled = [
+            (label(a + 7), b) for (a, b), label in zip(nodes, itertools.cycle(labels))
+        ]
+        if not nodes:
+            for build in (lambda: Diagram.from_rows(rows), lambda: Diagram(labelled)):
+                with pytest.raises(ValueError):
+                    build()
+            return
+        expected = oracles.rows_by_bucketing(nodes)
+        assert oracles.rows_by_bucketing(labelled) == expected
+        D = Diagram.from_rows(rows)
+        assert D.rows() == expected
+        E = Diagram(labelled)
+        assert E.rows() == expected
+        assert D == E and hash(D) == hash(E)
+        again = Diagram.from_rows(D.rows())
+        assert again == D and hash(again) == hash(D)
+        for copied in (pickle.loads(pickle.dumps(D)), copy.copy(D), copy.deepcopy(D)):
+            assert copied == D and copied.rows() == expected
+            assert hash(copied) == hash(D)
+
     def test_immutable_and_copyable(self):
         D = DIAGRAM_4631
         for name in ("nodes", "_rows", "extra"):
@@ -298,6 +341,16 @@ class TestMinColumnDiagram:
                 for d in parabolic(gens, n).reps:
                     found = oracles.search_min_column_diagrams(d.images, parts)
                     assert found == [min_column_diagram(d, parts).nodes]
+
+    def test_matches_node_list_oracle(self):
+        for n in range(1, 8):
+            for parts in compositions_of(n):
+                gens = composition_generators(parts)
+                for d in parabolic(gens, n).reps:
+                    nodes = oracles.min_column_nodes(d.images, parts)
+                    D = min_column_diagram(d, parts)
+                    assert D.nodes == frozenset(nodes)
+                    assert D.rows() == oracles.rows_by_bucketing(nodes)
 
     def test_rejects_non_representative(self):
         with pytest.raises(ValueError):
