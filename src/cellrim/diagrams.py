@@ -17,11 +17,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable
 
-from .permutations import (
-    Permutation,
-    composition_generators,
-    is_coset_rep,
-)
+from .permutations import Permutation
 
 Node = tuple[int, int]
 
@@ -216,14 +212,16 @@ def min_column_diagram(d: Permutation, parts: tuple[int, ...]) -> Diagram:
     n = sum(parts)
     if d.degree != n:
         raise ValueError(f"degree {d.degree} does not match composition total {n}")
-    if not is_coset_rep(d, composition_generators(parts)):
+    row_of = [a for a, p in enumerate(parts, 1) for _ in range(p)]
+    images = d.images
+    # a coset rep increases inside each block, on neighbouring points
+    if any(images[k] > images[k + 1] for k in range(n - 1) if row_of[k] == row_of[k + 1]):
         raise ValueError(
             f"{d!r} is not a distinguished coset representative for {parts!r}"
         )
-    row_of = [a for a, p in enumerate(parts, 1) for _ in range(p)]
     # row_at[k - 1] is the row holding the preimage of k under d
     row_at = [0] * n
-    for point, value in enumerate(d.images):
+    for point, value in enumerate(images):
         row_at[value - 1] = row_of[point]
     rows: list[list[int]] = [[] for _ in parts]
     column = 1

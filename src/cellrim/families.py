@@ -16,8 +16,8 @@ in non-increasing order: a sorted head gives the single Young diagram;
 the other five arrangements give the F, G, H, M and N families in the
 order (s,u,t), (t,s,u), (t,u,s), (u,s,t), (u,t,s); one table gives each
 family's arrangement, builder, parameters and counts.  M and N diagrams
-are described, and built, by determining tuples over the alphabet
-1, 1b, 2, 3, 4 recording their column profiles.
+are described by determining tuples over the alphabet 1, 1b, 2, 3, 4
+recording their column profiles, and built from the blocks' row ranges.
 """
 
 from __future__ import annotations
@@ -44,7 +44,13 @@ from .permutations import (
     composition_generators,
     parabolic,
 )
-from .tableaux import recording_tableau, row_insert, rs_inverse, standard_tableaux
+from .tableaux import (
+    cell_words,
+    conjugate,
+    count_standard_tableaux,
+    recording_tableau,
+    row_insert,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,15 +178,6 @@ def determining_tuple(D: Diagram, shape: StuShape) -> DeterminingTuple:
     return alpha
 
 
-def _profile_diagram(entries: list[str]) -> Diagram:
-    """The diagram whose column b holds the rows COLUMN_ROWS[entries[b - 1]]."""
-    rows: tuple[list[int], ...] = ([], [], [], [])
-    for b, entry in enumerate(entries, 1):
-        for a in COLUMN_ROWS[entry]:
-            rows[a - 1].append(b)
-    return Diagram.from_rows(rows)
-
-
 @dataclass(frozen=True, slots=True)
 class FamilyParams:
     """Parameters selecting one member of a closed diagram family.
@@ -277,10 +274,11 @@ def _family_m(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
         raise ValueError(
             f"need a {u - 1}-subset of the last {psi} columns, got {sorted(triples)}"
         )
-    profile = ["2"] * eps + ["1"] * eta + ["4"] + ["1b"] * theta + ["2"] * zeta + ["1"] * psi
-    for c in triples:
-        profile[c - 1] = "3"
-    return _profile_diagram(profile)
+    # the profile 2^eps 1^eta 4 1b^theta 2^zeta 1^psi, triples raised to 3
+    full = eps + eta + 1
+    second = [*range(1, full + 1), *range(full + theta + 1, m + 1)]
+    third = [*range(1, eps + 1), *range(full, full + theta + zeta + 1), *triples]
+    return Diagram.from_rows([[full, *triples], second, third, (full,)])
 
 
 def _family_n(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
@@ -295,10 +293,12 @@ def _family_n(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
         raise ValueError(f"block sizes {params.counts} do not fit t = {t}")
     if phi < theta:
         raise ValueError(f"need phi >= theta, got {phi} < {theta}")
-    return _profile_diagram(
-        ["1b"] * eta + ["2"] * eps + ["1"] * theta + ["4"]
-        + ["1b"] * phi + ["2"] * zeta + ["3"] * (u - 1)
-    )
+    # the profile 1b^eta 2^eps 1^theta 4 1b^phi 2^zeta 3^(u - 1)
+    full = eta + eps + theta + 1
+    m = full + phi + zeta + u - 1
+    second = [*range(eta + 1, full + 1), *range(full + phi + 1, m + 1)]
+    third = [*range(1, eta + eps + 1), *range(full, m + 1)]
+    return Diagram.from_rows([[full, *range(m - u + 2, m + 1)], second, third, (full,)])
 
 
 def _f_params(s: int, t: int, u: int) -> tuple[FamilyParams, ...]:
@@ -453,11 +453,13 @@ def _ideal_members(
 
     With w the longest block permutation, the members e are the coset
     representatives with w * e in the right cell of w.  The word of
-    (w * e)^-1 holds w(k) at position e(k), as w is an involution, so
-    it is the inverse insertion of the recording tableau of w and some
-    standard tableau of that shape: one member for each (Schensted 1961).
+    (w * e)^-1 holds w(k) at position e(k), as w is an involution, so it
+    has the insertion rows of w: ``cell_words`` gives each such word, and
+    e is read off the positions of its letters.  A walk that does not end
+    with f^mu members, mu the shape, raises VerificationError.
 
-    A cover e * s_i swaps positions i and i + 1 of the word when their
+    A cover e * s_i swaps positions i and i + 1 of the word, and so the
+    entries of e at the points w(word[i]) and w(word[i + 1]), when their
     letters lie in increasing blocks.  A neighbouring letter strictly
     between them makes the swap a Knuth move, which keeps the insertion
     tableau (Knuth 1970), so e is not a rim element.  Otherwise covers
@@ -484,19 +486,28 @@ def _ideal_members(
 
     def cover_is_member(word: tuple[int, ...], e: Permutation, i: int) -> bool:
         swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
-        values = {i + 1: i + 2, i + 2: i + 1}
-        cover = Permutation(tuple(values.get(v, v) for v in e.images))
-        return check(cover, row_insert(swapped) == insertion)
+        images = list(e.images)
+        a, b = longest(word[i]) - 1, longest(word[i + 1]) - 1
+        images[a], images[b] = images[b], images[a]
+        return check(Permutation(tuple(images)), row_insert(swapped) == insertion)
 
-    for t in standard_tableaux(target.shape):
-        word = rs_inverse(target.rows, t)
-        e = Permutation(tuple(word.index(v) + 1 for v in longest.images))
+    position = [0] * (n + 1)
+    members = 0
+    for members, word in enumerate(cell_words(target.rows), 1):
+        for k, v in enumerate(word, 1):
+            position[v] = k
+        e = Permutation(tuple([position[v] for v in longest.images]))
         check(e, True)
         covers = [i for i in range(n - 1) if block_of[word[i]] < block_of[word[i + 1]]]
         knuth = any(
             word[i] < v < word[i + 1] for i in covers for v in word[max(i - 1, 0) : i + 3]
         )
         yield e, not knuth and not any(cover_is_member(word, e, i) for i in covers)
+    expected = count_standard_tableaux(target.shape)
+    if members != expected:
+        raise VerificationError(
+            f"the walk for {lam} built {members} members, not f^mu = {expected}"
+        )
 
 
 def z_ideal(
@@ -587,8 +598,8 @@ def verify_rim_family(
 
     The closed-form diagram words must be exactly the prefix-maximal
     elements of the constructed ideal, each word must rebuild its diagram,
-    and the counts must match the table formulas.  The ideal is streamed,
-    as ``rim`` streams it: only its size and its rim elements are kept.
+    and the counts must match the table formulas.  The ideal is streamed
+    by ``rim``, which checks that it has f^mu members, the size reported.
     Any failure raises; success returns a report.
     """
     lam = tuple(lam)
@@ -597,11 +608,7 @@ def verify_rim_family(
         raise ValueError(f"{lam} is outside the closed-form families")
     diagrams, specials = rim_diagrams(lam)
     words = {D: w_of_diagram(D) for D in diagrams}
-    ideal_size, tops = 0, set()
-    for e, top in _ideal_members(lam, limit):
-        ideal_size += 1
-        if top:
-            tops.add(e)
+    tops = rim(lam, limit)
     closed = set(words.values())
     if closed != tops:
         raise VerificationError(
@@ -624,6 +631,6 @@ def verify_rim_family(
         composition=lam,
         rim_size=len(diagrams),
         special_size=len(specials),
-        ideal_size=ideal_size,
+        ideal_size=count_standard_tableaux(conjugate(lam)),
         expected_counts=expected,
     )

@@ -135,7 +135,8 @@ def subsequence_type(D: Diagram) -> tuple[int, ...]:
     >>> subsequence_type(young_diagram((2, 2)))
     (2, 2)
     """
-    word = [a for column in D.columns() for a in column]
+    by_column = sorted([(b, a) for a, row in enumerate(D.rows(), 1) for b in row])
+    word = [a for _, a in by_column]
     return tuple(len(row) for row in row_insert(word))
 
 

@@ -67,8 +67,9 @@ def positive_pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 
 @cache
-def _pair_bits(n: int) -> dict[tuple[int, int], int]:
-    return {pair: 1 << k for k, pair in enumerate(positive_pairs(n))}
+def _pair_bits(n: int) -> tuple[tuple[int, int, int], ...]:
+    """(i - 1, j - 1, bit of (i, j)) for each pair of positive_pairs(n)."""
+    return tuple((i - 1, j - 1, 1 << k) for k, (i, j) in enumerate(positive_pairs(n)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,8 +94,8 @@ class Permutation:
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {images!r}")
         mask = 0
-        for (i, j), bit in _pair_bits(n).items():
-            if images[i - 1] > images[j - 1]:
+        for i, j, bit in _pair_bits(n):
+            if images[i] > images[j]:
                 mask |= bit
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "mask", mask)
@@ -237,15 +238,6 @@ def generator_blocks(gens: frozenset[int], n: int) -> tuple[tuple[int, ...], ...
             blocks.append(tuple(range(start, i + 1)))
             start = i + 1
     return tuple(blocks)
-
-
-def is_coset_rep(x: Permutation, gens: frozenset[int]) -> bool:
-    """Whether x is a distinguished right coset representative.
-
-    Holds exactly when x increases on every generator block, equivalently
-    when x is the shortest element of its coset under the Young subgroup.
-    """
-    return all(x(i) < x(i + 1) for i in gens)
 
 
 @dataclass(frozen=True)

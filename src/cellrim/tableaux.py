@@ -10,8 +10,8 @@ tableaux agree; the test suite checks both components against the
 diagram-admissibility criterion over whole symmetric groups and finds
 that exactly this one survives.
 
-``rs_inverse`` undoes the insertion, so a right cell is built, not
-searched, from the standard tableaux that ``standard_tableaux`` lists.
+``cell_words`` undoes the insertion for every word of one insertion
+tableau, so right cells and ideals are built, not searched.
 
 Shape utilities for compositions (conjugation and enumeration) also
 live here.
@@ -22,11 +22,10 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import factorial, prod
 from typing import Iterable, Iterator
 
 from .permutations import Permutation, check_enumeration_guard
-
-Rows = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True, slots=True)
 class StandardYoungTableau:
@@ -107,48 +106,51 @@ def recording_tableau(x: Permutation) -> StandardYoungTableau:
     return rs_pair(x)[1]
 
 
-def rs_inverse(p_rows: Rows, q_rows: Rows) -> tuple[int, ...]:
-    """The word with insertion rows p_rows and recording rows q_rows, by
-    reverse bumping (Schensted 1961): the cell of the largest recording
-    entry empties, and its entry bumps the largest smaller entry of each
-    row above, until the first row gives up the last letter.
+def cell_words(p_rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[int, ...]]:
+    """Every word whose insertion rows are p_rows, one per standard
+    tableau of their shape.
 
-    >>> rs_inverse(((1, 2), (3,)), ((1, 3), (2,)))
-    (3, 1, 2)
+    Each word is built from its last letter by reverse bumping (Schensted
+    1961): a corner of the remaining rows empties, and its entry bumps the
+    largest smaller entry of each row above until the first row gives up
+    the letter.  Backtracking row inserts the letter again, undoing the
+    bump, so words that share a suffix share its work.
+
+    >>> sorted(cell_words(((1, 2), (3,))))
+    [(1, 3, 2), (3, 1, 2)]
     """
     p = [list(row) for row in p_rows]
-    row_of = {v: r for r, row in enumerate(q_rows) for v in row}
-    word = [0] * len(row_of)
-    for m in range(len(row_of), 0, -1):
-        x = p[row_of[m]].pop()
-        for row in reversed(p[: row_of[m]]):
-            k = bisect_left(row, x) - 1
-            row[k], x = x, row[k]
-        word[m - 1] = x
-    return tuple(word)
+    word = [0] * sum(map(len, p))
+
+    def walk(m: int) -> Iterator[tuple[int, ...]]:
+        if m == 0:
+            yield tuple(word)
+        for r, row in enumerate(p):
+            if row and (r + 1 == len(p) or len(p[r + 1]) < len(row)):
+                x = row.pop()
+                for above in reversed(p[:r]):
+                    k = bisect_left(above, x) - 1
+                    above[k], x = x, above[k]
+                word[m - 1] = x
+                yield from walk(m - 1)
+                for above in p[:r]:
+                    k = bisect_left(above, x)
+                    above[k], x = x, above[k]
+                row.append(x)
+
+    return walk(len(word))
 
 
-def standard_tableaux(shape: tuple[int, ...]) -> Iterator[Rows]:
-    """The rows of every standard Young tableau of a partition shape:
-    entries 1..n go in turn to the end of a row shorter than its part
-    and than the row above.
+def count_standard_tableaux(shape: tuple[int, ...]) -> int:
+    """f^shape, the number of standard tableaux of a partition shape, by
+    the hook length formula (Frame, Robinson and Thrall 1954).
 
-    >>> list(standard_tableaux((2, 1)))
-    [((1, 2), (3,)), ((1, 3), (2,))]
+    >>> count_standard_tableaux((3, 2))
+    5
     """
-    rows: list[list[int]] = [[] for _ in shape]
-    n = sum(shape)
-
-    def fill(k: int) -> Iterator[Rows]:
-        if k > n:
-            yield tuple(map(tuple, rows))
-        for r, row in enumerate(rows):
-            if len(row) < shape[r] and (r == 0 or len(row) < len(rows[r - 1])):
-                row.append(k)
-                yield from fill(k + 1)
-                row.pop()
-
-    return fill(1)
+    cols = conjugate(shape)
+    hooks = (part - c + cols[c] - r - 1 for r, part in enumerate(shape) for c in range(part))
+    return factorial(sum(shape)) // prod(hooks)
 
 
 def right_cell_of(w: Permutation, limit: int | None = None) -> set[Permutation]:
@@ -160,8 +162,8 @@ def right_cell_of(w: Permutation, limit: int | None = None) -> set[Permutation]:
     [(2, 1, 3), (3, 1, 2)]
     """
     check_enumeration_guard(w.degree, limit)
-    q = recording_tableau(w)
-    return {Permutation(rs_inverse(t, q.rows)) for t in standard_tableaux(q.shape)}
+    # x has recording rows Q(w) exactly when x^-1 has insertion rows Q(w)
+    return {Permutation(y).inverse() for y in cell_words(recording_tableau(w).rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +178,10 @@ def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     >>> conjugate((3, 2))
     (2, 2, 1)
     """
-    if not parts:
-        return ()
-    return tuple(
-        sum(1 for p in parts if p >= k) for k in range(1, max(parts) + 1)
-    )
+    counts = [0] * max(parts, default=0)
+    for p in parts:
+        counts[p - 1] += 1
+    return tuple(itertools.accumulate(reversed(counts)))[::-1]
 
 
 def compositions_of(n: int) -> Iterator[tuple[int, ...]]:

@@ -44,6 +44,15 @@ def inversions(x: Permutation) -> Pairs:
     return frozenset(p for k, p in enumerate(pairs) if x.mask >> k & 1)
 
 
+def is_coset_rep(x: Permutation, gens: frozenset[int]) -> bool:
+    """Whether x is a distinguished right coset representative.
+
+    Holds exactly when x increases on every generator block, equivalently
+    when x is the shortest element of its coset under the Young subgroup.
+    """
+    return all(x(i) < x(i + 1) for i in gens)
+
+
 def act_on_pairs(pairs: Iterable[tuple[int, int]], x: Permutation) -> Pairs:
     """Apply x to both members of every pair, reordering increasingly.
 

@@ -26,6 +26,7 @@ from math import comb
 from typing import Iterator
 
 from cellrim.diagrams import min_column_diagram
+from cellrim.families import COLUMN_ROWS
 from cellrim.paths import is_admissible
 from cellrim.permutations import (
     Permutation,
@@ -63,6 +64,14 @@ def inversion_pairs(a: tuple[int, ...]) -> set[tuple[int, int]]:
 
 def count_inversions(a: tuple[int, ...]) -> int:
     return len(inversion_pairs(a))
+
+
+def mask_by_pairs(a: tuple[int, ...]) -> int:
+    """The inversion bitmask of a, one pair at a time: bit k stands for
+    the k-th pair (i, j), i < j, in lexicographic order."""
+    n = len(a)
+    pairs = ((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
+    return sum(1 << k for k, (i, j) in enumerate(pairs) if a[i - 1] > a[j - 1])
 
 
 def symmetric_group(n: int) -> Iterator[Permutation]:
@@ -395,6 +404,54 @@ def rs_pair_by_bumping(
             row[bigger[0]], value = value, row[bigger[0]]
             r += 1
     return tuple(map(tuple, p_rows)), tuple(map(tuple, q_rows))
+
+
+def rs_inverse(
+    p_rows: tuple[tuple[int, ...], ...], q_rows: tuple[tuple[int, ...], ...]
+) -> tuple[int, ...]:
+    """The word with insertion rows p_rows and recording rows q_rows, by
+    reverse bumping (Schensted 1961), one word at a time: the cell of the
+    largest recording entry empties, and its entry bumps the largest
+    smaller entry of each row above, until the first row gives up the
+    last letter."""
+    p = [list(row) for row in p_rows]
+    row_of = {v: r for r, row in enumerate(q_rows) for v in row}
+    word = [0] * len(row_of)
+    for m in range(len(row_of), 0, -1):
+        x = p[row_of[m]].pop()
+        for row in reversed(p[: row_of[m]]):
+            k = max(k for k, v in enumerate(row) if v < x)
+            row[k], x = x, row[k]
+        word[m - 1] = x
+    return tuple(word)
+
+
+def standard_tableaux(shape: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The rows of every standard Young tableau of a partition shape:
+    entries 1..n go in turn to the end of a row shorter than its part
+    and than the row above."""
+    rows: list[list[int]] = [[] for _ in shape]
+    n = sum(shape)
+
+    def fill(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if k > n:
+            yield tuple(map(tuple, rows))
+        for r, row in enumerate(rows):
+            if len(row) < shape[r] and (r == 0 or len(row) < len(rows[r - 1])):
+                row.append(k)
+                yield from fill(k + 1)
+                row.pop()
+
+    return fill(1)
+
+
+def cell_words_by_tableaux(
+    p_rows: tuple[tuple[int, ...], ...],
+) -> set[tuple[int, ...]]:
+    """The words with insertion rows p_rows: one separate rs_inverse
+    for each standard tableau of their shape."""
+    shape = tuple(map(len, p_rows))
+    return {rs_inverse(p_rows, q_rows) for q_rows in standard_tableaux(shape)}
 
 
 def right_cell_by_scan(w: tuple[int, ...]) -> set[tuple[int, ...]]:
@@ -826,7 +883,7 @@ def ordered_cores_by_backtracking(
 
 
 # ---------------------------------------------------------------------------
-# closed families by row arithmetic
+# closed families by row arithmetic and by walking their column profiles
 
 
 def family_m_rows(
@@ -887,3 +944,37 @@ def table_counts_by_arrangement(
             comb(t - u, 2) * comb(v - 1, u - 1) + (t - u) * comb(v, u),
         )
     return s - u + 1, (t - u) * (s - t) + comb(t - u + 1, 2)
+
+
+def family_rows_by_profile(entries: list[str]) -> tuple[tuple[int, ...], ...]:
+    """The rows of the four-row diagram whose column b holds the rows
+    COLUMN_ROWS[entries[b - 1]], walking the profile one column at a time."""
+    rows: tuple[list[int], ...] = ([], [], [], [])
+    for b, entry in enumerate(entries, 1):
+        for a in COLUMN_ROWS[entry]:
+            rows[a - 1].append(b)
+    return tuple(map(tuple, rows))
+
+
+def family_m_by_profile(
+    counts: tuple[int, ...], triples: frozenset[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Rows of the M member with block sizes (eps, eta, theta, zeta, psi):
+    the profile 2^eps 1^eta 4 1b^theta 2^zeta 1^psi with its triple
+    columns raised to 3, walked column by column."""
+    eps, eta, theta, zeta, psi = counts
+    profile = ["2"] * eps + ["1"] * eta + ["4"] + ["1b"] * theta + ["2"] * zeta + ["1"] * psi
+    for c in triples:
+        profile[c - 1] = "3"
+    return family_rows_by_profile(profile)
+
+
+def family_n_by_profile(u: int, counts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Rows of the N member with block sizes (eta, eps, theta, phi, zeta):
+    the profile 1b^eta 2^eps 1^theta 4 1b^phi 2^zeta 3^(u - 1), walked
+    column by column."""
+    eta, eps, theta, phi, zeta = counts
+    return family_rows_by_profile(
+        ["1b"] * eta + ["2"] * eps + ["1"] * theta + ["4"]
+        + ["1b"] * phi + ["2"] * zeta + ["3"] * (u - 1)
+    )

@@ -23,7 +23,6 @@ from cellrim.permutations import (
     Permutation,
     composition_generators,
     identity,
-    is_coset_rep,
     longest_element,
     parabolic,
     simple,
@@ -35,6 +34,7 @@ from claims import (
     embedded,
     filling,
     hat_diagram,
+    is_coset_rep,
     is_standard,
     partitions_of,
     prefix_closure,
@@ -355,6 +355,23 @@ class TestMinColumnDiagram:
     def test_rejects_non_representative(self):
         with pytest.raises(ValueError):
             min_column_diagram(simple(1, 3), (2, 1))
+        x = Permutation((1, 3, 2, 4))
+        with pytest.raises(ValueError) as caught:
+            min_column_diagram(x, (1, 2, 1))
+        assert str(caught.value) == (
+            "Permutation((1, 3, 2, 4)) is not a distinguished coset "
+            "representative for (1, 2, 1)"
+        )
+        for n in range(1, 6):
+            for parts in compositions_of(n):
+                gens = composition_generators(parts)
+                for images in itertools.permutations(range(1, n + 1)):
+                    x = Permutation(images)
+                    if is_coset_rep(x, gens):
+                        min_column_diagram(x, parts)
+                    else:
+                        with pytest.raises(ValueError, match="not a distinguished"):
+                            min_column_diagram(x, parts)
 
     def test_rejects_degree_mismatch(self):
         with pytest.raises(ValueError):

@@ -43,7 +43,12 @@ from cellrim.permutations import (
     parabolic,
     prefix_maximal,
 )
-from cellrim.tableaux import compositions_of, conjugate, recording_tableau
+from cellrim.tableaux import (
+    compositions_of,
+    conjugate,
+    count_standard_tableaux,
+    recording_tableau,
+)
 from claims import (
     ColumnOp,
     apply_column_op,
@@ -199,11 +204,13 @@ class TestFamilyConstructors:
             for p in families._m_params(s, t, u):
                 rows = oracles.family_m_rows(s, p.counts, p.columns)
                 assert family_diagram(p, m_shape).rows() == rows, (s, t, u, p)
+                assert oracles.family_m_by_profile(p.counts, p.columns) == rows
                 checked += 1
             n_shape = StuShape(s, t, u, (u, t, s))
             for p in families._n_params(s, t, u):
                 rows = oracles.family_n_rows(s, u, p.counts)
                 assert family_diagram(p, n_shape).rows() == rows, (s, t, u, p)
+                assert oracles.family_n_by_profile(u, p.counts) == rows
                 checked += 1
         assert checked == 7692
 
@@ -419,6 +426,25 @@ class TestZIdeal:
                 want = oracles.standard_tableau_count(conjugate(partition))
                 assert len(z_ideal(lam)) == want, lam
 
+    @pytest.mark.parametrize("fault", ["drop", "repeat"])
+    def test_walk_with_the_wrong_count_raises(self, monkeypatch, fault):
+        walk = families.cell_words
+
+        def faulty(p_rows):
+            words = walk(p_rows)
+            first = next(words)
+            if fault == "repeat":
+                yield first
+                yield first
+            yield from words
+
+        monkeypatch.setattr(families, "cell_words", faulty)
+        lam = (2, 3, 1)
+        with pytest.raises(VerificationError) as caught:
+            z_ideal(lam)
+        assert str(lam) in str(caught.value)
+        assert "f^mu = 16" in str(caught.value)
+
     def test_rim_of_partition_is_singleton(self):
         for lam in [(2, 1), (3, 1), (2, 2), (3, 2, 1), (2, 1, 1)]:
             assert len(rim(lam)) == 1
@@ -479,6 +505,7 @@ class TestZIdeal:
                 members = oracles.z_ideal_by_reverse_search(lam)
                 assert z_ideal(lam) == set(members), lam
                 assert rim(lam) == {e for e, top in members.items() if top}, lam
+                assert count_standard_tableaux(conjugate(lam)) == len(members), lam
 
     @pytest.mark.parametrize("lam", [(3, 1, 2, 1, 3, 1), (2, 4, 1, 3, 1)])
     def test_construction_matches_reverse_search_at_degree_11(self, lam):

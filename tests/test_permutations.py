@@ -17,7 +17,6 @@ from cellrim.permutations import (
     composition_generators,
     generator_blocks,
     identity,
-    is_coset_rep,
     is_prefix,
     longest_element,
     parabolic,
@@ -38,6 +37,7 @@ from claims import (
     in_young_subgroup,
     induced_rim,
     inversions,
+    is_coset_rep,
     left_descents,
     prefix_closure,
     same_block_pairs,
@@ -72,6 +72,17 @@ def test_length_counts_inversions(images):
 def test_inversion_set_matches_definition(images):
     x = Permutation(tuple(images))
     assert inversions(x) == oracles.inversion_pairs(x.images)
+
+
+def test_mask_matches_the_pair_by_pair_oracle_on_s6():
+    for images in itertools.permutations(range(1, 7)):
+        assert Permutation(images).mask == oracles.mask_by_pairs(images)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.permutations(list(range(1, 40))))
+def test_mask_matches_the_pair_by_pair_oracle_at_degree_39(images):
+    assert Permutation(tuple(images)).mask == oracles.mask_by_pairs(tuple(images))
 
 
 def test_inversion_set_from_any_reduced_word():

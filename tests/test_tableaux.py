@@ -7,7 +7,7 @@ import itertools
 from collections import Counter, defaultdict
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellrim.permutations import (
@@ -20,18 +20,18 @@ from cellrim.permutations import (
 )
 from cellrim.tableaux import (
     StandardYoungTableau,
+    cell_words,
     compositions_of,
     conjugate,
+    count_standard_tableaux,
     recording_tableau,
     right_cell_of,
     row_insert,
-    rs_inverse,
     rs_pair,
-    standard_tableaux,
 )
 
 import oracles
-from oracles import symmetric_group
+from oracles import rs_inverse, standard_tableaux, symmetric_group
 from claims import dominates, is_partition, partitions_of, right_equivalent
 
 
@@ -116,6 +116,44 @@ def test_standard_tableaux_are_all_tableaux_of_the_shape():
             for rows in tableaux:
                 assert type(rows) is tuple and all(type(r) is tuple for r in rows)
                 assert StandardYoungTableau(rows).shape == shape
+
+
+def test_cell_words_match_the_tableaux_oracle_up_to_degree_8():
+    assert list(cell_words(())) == [()]
+    for n in range(1, 9):
+        for shape in partitions_of(n):
+            f = oracles.standard_tableau_count(shape)
+            for p_rows in standard_tableaux(shape):
+                words = list(cell_words(p_rows))
+                assert len(words) == len(set(words)) == f, p_rows
+                assert set(words) == oracles.cell_words_by_tableaux(p_rows), p_rows
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.integers(min_value=9, max_value=14).flatmap(
+        lambda n: st.permutations(list(range(1, n + 1)))
+    )
+)
+def test_cell_words_are_the_words_of_one_insertion_tableau_up_to_degree_14(images):
+    p_rows = oracles.rs_pair_by_bumping(tuple(images))[0]
+    shape = tuple(map(len, p_rows))
+    words = set()
+    for word in cell_words(p_rows):
+        assert tuple(map(tuple, row_insert(word))) == p_rows, word
+        words.add(word)
+    assert len(words) == oracles.standard_tableau_count(shape)
+    assert tuple(images) in words
+
+
+def test_count_standard_tableaux_is_the_hook_length_formula():
+    assert count_standard_tableaux(()) == 1
+    for n in range(1, 10):
+        for shape in partitions_of(n):
+            want = oracles.standard_tableau_count(shape)
+            assert count_standard_tableaux(shape) == want, shape
+            if n <= 7:
+                assert sum(1 for _ in standard_tableaux(shape)) == want, shape
 
 
 def test_row_insert_with_repeated_letters():
