@@ -52,7 +52,6 @@ from .permutations import (
     reduced_word,
 )
 from .tableaux import (
-    StandardYoungTableau,
     compositions_of,
     conjugate,
     recording_tableau,
@@ -71,7 +70,6 @@ __all__ = [
     "KPath",
     "Permutation",
     "RimReport",
-    "StandardYoungTableau",
     "StuShape",
     "VerificationError",
     "classify_form",

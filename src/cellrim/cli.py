@@ -15,6 +15,7 @@ import itertools
 import json
 import random
 import sys
+from collections import deque
 from collections.abc import Sequence
 from functools import cache
 
@@ -30,19 +31,18 @@ from .diagrams import (
 from .families import (
     FamilyParams,
     StuShape,
+    _ideal_members,
     determining_tuple,
     family_diagram,
     rim,
     rim_diagrams,
     verify_rim_family,
-    z_ideal,
 )
 from .paths import FormClass, family_with_lengths, find_form_path, is_admissible
 from .permutations import (
     GuardExceeded,
     Permutation,
     VerificationError,
-    prefix_maximal,
     reduced_word,
 )
 from .tableaux import compositions_of, conjugate, right_cell_of
@@ -118,14 +118,10 @@ def _emit(args: argparse.Namespace, payload: dict, ascii_lines: list[str]) -> No
         print("\n".join(ascii_lines))
 
 
-def _sorted_diagrams(diagrams) -> list[Diagram]:
-    return sorted(diagrams, key=lambda D: D.sorted_nodes)
-
-
 def cmd_rim(args: argparse.Namespace) -> int:
     lam = _parse_composition(args.composition)
     E, E_s = rim_diagrams(lam, limit=args.max_n)
-    ordered = _sorted_diagrams(E)
+    ordered = sorted(E, key=lambda D: D.sorted_nodes)
     words = [reduced_word(w_of_diagram(D)) for D in ordered]
     payload, lines = {}, []
     if args.format == "json":
@@ -149,16 +145,19 @@ def cmd_rim(args: argparse.Namespace) -> int:
 
 def cmd_cell(args: argparse.Namespace) -> int:
     images = _parse_ints(args.permutation, "permutation")
-    w = Permutation(images)
-    members = sorted(x.images for x in right_cell_of(w, limit=args.max_n))
-    payload = {
-        "permutation": list(images),
-        "degree": w.degree,
-        "cell_size": len(members),
-        "members": [list(m) for m in members],
-    }
-    lines = [f"permutation: {images}  cell size: {len(members)}"]
-    lines.extend(str(m) for m in members)
+    cell = right_cell_of(Permutation(images), limit=args.max_n)
+    members = sorted(x.images for x in cell)
+    payload, lines = {}, []
+    if args.format == "json":
+        payload = {
+            "permutation": list(images),
+            "degree": len(images),
+            "cell_size": len(members),
+            "members": members,
+        }
+    else:
+        lines = [f"permutation: {images}  cell size: {len(members)}"]
+        lines.extend(map(str, members))
     _emit(args, payload, lines)
     return 0
 
@@ -244,23 +243,31 @@ def cmd_diagram(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     lam = _parse_composition(args.composition)
-    ideal = z_ideal(lam, limit=args.max_n)
-    boundary = prefix_maximal(ideal)
-    payload = {
-        "lambda": list(lam),
-        "ideal_size": len(ideal),
-        "rim_size": len(boundary),
-        "routes_agree": True,
-    }
-    lines = [
-        f"lambda: {lam}",
-        f"ideal size: {len(ideal)} (cell route and diagram route agree)",
-        f"rim size: {len(boundary)}",
-    ]
-    if args.list:
-        members = sorted(x.images for x in ideal)
-        payload["members"] = [list(m) for m in members]
-        lines.extend(str(m) for m in members)
+    # one walk: it checks its member count against f^mu and flags the rim
+    ideal_size, rim_size, members = 0, 0, []
+    for e, top in _ideal_members(lam, args.max_n):
+        ideal_size += 1
+        rim_size += top
+        if args.list:
+            members.append(e.images)
+    members.sort()
+    payload, lines = {}, []
+    if args.format == "json":
+        payload = {
+            "lambda": list(lam),
+            "ideal_size": ideal_size,
+            "rim_size": rim_size,
+            "routes_agree": True,
+        }
+        if args.list:
+            payload["members"] = members
+    else:
+        lines = [
+            f"lambda: {lam}",
+            f"ideal size: {ideal_size} (cell route and diagram route agree)",
+            f"rim size: {rim_size}",
+        ]
+        lines.extend(map(str, members))
     _emit(args, payload, lines)
     return 0
 
@@ -296,18 +303,18 @@ def _verify_oracle(args: argparse.Namespace) -> tuple[dict, list[str]]:
     bound = args.max_n if args.max_n is not None else 5
     checked = 0
     lines = []
+    # each walk runs both routes on every member and cover it tests
     for n in range(1, bound + 1):
-        sizes = []
-        for lam in compositions_of(n):
-            sizes.append(len(z_ideal(lam, limit=bound)))
-            checked += 1
-        lines.append(f"n={n}: {len(sizes)} compositions, two routes agree")
+        shapes = list(compositions_of(n))
+        for lam in shapes:
+            deque(_ideal_members(lam, bound), maxlen=0)
+        checked += len(shapes)
+        lines.append(f"n={n}: {len(shapes)} compositions, two routes agree")
     spot_shapes = []
     rng = random.Random(args.seed)
     for offset in range(1, args.spots + 1):
-        degree = bound + offset
-        lam = rng.choice(list(compositions_of(degree)))
-        z_ideal(lam)
+        lam = rng.choice(list(compositions_of(bound + offset)))
+        deque(_ideal_members(lam, None), maxlen=0)
         spot_shapes.append(list(lam))
         lines.append(f"spot {lam}: two routes agree")
     payload = {
@@ -367,8 +374,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "oracle": _verify_oracle,
         "bijections": _verify_bijections,
     }
-    if args.max_n is not None and args.max_n < 1:
-        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
     if args.spots < 0:
         raise ValueError(f"--spots must not be negative, got {args.spots}")
     payload, lines = suites[args.suite](args)
@@ -448,6 +453,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "max_n", None) is not None and args.max_n < 1:
+            raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
         return args.func(args)
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)

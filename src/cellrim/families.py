@@ -471,7 +471,7 @@ def _ideal_members(
     check_enumeration_guard(n, limit)
     longest = parabolic(composition_generators(lam), n).longest
     target = recording_tableau(longest)
-    insertion = [list(row) for row in target.rows]
+    insertion = [list(row) for row in target]
     # block_of[v] is the block of the point v, and of the letter v
     block_of = [0] + [a for a, p in enumerate(lam) for _ in range(p)]
 
@@ -493,7 +493,7 @@ def _ideal_members(
 
     position = [0] * (n + 1)
     members = 0
-    for members, word in enumerate(cell_words(target.rows), 1):
+    for members, word in enumerate(cell_words(target), 1):
         for k, v in enumerate(word, 1):
             position[v] = k
         e = Permutation(tuple([position[v] for v in longest.images]))
@@ -503,7 +503,7 @@ def _ideal_members(
             word[i] < v < word[i + 1] for i in covers for v in word[max(i - 1, 0) : i + 3]
         )
         yield e, not knuth and not any(cover_is_member(word, e, i) for i in covers)
-    expected = count_standard_tableaux(target.shape)
+    expected = count_standard_tableaux(tuple(map(len, target)))
     if members != expected:
         raise VerificationError(
             f"the walk for {lam} built {members} members, not f^mu = {expected}"

@@ -13,6 +13,10 @@ that exactly this one survives.
 ``cell_words`` undoes the insertion for every word of one insertion
 tableau, so right cells and ideals are built, not searched.
 
+A tableau is its plain rows, top row first.  Each one comes out of
+``row_insert``, which always yields a standard tableau, so no tableau
+type re-checks it.
+
 Shape utilities for compositions (conjugation and enumeration) also
 live here.
 """
@@ -21,46 +25,12 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from math import factorial, prod
 from typing import Iterable, Iterator
 
 from .permutations import Permutation, check_enumeration_guard
 
-@dataclass(frozen=True, slots=True)
-class StandardYoungTableau:
-    """Rows of a standard Young tableau: entries 1..n, rows and columns
-    strictly increasing, row lengths weakly decreasing.
-
-    >>> StandardYoungTableau(((1, 3), (2,))).shape
-    (2, 1)
-    """
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        entries = [v for row in rows for v in row]
-        if sorted(entries) != list(range(1, len(entries) + 1)):
-            raise ValueError(f"entries are not exactly 1..n: {rows!r}")
-        lengths = [len(row) for row in rows]
-        if any(b > a for a, b in zip(lengths, lengths[1:])) or 0 in lengths:
-            raise ValueError(f"row lengths must be weakly decreasing: {rows!r}")
-        for row in rows:
-            if any(a >= b for a, b in zip(row, row[1:])):
-                raise ValueError(f"rows must increase: {rows!r}")
-        for upper, lower in zip(rows, rows[1:]):
-            if any(upper[k] >= lower[k] for k in range(len(lower))):
-                raise ValueError(f"columns must increase: {rows!r}")
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(row) for row in self.rows)
-
-    @property
-    def size(self) -> int:
-        return sum(len(row) for row in self.rows)
+Rows = tuple[tuple[int, ...], ...]
 
 
 def row_insert(word: Iterable[int]) -> list[list[int]]:
@@ -87,26 +57,21 @@ def row_insert(word: Iterable[int]) -> list[list[int]]:
     return rows
 
 
-def rs_pair(x: Permutation) -> tuple[StandardYoungTableau, StandardYoungTableau]:
-    """Insertion and recording tableaux of the one-line word of x; the
-    recording tableau is the insertion tableau of x^-1.
+def rs_pair(x: Permutation) -> tuple[Rows, Rows]:
+    """Rows of the insertion and recording tableaux of the one-line word
+    of x; the recording tableau is the insertion tableau of x^-1.
 
-    >>> p, q = rs_pair(Permutation((3, 1, 2)))
-    >>> p.rows, q.rows
+    >>> rs_pair(Permutation((3, 1, 2)))
     (((1, 2), (3,)), ((1, 3), (2,)))
     """
-    p, q = (
-        StandardYoungTableau(tuple(map(tuple, row_insert(y.images))))
-        for y in (x, x.inverse())
-    )
-    return p, q
+    return tuple(tuple(map(tuple, row_insert(y.images))) for y in (x, x.inverse()))
 
 
-def recording_tableau(x: Permutation) -> StandardYoungTableau:
+def recording_tableau(x: Permutation) -> Rows:
     return rs_pair(x)[1]
 
 
-def cell_words(p_rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[int, ...]]:
+def cell_words(p_rows: Rows) -> Iterator[tuple[int, ...]]:
     """Every word whose insertion rows are p_rows, one per standard
     tableau of their shape.
 
@@ -163,7 +128,12 @@ def right_cell_of(w: Permutation, limit: int | None = None) -> set[Permutation]:
     """
     check_enumeration_guard(w.degree, limit)
     # x has recording rows Q(w) exactly when x^-1 has insertion rows Q(w)
-    return {Permutation(y).inverse() for y in cell_words(recording_tableau(w).rows)}
+    cell, x = set(), [0] * w.degree
+    for y in cell_words(recording_tableau(w)):
+        for k, v in enumerate(y, 1):
+            x[v - 1] = k
+        cell.add(Permutation(tuple(x)))
+    return cell
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from cellrim.permutations import (
     identity,
     parabolic,
 )
-from cellrim.tableaux import StandardYoungTableau, recording_tableau, row_insert
+from cellrim.tableaux import recording_tableau, row_insert
 
 # ---------------------------------------------------------------------------
 # permutations on plain tuples
@@ -215,16 +215,19 @@ def membership_routes(e: Permutation, lam: tuple[int, ...]) -> tuple[bool, bool]
     word = [0] * e.degree
     for w_k, e_k in zip(longest, e.images):
         word[e_k - 1] = w_k
-    tableau = StandardYoungTableau(tuple(map(tuple, row_insert(word))))
+    tableau = tuple(map(tuple, row_insert(word)))
+    standard_shape(tableau)
     return tableau == target, is_admissible(min_column_diagram(e, lam))
 
 
 @lru_cache(maxsize=None)
 def _cell_route_data(
     lam: tuple[int, ...],
-) -> tuple[tuple[int, ...], StandardYoungTableau]:
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     longest = parabolic(composition_generators(lam), sum(lam)).longest
-    return longest.images, recording_tableau(longest)
+    target = recording_tableau(longest)
+    standard_shape(target)
+    return longest.images, target
 
 
 def z_ideal_by_enumeration(lam: tuple[int, ...]) -> frozenset[Permutation]:
@@ -358,6 +361,24 @@ def downsets(
 
 # ---------------------------------------------------------------------------
 # Robinson-Schensted checks
+
+
+def standard_shape(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The shape of rows that form a standard Young tableau: entries
+    exactly 1..n, rows and columns strictly increasing, row lengths weakly
+    decreasing.  Any other rows raise ValueError."""
+    entries = sorted(v for row in rows for v in row)
+    if entries != list(range(1, len(entries) + 1)):
+        raise ValueError(f"entries are not exactly 1..n: {rows!r}")
+    shape = tuple(map(len, rows))
+    if 0 in shape or any(b > a for a, b in zip(shape, shape[1:])):
+        raise ValueError(f"row lengths must be weakly decreasing: {rows!r}")
+    if any(a >= b for row in rows for a, b in zip(row, row[1:])):
+        raise ValueError(f"rows must increase: {rows!r}")
+    for upper, lower in zip(rows, rows[1:]):
+        if any(a >= b for a, b in zip(upper, lower)):
+            raise ValueError(f"columns must increase: {rows!r}")
+    return shape
 
 
 def hook_lengths_product(shape: tuple[int, ...]) -> int:

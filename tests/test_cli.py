@@ -9,6 +9,9 @@ import pytest
 from cellrim import cli
 from cellrim.cli import main
 from cellrim.diagrams import Diagram, w_of_diagram
+from cellrim.families import z_ideal
+from cellrim.permutations import prefix_maximal
+from cellrim.tableaux import compositions_of
 from claims import from_word
 from fixtures import FAMILY_H_538, FAMILY_M_385, FAMILY_M_385_TUPLE
 
@@ -252,6 +255,36 @@ class TestOracleCommand:
         payload = run_json(capsys, "oracle", "--composition", "2,1", "--list")
         assert payload["members"] == [[1, 2, 3], [1, 3, 2]]
 
+    def test_matches_the_library_up_to_degree_6(self, capsys):
+        # the command reads the walk's count and rim flags; the library's
+        # ideal and its prefix-maximal elements cross-check them
+        for n in range(1, 7):
+            for lam in compositions_of(n):
+                text = ",".join(map(str, lam))
+                listed = run_json(capsys, "oracle", "--composition", text, "--list")
+                ideal = z_ideal(lam)
+                assert listed["ideal_size"] == len(ideal), lam
+                assert listed["rim_size"] == len(prefix_maximal(ideal)), lam
+                assert listed["members"] == sorted(list(e.images) for e in ideal), lam
+                del listed["members"]
+                assert run_json(capsys, "oracle", "--composition", text) == listed
+
+    @pytest.mark.parametrize("listing", [(), ("--list",)])
+    def test_one_walk_per_call(self, capsys, monkeypatch, listing):
+        walks, walk = [], cli._ideal_members
+
+        def counted(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(cli, "_ideal_members", counted)
+        for fmt in ("json", "ascii"):
+            code, _, err = run(
+                capsys, "oracle", "--composition", "2,1,2", *listing, "--format", fmt
+            )
+            assert code == 0, err
+        assert walks == [((2, 1, 2), None)] * 2
+
 
 class TestExitCodes:
     def test_invalid_composition(self, capsys):
@@ -289,6 +322,23 @@ class TestExitCodes:
         # diagram builds nothing under the guard; cell draws no diagram
         assert main(["diagram", "young", "--partition", "2,1", "--max-n", "3"]) == 1
         assert main(["cell", "--permutation", "2,1", "--plain-x"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rim", "--composition", "2,1,1,2", "--max-n", "0"),
+            ("rim", "--composition", "3,2,1,1", "--max-n", "0"),
+            ("cell", "--permutation", "2,1,3", "--max-n", "-1"),
+            ("oracle", "--composition", "2,1", "--max-n", "0"),
+            ("verify", "oracle", "--max-n", "0"),
+        ],
+    )
+    def test_degree_bound_below_one_is_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        bound = argv[-1]
+        assert f"invalid input: --max-n must be at least 1, got {bound}" in err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
