@@ -249,7 +249,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         ideal_size += 1
         rim_size += top
         if args.list:
-            members.append(e.images)
+            members.append(e)
     members.sort()
     payload, lines = {}, []
     if args.format == "json":

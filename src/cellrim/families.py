@@ -6,10 +6,14 @@ a prefix-closed ideal.  The ideal is determined by its prefix-maximal
 elements, its rim; each rim element is encoded by a minimal-column
 diagram.  This module builds the ideal by inverse Robinson-Schensted
 insertion, one member per standard tableau, and finds its rim through
-Knuth moves and cover tests; it also builds the closed-form diagram
-families that describe the rims of compositions with three leading
-parts followed by rows of size one, evaluates the counting formulas for
-those families, and verifies the closed forms against the construction.
+Knuth moves and cover tests.  The diagram route checks each member by
+Greene's theorem on the block labels of its walk word; each cover
+tested goes through both full routes, its insertion rows and the
+admissibility of its minimal-column diagram.  The module also builds
+the closed-form diagram families that describe the rims of
+compositions with three leading parts followed by rows of size one,
+evaluates the counting formulas for those families, and verifies the
+closed forms against the construction.
 
 Conventions for the closed families, with (s, t, u) the leading parts
 in non-increasing order: a sorted head gives the single Young diagram;
@@ -25,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .diagrams import (
     Diagram,
@@ -446,10 +450,18 @@ def table_counts(shape: StuShape) -> tuple[int, int]:
     return _VARIANTS[name].counts(s, t, u, s - t + u) if name else (1, 0)
 
 
+def _admissible_by_word(labels: Iterable[int], shape: tuple[int, ...]) -> bool:
+    """Whether a word of row labels has insertion shape ``shape``: by
+    Greene's theorem, whether the diagram with that column reading word
+    is admissible when ``shape`` is the conjugate of its row sizes."""
+    return tuple(map(len, row_insert(labels))) == shape
+
+
 def _ideal_members(
     lam: tuple[int, ...], limit: int | None
-) -> Iterator[tuple[Permutation, bool]]:
-    """Each member of the ideal once, flagged when it is a rim element.
+) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """Each member of the ideal once, as its image tuple, flagged when it
+    is a rim element.
 
     With w the longest block permutation, the members e are the coset
     representatives with w * e in the right cell of w.  The word of
@@ -458,46 +470,55 @@ def _ideal_members(
     e is read off the positions of its letters.  A walk that does not end
     with f^mu members, mu the shape, raises VerificationError.
 
+    The diagram route checks each member on its word.  The column reading
+    word of the minimal-column diagram of e holds the block of k at
+    position e(k), and w keeps every block, so it is the word with each
+    letter replaced by its block: the diagram is admissible exactly when
+    those labels have insertion shape conjugate to lam (Greene 1974).
+
     A cover e * s_i swaps positions i and i + 1 of the word, and so the
     entries of e at the points w(word[i]) and w(word[i + 1]), when their
     letters lie in increasing blocks.  A neighbouring letter strictly
     between them makes the swap a Knuth move, which keeps the insertion
     tableau (Knuth 1970), so e is not a rim element.  Otherwise covers
-    are tested up to the first member.  The diagram route checks every
-    member, and each cover tested goes through both routes; a disagreement
-    raises VerificationError naming the composition and the candidate.
+    are tested up to the first member, each by both full routes: the
+    insertion rows of its word, and the admissibility of its
+    minimal-column diagram.  A disagreement raises VerificationError
+    naming the composition and the candidate.
     """
     n = sum(lam)
     check_enumeration_guard(n, limit)
     longest = parabolic(composition_generators(lam), n).longest
     target = recording_tableau(longest)
     insertion = [list(row) for row in target]
+    admissible = conjugate(lam)
     # block_of[v] is the block of the point v, and of the letter v
     block_of = [0] + [a for a, p in enumerate(lam) for _ in range(p)]
 
-    def check(e: Permutation, by_cell: bool) -> bool:
-        by_diagram = is_admissible(min_column_diagram(e, lam))
+    def check(images: tuple[int, ...], by_cell: bool, by_diagram: bool) -> bool:
         if by_cell != by_diagram:
             raise VerificationError(
                 f"cell route and diagram route disagree for {lam} at "
-                f"{e.images}: cell says {by_cell}, diagram says {by_diagram}"
+                f"{images}: cell says {by_cell}, diagram says {by_diagram}"
             )
         return by_cell
 
-    def cover_is_member(word: tuple[int, ...], e: Permutation, i: int) -> bool:
+    def cover_is_member(word: tuple[int, ...], e: tuple[int, ...], i: int) -> bool:
         swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
-        images = list(e.images)
+        images = list(e)
         a, b = longest(word[i]) - 1, longest(word[i + 1]) - 1
         images[a], images[b] = images[b], images[a]
-        return check(Permutation(tuple(images)), row_insert(swapped) == insertion)
+        f = tuple(images)
+        by_diagram = is_admissible(min_column_diagram(Permutation(f), lam))
+        return check(f, row_insert(swapped) == insertion, by_diagram)
 
     position = [0] * (n + 1)
     members = 0
     for members, word in enumerate(cell_words(target), 1):
         for k, v in enumerate(word, 1):
             position[v] = k
-        e = Permutation(tuple([position[v] for v in longest.images]))
-        check(e, True)
+        e = tuple([position[v] for v in longest.images])
+        check(e, True, _admissible_by_word([block_of[v] for v in word], admissible))
         covers = [i for i in range(n - 1) if block_of[word[i]] < block_of[word[i + 1]]]
         knuth = any(
             word[i] < v < word[i + 1] for i in covers for v in word[max(i - 1, 0) : i + 3]
@@ -516,14 +537,16 @@ def z_ideal(
     """The prefix-closed ideal of coset representatives for a composition.
 
     The members are built by inverse Robinson-Schensted insertion, one
-    per standard tableau, and the diagram route checks every one, with
-    a disagreement raising VerificationError; the tests compare the
-    result with both routes run on every coset representative.
+    per standard tableau.  The diagram route checks every member on its
+    walk word, by Greene's theorem, and every cover the rim test reaches
+    by its minimal-column diagram; a disagreement raises
+    VerificationError.  The tests compare the result with both routes
+    run on every coset representative.
 
     >>> sorted(e.images for e in z_ideal((2, 1)))
     [(1, 2, 3), (1, 3, 2)]
     """
-    return frozenset(e for e, _ in _ideal_members(tuple(lam), limit))
+    return frozenset(Permutation(e) for e, _ in _ideal_members(tuple(lam), limit))
 
 
 def rim(
@@ -534,7 +557,9 @@ def rim(
     >>> [y.images for y in rim((3,))]
     [(1, 2, 3)]
     """
-    return frozenset(e for e, top in _ideal_members(tuple(lam), limit) if top)
+    return frozenset(
+        Permutation(e) for e, top in _ideal_members(tuple(lam), limit) if top
+    )
 
 
 def _closed_rim(shape: StuShape) -> frozenset[Diagram]:

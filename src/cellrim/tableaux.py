@@ -79,31 +79,45 @@ def cell_words(p_rows: Rows) -> Iterator[tuple[int, ...]]:
     1961): a corner of the remaining rows empties, and its entry bumps the
     largest smaller entry of each row above until the first row gives up
     the letter.  Backtracking row inserts the letter again, undoing the
-    bump, so words that share a suffix share its work.
+    bump, so words that share a suffix share its work.  The walk is one
+    loop over a stack of the rows whose corners it has emptied.
 
     >>> sorted(cell_words(((1, 2), (3,))))
     [(1, 3, 2), (3, 1, 2)]
     """
     p = [list(row) for row in p_rows]
-    word = [0] * sum(map(len, p))
-
-    def walk(m: int) -> Iterator[tuple[int, ...]]:
+    depth = len(p)
+    m = sum(map(len, p))
+    word = [0] * m
+    # the rows whose corners gave word[-1], word[-2], ..., word[m]
+    emptied: list[int] = []
+    r = 0
+    while True:
         if m == 0:
             yield tuple(word)
-        for r, row in enumerate(p):
-            if row and (r + 1 == len(p) or len(p[r + 1]) < len(row)):
-                x = row.pop()
-                for above in reversed(p[:r]):
-                    k = bisect_left(above, x) - 1
-                    above[k], x = x, above[k]
-                word[m - 1] = x
-                yield from walk(m - 1)
-                for above in p[:r]:
-                    k = bisect_left(above, x)
-                    above[k], x = x, above[k]
-                row.append(x)
-
-    return walk(len(word))
+        # the next corner at or below row r
+        while r < depth and not (p[r] and (r + 1 == depth or len(p[r + 1]) < len(p[r]))):
+            r += 1
+        if r < depth:
+            x = p[r].pop()
+            for above in reversed(p[:r]):
+                k = bisect_left(above, x) - 1
+                above[k], x = x, above[k]
+            m -= 1
+            word[m] = x
+            emptied.append(r)
+            r = 0
+        elif emptied:
+            r = emptied.pop()
+            x = word[m]
+            m += 1
+            for above in p[:r]:
+                k = bisect_left(above, x)
+                above[k], x = x, above[k]
+            p[r].append(x)
+            r += 1
+        else:
+            return
 
 
 def count_standard_tableaux(shape: tuple[int, ...]) -> int:

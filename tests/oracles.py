@@ -211,13 +211,33 @@ def membership_routes(e: Permutation, lam: tuple[int, ...]) -> tuple[bool, bool]
     recording tableau of the longest block permutation; the diagram route
     asks whether the minimal-column diagram of e is admissible.
     """
-    longest, target = _cell_route_data(lam)
-    word = [0] * e.degree
-    for w_k, e_k in zip(longest, e.images):
-        word[e_k - 1] = w_k
-    tableau = tuple(map(tuple, row_insert(word)))
+    _, target = _cell_route_data(lam)
+    tableau = tuple(map(tuple, row_insert(walk_word(e.images, lam))))
     standard_shape(tableau)
-    return tableau == target, is_admissible(min_column_diagram(e, lam))
+    return tableau == target, diagram_route(e.images, lam)
+
+
+def walk_word(images: tuple[int, ...], lam: tuple[int, ...]) -> tuple[int, ...]:
+    """The word of (longest * e)^-1, which holds longest(k) at position e(k)."""
+    longest, _ = _cell_route_data(lam)
+    word = [0] * len(images)
+    for w_k, e_k in zip(longest, images):
+        word[e_k - 1] = w_k
+    return tuple(word)
+
+
+def block_labels(word: tuple[int, ...], lam: tuple[int, ...]) -> list[int]:
+    """Each letter of a word replaced by its block of lam, counted from 0."""
+    block_of = [a for a, p in enumerate(lam) for _ in range(p)]
+    return [block_of[v - 1] for v in word]
+
+
+def diagram_route(images: tuple[int, ...], lam: tuple[int, ...]) -> bool:
+    """Whether the minimal-column diagram of a coset representative is
+    admissible, through a Permutation, a Diagram and its column reading
+    word: the reference for the ideal walk's member test by Greene's
+    theorem on its word."""
+    return is_admissible(min_column_diagram(Permutation(images), lam))
 
 
 @lru_cache(maxsize=None)

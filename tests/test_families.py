@@ -477,15 +477,36 @@ class TestZIdeal:
                     e.length + 1 == f.length and is_prefix(e, f) for e in ideal
                 )
             )
-        flipped = min_column_diagram(rep, lam)
-        monkeypatch.setattr(
-            families, "is_admissible",
-            lambda D: is_admissible(D) != (D == flipped),
-        )
+        if member:
+            # a member's diagram route is the word test on its block labels
+            flipped = oracles.block_labels(oracles.walk_word(rep.images, lam), lam)
+            word_test = families._admissible_by_word
+            monkeypatch.setattr(
+                families, "_admissible_by_word",
+                lambda labels, shape: word_test(labels, shape) != (labels == flipped),
+            )
+        else:
+            flipped = min_column_diagram(rep, lam)
+            monkeypatch.setattr(
+                families, "is_admissible",
+                lambda D: is_admissible(D) != (D == flipped),
+            )
         with pytest.raises(VerificationError) as caught:
             z_ideal(lam)
         assert str(lam) in str(caught.value)
         assert str(rep.images) in str(caught.value)
+
+    def test_word_test_matches_the_diagram_route(self):
+        # the walk checks each member by Greene's theorem on the block
+        # labels of its word; on every coset rep of degree up to 7 that
+        # test must agree with the admissibility of the minimal-column diagram
+        for n in range(1, 8):
+            for lam in compositions_of(n):
+                shape = conjugate(lam)
+                for e in parabolic(composition_generators(lam), n).reps:
+                    labels = oracles.block_labels(oracles.walk_word(e.images, lam), lam)
+                    by_word = families._admissible_by_word(labels, shape)
+                    assert by_word == oracles.diagram_route(e.images, lam), (lam, e.images)
 
     def test_search_matches_enumeration(self):
         for n in range(1, 8):
