@@ -121,7 +121,7 @@ def _emit(args: argparse.Namespace, payload: dict, ascii_lines: list[str]) -> No
 def cmd_rim(args: argparse.Namespace) -> int:
     lam = _parse_composition(args.composition)
     E, E_s = rim_diagrams(lam, limit=args.max_n)
-    ordered = sorted(E, key=lambda D: D.sorted_nodes)
+    ordered = sorted(E, key=Diagram.rows)
     words = [reduced_word(w_of_diagram(D)) for D in ordered]
     payload, lines = {}, []
     if args.format == "json":
@@ -179,9 +179,10 @@ def _build_family(args: argparse.Namespace) -> Diagram:
 
 def _annotations(D: Diagram) -> dict:
     admissible = is_admissible(D)
-    profile = conjugate(tuple(sorted(D.row_composition(), reverse=True)))
+    rows = D.row_composition()
+    profile = conjugate(rows)
     out = {
-        "row_composition": list(D.row_composition()),
+        "row_composition": list(rows),
         "admissible": admissible,
         "special": is_special(D),
         "conjugate_type": list(profile),
@@ -190,11 +191,9 @@ def _annotations(D: Diagram) -> dict:
         "form": None,
         "path": None,
     }
-    rows = D.row_composition()
     if len(rows) == 4 and rows[3] == 1:
-        s, t, u = sorted(rows[:3], reverse=True)
         try:
-            shape = StuShape(s, t, u, rows[:3])
+            shape = StuShape.from_composition(rows)
             out["determining_tuple"] = list(determining_tuple(D, shape).entries)
         except ValueError:
             pass

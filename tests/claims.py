@@ -263,6 +263,26 @@ def hat_diagram(D: Diagram) -> Diagram:
 # path families
 
 
+def core_counts_hold(z: tuple[int, int, int, int], t: int, u: int) -> bool:
+    """The counting identities of a maximal ordered t-subfamily whose
+    length profile (singletons, pairs, triples, quadruples) is z: t
+    constituents over 2t+u+1 nodes, t+u+1 of them beyond each
+    constituent's first, and 2t-u-1 short of four nodes each.
+
+    >>> core_counts_hold((0, 2, 2, 1), 5, 3), core_counts_hold((0, 1, 4, 0), 5, 3)
+    (True, True)
+    >>> core_counts_hold((1, 1, 2, 1), 5, 3)
+    False
+    """
+    z1, z2, z3, z4 = z
+    return (
+        z1 + z2 + z3 + z4 == t
+        and z1 + 2 * z2 + 3 * z3 + 4 * z4 == 2 * t + u + 1
+        and z2 + 2 * z3 + 3 * z4 == t + u + 1
+        and 3 * z1 + 2 * z2 + z3 == 2 * t - u - 1
+    )
+
+
 def _length_sequences(total: int, slots: int, cap: int) -> Iterator[tuple[int, ...]]:
     """Sequences of the given many lengths summing to total, each between
     1 and cap, in decreasing lexicographic order."""
@@ -288,7 +308,7 @@ def order_equivalent(pi: KPath) -> KPath:
     for a, _ in support:
         row_counts[a] += 1
     all_lengths = frozenset(range(1, pi.diagram.row_count + 1))
-    chains, follow, by_len = _chain_masks(pi.diagram, support, all_lengths)
+    chains, follow, by_len = _chain_masks(support, all_lengths)
 
     def cover(cand: int, lengths: tuple[int, ...]) -> tuple | None:
         if not lengths:  # the lengths sum to the support size

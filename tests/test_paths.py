@@ -39,6 +39,7 @@ from cellrim.permutations import (
 )
 from cellrim.tableaux import conjugate
 from claims import (
+    core_counts_hold,
     dominates,
     filling,
     is_standard,
@@ -362,7 +363,7 @@ class TestOrderedCores:
     def test_chain_masks_match_pair_condition(self):
         for D in CORPUS + [DIAGRAM_4631, FAMILY_M_385]:
             chains, follow, by_len = _chain_masks(
-                D, D.nodes, frozenset(range(1, 5))
+                D.nodes, frozenset(range(1, 5))
             )
             assert chains == sorted(chains)
             for i, c in enumerate(chains):
@@ -530,6 +531,40 @@ class TestFindFormPath:
                     assert is_special(straighten(pi))
                 assert is_standard(*transported_row_filling(pi))
             assert admissible_count == expected
+
+
+class TestFormPlans:
+    """Each plan of find_form_path fixes its core's length counts, so the
+    search never re-derives the profile or the form of a core."""
+
+    def test_plan_profiles_satisfy_the_core_identities(self):
+        for t in range(1, 41):
+            for u in range(1, t + 1):
+                assert core_counts_hold((0, t - u, u - 1, 1), t, u), (t, u)
+                if u < t:
+                    assert core_counts_hold((0, t - u - 1, u + 1, 0), t, u), (t, u)
+                # a pair shrunk to a singleton breaks them
+                assert not core_counts_hold((1, t - u - 1, u - 1, 1), t, u)
+
+    @pytest.mark.parametrize("stu", [(7, 5, 3), (8, 5, 3)])
+    def test_every_closed_member_gets_its_plans_form(self, stu):
+        s, t, u = stu
+        members = 0
+        for order in ((t, u, s), (u, s, t), (u, t, s)):
+            shape = StuShape(s, t, u, order)
+            for params in family_parameter_sets(shape):
+                D = family_diagram(params, shape)
+                pi, form = find_form_path(D)
+                assert classify_form(pi, s, t, u) is form
+                assert is_ordered(pi)
+                assert pi.support == D.nodes
+                plan = core_plans(D)[0 if form is FormClass.A else 1]
+                core = [len(c) for c in pi.constituents if len(c) > 1]
+                z = tuple(core.count(k) for k in (1, 2, 3, 4))
+                assert z == tuple(plan[k] for k in (1, 2, 3, 4))
+                assert core_counts_hold(z, t, u)
+                members += 1
+        assert members == {(7, 5, 3): 82, (8, 5, 3): 133}[stu]
 
 
 class TestStraighten:
