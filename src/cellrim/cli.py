@@ -198,14 +198,9 @@ def _annotations(D: Diagram) -> dict:
         except ValueError:
             pass
         if admissible:
-            try:
-                pi, form = find_form_path(D)
-                out["form"] = form.value
-                out["path"] = [
-                    [[a, b] for a, b in chain] for chain in pi.constituents
-                ]
-            except (ValueError, VerificationError):
-                pass
+            pi, form = find_form_path(D)
+            out["form"] = form.value
+            out["path"] = [[[a, b] for a, b in chain] for chain in pi.constituents]
     return out
 
 
@@ -221,21 +216,22 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     else:
         D = _build_family(args)
     notes = _annotations(D)
-    payload = dict(_diagram_json(D), **notes)
-    node, empty = _glyphs(args)
-    lines = [D.render(node_char=node, empty_char=empty), ""]
-    lines.append(f"row composition: {tuple(notes['row_composition'])}")
-    lines.append(f"admissible: {'yes' if notes['admissible'] else 'no'}")
-    lines.append(f"special: {'yes' if notes['special'] else 'no'}")
-    profile = tuple(notes["conjugate_type"])
-    has = "yes" if notes["conjugate_type_path"] else "no"
-    lines.append(f"family of type {profile}: {has}")
-    if notes["determining_tuple"] is not None:
-        lines.append(
-            "determining tuple: " + " ".join(notes["determining_tuple"])
-        )
-    if notes["form"] is not None:
-        lines.append(f"form: {notes['form']}")
+    payload, lines = {}, []
+    if args.format == "json":
+        payload = dict(_diagram_json(D), **notes)
+    else:
+        node, empty = _glyphs(args)
+        lines = [D.render(node_char=node, empty_char=empty), ""]
+        lines.append(f"row composition: {tuple(notes['row_composition'])}")
+        lines.append(f"admissible: {'yes' if notes['admissible'] else 'no'}")
+        lines.append(f"special: {'yes' if notes['special'] else 'no'}")
+        profile = tuple(notes["conjugate_type"])
+        has = "yes" if notes["conjugate_type_path"] else "no"
+        lines.append(f"family of type {profile}: {has}")
+        if notes["determining_tuple"] is not None:
+            lines.append("determining tuple: " + " ".join(notes["determining_tuple"]))
+        if notes["form"] is not None:
+            lines.append(f"form: {notes['form']}")
     _emit(args, payload, lines)
     return 0
 

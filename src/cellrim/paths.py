@@ -235,26 +235,22 @@ def family_with_lengths(
     return None if found is None else KPath(D, found)
 
 
-def insert_singletons(pi: KPath, extra: Iterable[Node]) -> KPath:
-    """Insert each extra node as a one-node constituent, placing it in
-    the sequence so the result stays ordered.
+def insert_singletons(
+    core: tuple[tuple[Node, ...], ...], extra: Iterable[Node]
+) -> tuple[tuple[Node, ...], ...]:
+    """Insert each extra node as a one-node constituent placed so the
+    result stays ordered.  The core must be ordered and miss the extras;
+    neither is checked.  The core keeps its relative order.  A node that
+    cannot go on either side of some constituent (it sits between two of
+    its rows in the same column) makes the insertion impossible; the
+    error names the column.
 
-    The relative order of the original constituents is kept.  A node
-    that cannot be placed on either side of some constituent (it sits
-    between two of the constituent's rows in the same column) makes the
-    insertion impossible; the error names the offending column.
+    >>> insert_singletons((((1, 1), (2, 1)),), [(1, 2), (2, 2)])
+    (((1, 1), (2, 1)), ((2, 2),), ((1, 2),))
     """
-    if not is_ordered(pi):
-        raise ValueError("can only insert into an ordered family")
-    singles = sorted(set(extra))
-    if not pi.diagram.nodes.issuperset(singles):
-        raise ValueError("extra nodes must lie in the diagram")
-    if pi.support.intersection(singles):
-        raise ValueError("extra nodes must avoid the existing support")
-
-    items: list[tuple[Node, ...]] = list(pi.constituents)
-    items.extend((node,) for node in singles)
-    original = len(pi.constituents)
+    items: list[tuple[Node, ...]] = list(core)
+    items.extend((node,) for node in sorted(extra))
+    original = len(core)
     must_precede: dict[int, set[int]] = {i: set() for i in range(len(items))}
     for i in range(1, original):
         must_precede[i].add(i - 1)
@@ -286,10 +282,7 @@ def insert_singletons(pi: KPath, extra: Iterable[Node]) -> KPath:
         pick = min(ready, key=lambda i: items[i])
         placed.append(items[pick])
         done.add(pick)
-    result = KPath(pi.diagram, tuple(placed))
-    if not is_ordered(result):
-        raise VerificationError("inserted family is not ordered")
-    return result
+    return tuple(placed)
 
 
 def _stu_parts(parts: tuple[int, ...]) -> tuple[int, int, int]:
@@ -336,18 +329,19 @@ def classify_form(pi: KPath, s: int, t: int, u: int) -> FormClass:
 
 
 def _ordered_cores(
-    D: Diagram, length_counts: dict[int, int]
+    masks: tuple[list[tuple[Node, ...]], list[int], dict[int, int]],
+    length_counts: dict[int, int],
 ) -> Iterator[tuple[tuple[Node, ...], ...]]:
     """Ordered families with the prescribed multiset of lengths, in
     lexicographic order of their flattened node sequences.
 
-    Runs on the masks of _chain_masks, trying each prefix's candidates
-    (the AND of follow over it) low bit first, which is sorted order.  A
-    prefix with fewer candidates of some length than it still needs
-    extends to no family, so cutting it loses and reorders nothing.
+    Runs on masks of _chain_masks (a chain of a length not needed never
+    becomes a candidate), trying each prefix's candidates (the AND of
+    follow over it) low bit first, which is sorted order.  A prefix with
+    fewer candidates of some length than it still needs extends to no
+    family, so cutting it loses and reorders nothing.
     """
-    wanted = frozenset(k for k, v in length_counts.items() if v > 0)
-    chains, follow, by_len = _chain_masks(D.nodes, wanted)
+    chains, follow, by_len = masks
 
     def extend(
         prefix: tuple[tuple[Node, ...], ...], cand: int, counts: dict[int, int]
@@ -371,72 +365,36 @@ def _ordered_cores(
     yield from extend((), (1 << len(chains)) - 1, dict(length_counts))
 
 
-def _check_row_distribution(
-    pi: KPath, s: int, t: int, u: int, form: FormClass
-) -> None:
-    """Each constituent length is confined to rows of specific sizes."""
-    sizes = pi.diagram.row_composition()
-    by_length: dict[int, list[tuple[Node, ...]]] = defaultdict(list)
-    for c in pi.constituents:
-        by_length[len(c)].append(c)
-    if by_length[1]:
-        good = s > t and all(
-            sizes[a - 1] == s for c in by_length[1] for a, _ in c
-        )
-        if not good:
-            raise VerificationError("singletons stray from the longest rows")
-    if by_length[2]:
-        good = t > u and all(
-            sizes[a - 1] in (s, t) for c in by_length[2] for a, _ in c
-        )
-        if not good:
-            raise VerificationError("pairs stray from the two longest rows")
-    touching_last = [
-        c for c in by_length[3] if any(a == 4 for a, _ in c)
-    ]
-    rest = [c for c in by_length[3] if c not in touching_last]
-    if not all(a <= 3 for c in rest for a, _ in c):
-        raise VerificationError("a triple strays below the third row")
-    if form is FormClass.A and touching_last:
-        raise VerificationError("form A admits no triple on the fourth row")
-    if form is FormClass.B:
-        if len(touching_last) != 1:
-            raise VerificationError("form B needs one triple on the fourth row")
-        others = sorted(
-            sizes[a - 1] for a, _ in touching_last[0] if a != 4
-        )
-        if others != sorted((s, t)):
-            raise VerificationError(
-                "the fourth-row triple must cross the two longest rows"
-            )
-
-
 def find_form_path(D: Diagram) -> tuple[KPath, FormClass]:
     """A full-support ordered family of one of the two forms.
 
     Searches for form A before form B, so whenever a form-A family
-    exists it is the one returned.  The search builds a maximal ordered
-    t-constituent core with no singletons (a bitmask search cut by length
-    counts) and then inserts the leftover nodes one by one; the first hit
-    in lexicographic order wins.
+    exists it is the one returned.  The search enumerates the chains once
+    for both plans, builds a maximal ordered t-constituent core with no
+    singletons (a bitmask search cut by length counts) and then inserts
+    the leftover nodes; the first hit in lexicographic order wins.
 
-    Each plan fixes its core's length counts, so a core plus its s-t
-    leftover singletons has the plan's form profile by construction; only
-    the row distribution of the result is checked at run time.
+    Each plan fixes its core's length counts, so the core plus its s-t
+    leftover singletons has the plan's form profile, and row counting
+    fixes the rows each constituent crosses.  Nothing the plan forces is
+    re-checked; only the answer is validated and tested for order.
     """
-    s, t, u = _stu_parts(D.row_composition())
+    _, t, u = _stu_parts(D.row_composition())
     if not is_admissible(D):
         raise ValueError("only admissible diagrams carry form families")
-    plans = [(FormClass.A, {1: 0, 2: t - u, 3: u - 1, 4: 1})]
+    plans = [(FormClass.A, {2: t - u, 3: u - 1, 4: 1})]
     if t > u:
-        plans.append((FormClass.B, {1: 0, 2: t - u - 1, 3: u + 1, 4: 0}))
+        plans.append((FormClass.B, {2: t - u - 1, 3: u + 1}))
+    masks = _chain_masks(D.nodes, frozenset(
+        k for _, counts in plans for k, need in counts.items() if need))
     for form, counts in plans:
-        for core in _ordered_cores(D, counts):
-            core_path = KPath(D, core)
+        for core in _ordered_cores(masks, counts):
             try:
-                pi = insert_singletons(core_path, D.nodes - core_path.support)
+                family = insert_singletons(core, D.nodes.difference(*core))
             except ValueError:
                 continue
-            _check_row_distribution(pi, s, t, u, form)
+            pi = KPath(D, family)
+            if not is_ordered(pi):
+                raise VerificationError("inserted family is not ordered")
             return pi, form
     raise VerificationError("admissible diagram yielded no form family")

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 from cellrim.diagrams import Diagram, w_of_diagram
 from cellrim.families import COLUMN_ROWS, DeterminingTuple, StuShape, determining_tuple
-from cellrim.paths import KPath, _chain_masks
+from cellrim.paths import FormClass, KPath, _chain_masks
 from cellrim.permutations import (
     Permutation,
     VerificationError,
@@ -280,6 +280,56 @@ def core_counts_hold(z: tuple[int, int, int, int], t: int, u: int) -> bool:
         and z1 + 2 * z2 + 3 * z3 + 4 * z4 == 2 * t + u + 1
         and z2 + 2 * z3 + 3 * z4 == t + u + 1
         and 3 * z1 + 2 * z2 + z3 == 2 * t - u - 1
+    )
+
+
+def row_distribution_holds(pi: KPath, form: FormClass) -> bool:
+    """Whether a full family of the given form on rows (x, y, z, 1) puts
+    each constituent length on the rows the counting argument forces:
+    singletons on rows of size s, pairs on rows of sizes s and t, and
+    exactly one triple (form B) or none (form A) on the fourth row, that
+    one crossing the rows of sizes s and t.
+
+    A path strictly descends, so it meets each row at most once.  In form
+    A the core has one 4-path, u-1 3-paths and t-u 2-paths.  The 4-path
+    takes the only node of row 4, so every 3-path crosses the rows of
+    sizes s, t and u; that fills the u-row, so every 2-path crosses the
+    s-row and the t-row; that fills the t-row and leaves s-t nodes of the
+    s-row to the singletons.  In form B the core has t paths over 2t+u+1
+    nodes while the rows allow at most t + t + u + 1 hits, so every bound
+    is tight: each path crosses the s-row and the t-row, exactly one
+    3-path takes the row-4 node, and the singletons are the s-t nodes
+    left in the s-row.  A triple off row 4 lies in rows 1 to 3.
+
+    >>> from cellrim.diagrams import young_diagram
+    >>> D = young_diagram((2, 1, 1, 1))
+    >>> quad = ((1, 1), (2, 1), (3, 1), (4, 1))
+    >>> row_distribution_holds(KPath(D, (quad, ((1, 2),))), FormClass.A)
+    True
+    >>> singles = KPath(D, tuple((n,) for n in D.sorted_nodes))
+    >>> row_distribution_holds(singles, FormClass.A)  # singletons on short rows
+    False
+    """
+    sizes = pi.diagram.row_composition()
+    s, t, u = sorted(sizes[:3], reverse=True)
+    by_length: dict[int, list[tuple]] = defaultdict(list)
+    for c in pi.constituents:
+        by_length[len(c)].append(c)
+
+    def crossed(chains: list[tuple]) -> set[int]:
+        return {sizes[a - 1] for c in chains for a, _ in c}
+
+    on_fourth = [c for c in by_length[3] if any(a == 4 for a, _ in c)]
+    off_fourth = [c for c in by_length[3] if c not in on_fourth]
+    return (
+        (not by_length[1] or s > t and crossed(by_length[1]) == {s})
+        and (not by_length[2] or t > u and crossed(by_length[2]) <= {s, t})
+        and all(a <= 3 for c in off_fourth for a, _ in c)
+        and len(on_fourth) == (1 if form is FormClass.B else 0)
+        and all(
+            sorted(sizes[a - 1] for a, _ in c if a != 4) == sorted((s, t))
+            for c in on_fourth
+        )
     )
 
 

@@ -156,6 +156,19 @@ class TestDiagram:
         assert code == 1
         assert "invalid input: --stu needs three parts" in err
 
+    def test_failed_form_path_claim_exits_3(self, capsys, monkeypatch):
+        def fail(D):
+            raise cli.VerificationError("admissible diagram yielded no form family")
+
+        monkeypatch.setattr(cli, "find_form_path", fail)
+        code, out, err = run(
+            capsys, "diagram", "M", "--stu", "8,5,3", "--order", "u,s,t",
+            "--params", "1,3,1,0,3", "--C", "7,8", "--format", "json",
+        )
+        assert code == 3
+        assert out == ""
+        assert "verification failed" in err
+
     def test_form_path_at_10_7_4(self, capsys):
         # The M member at (10,7,4) on which an exhaustive walk of the
         # empty form-A search tree is slowest; the expected family was

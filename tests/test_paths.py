@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cellrim.paths as paths
 import oracles
 from cellrim.diagrams import (
     Diagram,
@@ -45,6 +46,7 @@ from claims import (
     is_standard,
     order_equivalent,
     partitions_of,
+    row_distribution_holds,
     row_filling,
     straighten,
 )
@@ -100,6 +102,12 @@ def core_plans(D: Diagram) -> list[dict[int, int]]:
     if t > u:
         plans.append({1: 0, 2: t - u - 1, 3: u + 1, 4: 0})
     return plans
+
+
+def cores(D: Diagram, counts: dict[int, int]):
+    """_ordered_cores on the masks of D's chains of the needed lengths."""
+    wanted = frozenset(k for k, v in counts.items() if v)
+    return _ordered_cores(_chain_masks(D.nodes, wanted), counts)
 
 
 def small_form_hosts() -> list[Diagram]:
@@ -377,7 +385,7 @@ class TestOrderedCores:
         assert len(hosts) > 100
         for D in hosts:
             for counts in core_plans(D):
-                assert list(_ordered_cores(D, counts)) == list(
+                assert list(cores(D, counts)) == list(
                     oracles.ordered_cores_by_backtracking(D.nodes, counts)
                 ), (D, counts)
 
@@ -388,55 +396,32 @@ class TestOrderedCores:
             plan_a, plan_b = core_plans(D)
             oracle_a = oracles.ordered_cores_by_backtracking(D.nodes, plan_a)
             oracle_b = oracles.ordered_cores_by_backtracking(D.nodes, plan_b)
-            assert next(_ordered_cores(D, plan_a), None) is None
+            assert next(cores(D, plan_a), None) is None
             assert next(oracle_a, None) is None
-            assert next(_ordered_cores(D, plan_b)) == next(oracle_b)
+            assert next(cores(D, plan_b)) == next(oracle_b)
 
 
 class TestInsertSingletons:
     def test_no_extras_returns_same_family(self):
-        pi = KPath(DIAGRAM_4631, PATH_B_4631)
-        assert insert_singletons(pi, []).constituents == pi.constituents
+        assert insert_singletons(PATH_B_4631, []) == PATH_B_4631
 
     def test_forced_positions_reproduce_fixture(self):
-        for D, fixture in (
-            (FAMILY_M_385, PATH_B_M_385),
-            (FAMILY_N_358, PATH_B_N_358),
-        ):
+        for fixture in (PATH_B_M_385, PATH_B_N_358):
             core = tuple(c for c in fixture if len(c) > 1)
             extras = [c[0] for c in fixture if len(c) == 1]
-            out = insert_singletons(KPath(D, core), extras)
-            assert out.constituents == fixture
+            assert insert_singletons(core, extras) == fixture
 
     def test_same_column_singletons_insert_deepest_first(self):
-        D = Diagram.from_rows([(1, 2), (1, 2)])
-        pi = KPath(D, (((1, 1), (2, 1)),))
-        out = insert_singletons(pi, [(1, 2), (2, 2)])
-        assert out.constituents == (
+        out = insert_singletons((((1, 1), (2, 1)),), [(1, 2), (2, 2)])
+        assert out == (
             ((1, 1), (2, 1)),
             ((2, 2),),
             ((1, 2),),
         )
 
     def test_straddling_node_is_rejected_by_column(self):
-        D = Diagram(frozenset({(1, 1), (2, 1), (3, 1)}))
-        pi = KPath(D, (((1, 1), (3, 1)),))
         with pytest.raises(ValueError, match="column 1"):
-            insert_singletons(pi, [(2, 1)])
-
-    def test_unordered_input_rejected(self):
-        D = Diagram.from_rows([(1, 2)])
-        pi = KPath(D, (((1, 2),), ((1, 1),)))
-        with pytest.raises(ValueError, match="ordered"):
-            insert_singletons(pi, [])
-
-    def test_extras_must_be_new_diagram_nodes(self):
-        D = Diagram.from_rows([(1, 2)])
-        pi = KPath(D, (((1, 1),),))
-        with pytest.raises(ValueError, match="lie in the diagram"):
-            insert_singletons(pi, [(5, 5)])
-        with pytest.raises(ValueError, match="avoid"):
-            insert_singletons(pi, [(1, 1)])
+            insert_singletons((((1, 1), (3, 1)),), [(2, 1)])
 
 
 class TestClassifyForm:
@@ -527,10 +512,54 @@ class TestFindFormPath:
                 assert is_ordered(pi)
                 if head[0] in (3, 2):
                     assert form is FormClass.A
+                assert row_distribution_holds(pi, form)
                 if form is FormClass.A:
                     assert is_special(straighten(pi))
                 assert is_standard(*transported_row_filling(pi))
             assert admissible_count == expected
+
+    def test_every_admissible_diagram_of_width_at_most_four(self):
+        # rows (x, y, z, 1) over the columns 1..w, w <= 4, none empty
+        subsets = [
+            c for k in range(1, 5) for c in itertools.combinations(range(1, 5), k)
+        ]
+        count = 0
+        for r1, r2, r3 in itertools.product(subsets, repeat=3):
+            for b in range(1, 5):
+                columns = set(r1) | set(r2) | set(r3) | {b}
+                if columns != set(range(1, max(columns) + 1)):
+                    continue
+                D = Diagram.from_rows([r1, r2, r3, (b,)])
+                if not is_admissible(D):
+                    continue
+                pi, form = find_form_path(D)
+                assert pi.support == D.nodes, D
+                assert is_ordered(pi), D
+                assert row_distribution_holds(pi, form), D
+                count += 1
+        assert count == 3383
+
+    def test_chains_are_enumerated_once_per_call(self, monkeypatch):
+        # FAMILY_M_385 exhausts plan A before plan B finds its family
+        calls = []
+
+        def counted(nodes, lengths):
+            calls.append(lengths)
+            return _chain_masks(nodes, lengths)
+
+        monkeypatch.setattr(paths, "_chain_masks", counted)
+        for D, form in ((DIAGRAM_4631, FormClass.A), (FAMILY_M_385, FormClass.B)):
+            calls.clear()
+            assert find_form_path(D)[1] is form
+            assert calls == [frozenset({2, 3, 4})]
+
+    def test_unordered_core_is_caught_in_the_answer(self, monkeypatch):
+        # the plan-A core of this diagram with its two paths swapped
+        D = young_diagram((2, 2, 1, 1))
+        swapped = (((1, 2), (2, 2)), ((1, 1), (2, 1), (3, 1), (4, 1)))
+        monkeypatch.setattr(paths, "_ordered_cores", lambda *_: iter([swapped]))
+        with pytest.raises(VerificationError, match="not ordered"):
+            find_form_path(D)
 
 
 class TestFormPlans:
@@ -563,6 +592,7 @@ class TestFormPlans:
                 z = tuple(core.count(k) for k in (1, 2, 3, 4))
                 assert z == tuple(plan[k] for k in (1, 2, 3, 4))
                 assert core_counts_hold(z, t, u)
+                assert row_distribution_holds(pi, form)
                 members += 1
         assert members == {(7, 5, 3): 82, (8, 5, 3): 133}[stu]
 
