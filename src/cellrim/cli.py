@@ -38,7 +38,7 @@ from .families import (
     rim_diagrams,
     verify_rim_family,
 )
-from .paths import FormClass, family_with_lengths, find_form_path, is_admissible
+from .paths import family_with_lengths, find_form_path, is_admissible
 from .permutations import (
     GuardExceeded,
     Permutation,

@@ -156,7 +156,9 @@ def is_admissible(D: Diagram) -> bool:
 def _chains_within(
     nodes: Iterable[Node], lengths: frozenset[int]
 ) -> list[tuple[Node, ...]]:
-    """All paths of the requested lengths through the given nodes."""
+    """All paths of the requested lengths through the given nodes, in
+    lexicographic order: starts and successors are visited sorted, and a
+    chain is listed before its extensions."""
     found: list[tuple[Node, ...]] = []
     ordered_nodes = sorted(nodes)
     after = {x: [y for y in ordered_nodes if y[0] > x[0] and y[1] >= x[1]]
@@ -178,12 +180,12 @@ def _chains_within(
 def _chain_masks(
     nodes: Iterable[Node], lengths: frozenset[int]
 ) -> tuple[list[tuple[Node, ...]], list[int], dict[int, int]]:
-    """The sorted chains of _chains_within and bitmasks over their
-    positions: by_len[k] holds the chains of k nodes, follow[i] those that
-    may be listed after chains[i] in an ordered family.  Chain j may not
-    follow chain i exactly when a node of j lies weakly below and weakly
-    left of a node of i (which covers a shared node)."""
-    chains = sorted(_chains_within(nodes, lengths))
+    """The chains of _chains_within and bitmasks over their positions:
+    by_len[k] holds the chains of k nodes, follow[i] those that may be
+    listed after chains[i] in an ordered family.  Chain j may not follow
+    chain i exactly when a node of j lies weakly below and weakly left of
+    a node of i (which covers a shared node)."""
+    chains = _chains_within(nodes, lengths)
     through: dict[Node, int] = defaultdict(int)
     by_len: dict[int, int] = defaultdict(int)
     for j, chain in enumerate(chains):
@@ -216,7 +218,7 @@ def family_with_lengths(
     if not want or min(want) < 1:
         raise ValueError(f"lengths must be positive, got {lengths}")
     by_length: dict[int, list[tuple[Node, ...]]] = defaultdict(list)
-    for chain in sorted(_chains_within(D.nodes, frozenset(want))):
+    for chain in _chains_within(D.nodes, frozenset(want)):
         by_length[len(chain)].append(chain)
 
     def search(
@@ -233,56 +235,6 @@ def family_with_lengths(
 
     found = search(frozenset(D.nodes), want)
     return None if found is None else KPath(D, found)
-
-
-def insert_singletons(
-    core: tuple[tuple[Node, ...], ...], extra: Iterable[Node]
-) -> tuple[tuple[Node, ...], ...]:
-    """Insert each extra node as a one-node constituent placed so the
-    result stays ordered.  The core must be ordered and miss the extras;
-    neither is checked.  The core keeps its relative order.  A node that
-    cannot go on either side of some constituent (it sits between two of
-    its rows in the same column) makes the insertion impossible; the
-    error names the column.
-
-    >>> insert_singletons((((1, 1), (2, 1)),), [(1, 2), (2, 2)])
-    (((1, 1), (2, 1)), ((2, 2),), ((1, 2),))
-    """
-    items: list[tuple[Node, ...]] = list(core)
-    items.extend((node,) for node in sorted(extra))
-    original = len(core)
-    must_precede: dict[int, set[int]] = {i: set() for i in range(len(items))}
-    for i in range(1, original):
-        must_precede[i].add(i - 1)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if i < original and j < original:
-                continue
-            i_first = _precedes_ok(items[i], items[j])
-            j_first = _precedes_ok(items[j], items[i])
-            if i_first and not j_first:
-                must_precede[j].add(i)
-            elif j_first and not i_first:
-                must_precede[i].add(j)
-            elif not i_first and not j_first:
-                column = items[j][0][1] if j >= original else items[i][0][1]
-                raise ValueError(
-                    f"node in column {column} straddles a constituent"
-                )
-
-    placed: list[tuple[Node, ...]] = []
-    done: set[int] = set()
-    while len(done) < len(items):
-        ready = [
-            i for i in range(len(items))
-            if i not in done and must_precede[i] <= done
-        ]
-        if not ready:
-            raise VerificationError("insertion constraints form a cycle")
-        pick = min(ready, key=lambda i: items[i])
-        placed.append(items[pick])
-        done.add(pick)
-    return tuple(placed)
 
 
 def _stu_parts(parts: tuple[int, ...]) -> tuple[int, int, int]:
@@ -331,9 +283,10 @@ def classify_form(pi: KPath, s: int, t: int, u: int) -> FormClass:
 def _ordered_cores(
     masks: tuple[list[tuple[Node, ...]], list[int], dict[int, int]],
     length_counts: dict[int, int],
-) -> Iterator[tuple[tuple[Node, ...], ...]]:
-    """Ordered families with the prescribed multiset of lengths, in
-    lexicographic order of their flattened node sequences.
+) -> Iterator[tuple[int, ...]]:
+    """Ordered families with the prescribed multiset of lengths, as
+    positions in the chain table, in lexicographic order of their
+    flattened node sequences.
 
     Runs on masks of _chain_masks (a chain of a length not needed never
     becomes a candidate), trying each prefix's candidates (the AND of
@@ -344,8 +297,8 @@ def _ordered_cores(
     chains, follow, by_len = masks
 
     def extend(
-        prefix: tuple[tuple[Node, ...], ...], cand: int, counts: dict[int, int]
-    ) -> Iterator[tuple[tuple[Node, ...], ...]]:
+        prefix: tuple[int, ...], cand: int, counts: dict[int, int]
+    ) -> Iterator[tuple[int, ...]]:
         live = 0
         for k, need in counts.items():
             if need:
@@ -359,7 +312,7 @@ def _ordered_cores(
             i = (live & -live).bit_length() - 1
             live &= live - 1
             counts[len(chains[i])] -= 1
-            yield from extend(prefix + (chains[i],), cand & follow[i], counts)
+            yield from extend(prefix + (i,), cand & follow[i], counts)
             counts[len(chains[i])] += 1
 
     yield from extend((), (1 << len(chains)) - 1, dict(length_counts))
@@ -369,32 +322,41 @@ def find_form_path(D: Diagram) -> tuple[KPath, FormClass]:
     """A full-support ordered family of one of the two forms.
 
     Searches for form A before form B, so whenever a form-A family
-    exists it is the one returned.  The search enumerates the chains once
-    for both plans, builds a maximal ordered t-constituent core with no
-    singletons (a bitmask search cut by length counts) and then inserts
-    the leftover nodes; the first hit in lexicographic order wins.
+    exists it is the one returned.  The search tabulates the chains once
+    for both plans, takes the first ordered t-constituent core with no
+    singletons in lexicographic order (a bitmask search cut by length
+    counts), and adds the nodes it misses as singletons.
 
     Each plan fixes its core's length counts, so the core plus its s-t
     leftover singletons has the plan's form profile, and row counting
-    fixes the rows each constituent crosses.  Nothing the plan forces is
-    re-checked; only the answer is validated and tested for order.
+    fixes the rows each constituent crosses: every one meets the s-row
+    once, so the leftover nodes lie on it.  The family is listed by the
+    column where each constituent meets the s-row.  That order keeps the
+    core's, which is ordered.  A path meeting that row right of a
+    singleton comes after it and has no node on or below the row left
+    of the singleton's column; one meeting it left of a singleton comes
+    before it and has no node on or above the row right of that column.
+    So the family is ordered, and every core takes its leftover nodes.
+    Nothing the plan forces is re-checked; only the answer is validated
+    and tested for order.
     """
-    _, t, u = _stu_parts(D.row_composition())
+    s, t, u = _stu_parts(D.row_composition())
     if not is_admissible(D):
         raise ValueError("only admissible diagrams carry form families")
     plans = [(FormClass.A, {2: t - u, 3: u - 1, 4: 1})]
     if t > u:
         plans.append((FormClass.B, {2: t - u - 1, 3: u + 1}))
-    masks = _chain_masks(D.nodes, frozenset(
-        k for _, counts in plans for k, need in counts.items() if need))
+    lengths = {k for _, counts in plans for k, need in counts.items() if need}
+    masks = chains, _, _ = _chain_masks(D.nodes, frozenset(lengths))
+    row = D.row_composition().index(s) + 1
     for form, counts in plans:
-        for core in _ordered_cores(masks, counts):
-            try:
-                family = insert_singletons(core, D.nodes.difference(*core))
-            except ValueError:
-                continue
+        core = next(_ordered_cores(masks, counts), None)
+        if core is not None:
+            family = [chains[i] for i in core]
+            family += [(x,) for x in D.nodes.difference(*family)]
+            family.sort(key=lambda c: dict(c)[row])
             pi = KPath(D, family)
             if not is_ordered(pi):
-                raise VerificationError("inserted family is not ordered")
+                raise VerificationError("placed family is not ordered")
             return pi, form
     raise VerificationError("admissible diagram yielded no form family")

@@ -820,6 +820,13 @@ def subsequence_type_by_flow(
             y = x
 
 
+def precedes(earlier, later) -> bool:
+    """Whether chain ``earlier`` may be listed before chain ``later`` in an
+    ordered family: wherever a node of ``earlier`` lies weakly above a node
+    of ``later``, it is strictly to its left."""
+    return all(b < b2 for a, b in earlier for a2, b2 in later if a <= a2)
+
+
 def best_ordered_cover(
     nodes: frozenset[tuple[int, int]]
 ) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -832,11 +839,6 @@ def best_ordered_cover(
     """
     ordered_nodes = sorted(nodes)
     best: tuple | None = None
-
-    def precedes(earlier, later):
-        return all(
-            b < b2 for a, b in earlier for a2, b2 in later if a <= a2
-        )
 
     def partitions(idx, parts):
         if idx == len(ordered_nodes):
@@ -877,9 +879,9 @@ def ordered_cores_by_backtracking(
     """Ordered chain families with the prescribed multiset of lengths, in
     lexicographic order of their flattened node sequences.
 
-    The plain backtracking search: every candidate chain, in sorted order,
-    is tested against the nodes used so far and against each chain
-    already listed.
+    The plain backtracking search: the candidates after a prefix are the
+    chains, in sorted order, that its every chain may precede (which
+    rules out a shared node), filtered anew by each chain appended.
     """
     wanted = frozenset(k for k, v in length_counts.items() if v > 0)
     ordered_nodes = sorted(nodes)
@@ -900,27 +902,100 @@ def ordered_cores_by_backtracking(
     chains.sort()
     total = sum(length_counts.values())
 
-    def precedes(earlier, later):
-        return all(
-            b < b2 for a, b in earlier for a2, b2 in later if a <= a2
-        )
+    @lru_cache(maxsize=None)
+    def may_follow(chain):
+        return {c for c in chains if precedes(chain, c)}
 
-    def extend(prefix, used, counts):
+    def extend(prefix, candidates, counts):
         if len(prefix) == total:
             yield tuple(prefix)
             return
-        for chain in chains:
-            if counts[len(chain)] == 0 or used.intersection(chain):
-                continue
-            if not all(precedes(c, chain) for c in prefix):
+        for chain in candidates:
+            if counts[len(chain)] == 0:
                 continue
             counts[len(chain)] -= 1
             prefix.append(chain)
-            yield from extend(prefix, used.union(chain), counts)
+            allowed = may_follow(chain)
+            yield from extend(
+                prefix, [c for c in candidates if c in allowed], counts
+            )
             prefix.pop()
             counts[len(chain)] += 1
 
-    yield from extend([], frozenset(), dict(length_counts))
+    yield from extend([], chains, dict(length_counts))
+
+
+def insert_singletons(
+    core: tuple[tuple[tuple[int, int], ...], ...], extra
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Insert each extra node as a one-node constituent placed so the
+    result stays ordered.  The core must be ordered and miss the extras;
+    neither is checked.  The core keeps its relative order.  A node that
+    cannot go on either side of some constituent (it sits between two of
+    its rows in the same column) makes the insertion impossible; the
+    error names the column.
+
+    Pairwise: every pair with an extra is tested both ways, and a Kahn
+    sort places the least ready item first.
+
+    >>> insert_singletons((((1, 1), (2, 1)),), [(1, 2), (2, 2)])
+    (((1, 1), (2, 1)), ((2, 2),), ((1, 2),))
+    """
+    items: list[tuple[tuple[int, int], ...]] = list(core)
+    items.extend((node,) for node in sorted(extra))
+    original = len(core)
+    must_precede: dict[int, set[int]] = {i: set() for i in range(len(items))}
+    for i in range(1, original):
+        must_precede[i].add(i - 1)
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            if i < original and j < original:
+                continue
+            i_first = precedes(items[i], items[j])
+            j_first = precedes(items[j], items[i])
+            if i_first and not j_first:
+                must_precede[j].add(i)
+            elif j_first and not i_first:
+                must_precede[i].add(j)
+            elif not i_first and not j_first:
+                column = items[j][0][1] if j >= original else items[i][0][1]
+                raise ValueError(
+                    f"node in column {column} straddles a constituent"
+                )
+
+    placed: list[tuple[tuple[int, int], ...]] = []
+    done: set[int] = set()
+    while len(done) < len(items):
+        ready = [
+            i for i in range(len(items))
+            if i not in done and must_precede[i] <= done
+        ]
+        if not ready:
+            raise VerificationError("insertion constraints form a cycle")
+        pick = min(ready, key=lambda i: items[i])
+        placed.append(items[pick])
+        done.add(pick)
+    return tuple(placed)
+
+
+def form_path_by_insertion(
+    nodes: frozenset[tuple[int, int]], s: int, t: int, u: int
+) -> tuple[tuple[tuple[tuple[int, int], ...], ...], str] | None:
+    """The form family ``paths.find_form_path`` returns, with its form
+    "A" or "B", by the plain pipeline: each plan's cores from
+    ``ordered_cores_by_backtracking``, form A's plan first, then the
+    pairwise ``insert_singletons`` of the nodes each core misses; the
+    first core that takes them wins.  None when no core does."""
+    plans = [("A", {2: t - u, 3: u - 1, 4: 1})]
+    if t > u:
+        plans.append(("B", {2: t - u - 1, 3: u + 1}))
+    for form, counts in plans:
+        for core in ordered_cores_by_backtracking(nodes, counts):
+            try:
+                return insert_singletons(core, nodes.difference(*core)), form
+            except ValueError:
+                continue
+    return None
 
 
 # ---------------------------------------------------------------------------

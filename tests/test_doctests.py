@@ -1,5 +1,5 @@
-"""Run the docstring examples across every package module and the
-lemma checkers in ``tests/claims.py``."""
+"""Run the docstring examples across every package module, the lemma
+checkers in ``tests/claims.py`` and the oracles in ``tests/oracles.py``."""
 
 from __future__ import annotations
 
@@ -14,9 +14,11 @@ import cellrim.paths
 import cellrim.permutations
 import cellrim.tableaux
 import claims
+import oracles
 
 MODULES = [
     claims,
+    oracles,
     cellrim.cli,
     cellrim.diagrams,
     cellrim.families,

@@ -24,11 +24,12 @@ from cellrim.paths import (
     FormClass,
     KPath,
     _chain_masks,
+    _chains_within,
     _ordered_cores,
     _precedes_ok,
     classify_form,
+    family_with_lengths,
     find_form_path,
-    insert_singletons,
     is_admissible,
     is_ordered,
     subsequence_type,
@@ -95,6 +96,15 @@ def chains_of(nodes: frozenset, length: int) -> list[tuple]:
     return out
 
 
+def has_family(nodes: frozenset, lengths: tuple[int, ...]) -> bool:
+    """Whether disjoint chains of the given lengths fit in the node set,
+    by trying every chain for the first length."""
+    return not lengths or any(
+        has_family(nodes - set(c), lengths[1:])
+        for c in chains_of(nodes, lengths[0])
+    )
+
+
 def core_plans(D: Diagram) -> list[dict[int, int]]:
     """The core length counts find_form_path tries: form A, then form B."""
     s, t, u = sorted(D.row_composition()[:3], reverse=True)
@@ -105,9 +115,50 @@ def core_plans(D: Diagram) -> list[dict[int, int]]:
 
 
 def cores(D: Diagram, counts: dict[int, int]):
-    """_ordered_cores on the masks of D's chains of the needed lengths."""
+    """_ordered_cores on the masks of D's chains of the needed lengths,
+    each core as its chains."""
     wanted = frozenset(k for k, v in counts.items() if v)
-    return _ordered_cores(_chain_masks(D.nodes, wanted), counts)
+    masks = _chain_masks(D.nodes, wanted)
+    for core in _ordered_cores(masks, counts):
+        yield tuple(masks[0][i] for i in core)
+
+
+def by_s_row(D: Diagram, chains) -> tuple:
+    """The chains listed by the column where each meets D's longest row,
+    the order find_form_path gives a full form family."""
+    sizes = D.row_composition()
+    row = sizes.index(max(sizes)) + 1
+    return tuple(sorted(chains, key=lambda c: dict(c)[row]))
+
+
+def width_four_diagrams() -> list[Diagram]:
+    """Every admissible diagram with rows (x, y, z, 1) over the columns
+    1..w, w <= 4, none of them empty."""
+    subsets = [
+        c for k in range(1, 5) for c in itertools.combinations(range(1, 5), k)
+    ]
+    out = []
+    for r1, r2, r3 in itertools.product(subsets, repeat=3):
+        for b in range(1, 5):
+            columns = set(r1) | set(r2) | set(r3) | {b}
+            if columns != set(range(1, max(columns) + 1)):
+                continue
+            D = Diagram.from_rows([r1, r2, r3, (b,)])
+            if is_admissible(D):
+                out.append(D)
+    return out
+
+
+def check_against_oracles(D: Diagram, pi: KPath, form: FormClass) -> None:
+    """The answer of find_form_path is the plain pipeline's (backtracked
+    cores, pairwise insertion), and a form-A answer, whose profile is the
+    conjugate of the rows, implies a disjoint family of that type."""
+    s, t, u = sorted(D.row_composition()[:3], reverse=True)
+    want = oracles.form_path_by_insertion(D.nodes, s, t, u)
+    assert (pi.constituents, form.value) == want, D
+    if form is FormClass.A:
+        profile = conjugate(D.row_composition())
+        assert family_with_lengths(D, profile) is not None, D
 
 
 def small_form_hosts() -> list[Diagram]:
@@ -367,7 +418,45 @@ class TestOrderEquivalent:
         assert classify_form(result, 6, 4, 3) is FormClass.NEITHER
 
 
+class TestFamilyWithLengths:
+    TYPES = ((1,), (2,), (3,), (1, 1), (2, 1), (2, 2), (3, 1), (2, 1, 1))
+
+    def test_exists_exactly_when_brute_force_finds_one(self):
+        found = 0
+        for D in CORPUS:
+            for lengths in (conjugate(D.row_composition()),) + self.TYPES:
+                pi = family_with_lengths(D, lengths)
+                assert (pi is not None) is has_family(D.nodes, lengths), (
+                    D, lengths,
+                )
+                if pi is not None:
+                    assert isinstance(pi, KPath) and pi.diagram == D
+                    assert sorted(pi.lengths()) == sorted(lengths)
+                    found += 1
+        assert found > len(CORPUS)
+
+    def test_unsorted_request_gets_sorted_family(self):
+        D = young_diagram((2, 2, 1))
+        pi = family_with_lengths(D, (1, 3, 1))
+        assert pi.lengths() == (3, 1, 1)
+
+    def test_non_positive_length_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            family_with_lengths(young_diagram((2,)), (2, 0))
+        with pytest.raises(ValueError, match="positive"):
+            family_with_lengths(young_diagram((2,)), ())
+
+
 class TestOrderedCores:
+    @settings(max_examples=200, deadline=None)
+    @given(large_node_sets, st.frozensets(st.integers(1, 5), max_size=4))
+    def test_chains_are_listed_in_lexicographic_order(self, nodes, lengths):
+        chains = _chains_within(nodes, lengths)
+        assert chains == sorted(chains)
+        for k in range(1, 6):
+            listed = [c for c in chains if len(c) == k]
+            assert listed == (chains_of(nodes, k) if k in lengths else [])
+
     def test_chain_masks_match_pair_condition(self):
         for D in CORPUS + [DIAGRAM_4631, FAMILY_M_385]:
             chains, follow, by_len = _chain_masks(
@@ -402,17 +491,29 @@ class TestOrderedCores:
 
 
 class TestInsertSingletons:
+    """The pairwise reference placement, oracles.insert_singletons, and
+    the order find_form_path lists a full form family in: by the column
+    where each constituent meets the s-row."""
+
     def test_no_extras_returns_same_family(self):
-        assert insert_singletons(PATH_B_4631, []) == PATH_B_4631
+        assert oracles.insert_singletons(PATH_B_4631, []) == PATH_B_4631
+        assert by_s_row(DIAGRAM_4631, PATH_B_4631[::-1]) == PATH_B_4631
 
     def test_forced_positions_reproduce_fixture(self):
-        for fixture in (PATH_B_M_385, PATH_B_N_358):
+        for D, fixture in (
+            (FAMILY_M_385, PATH_B_M_385),
+            (FAMILY_N_358, PATH_B_N_358),
+        ):
             core = tuple(c for c in fixture if len(c) > 1)
             extras = [c[0] for c in fixture if len(c) == 1]
-            assert insert_singletons(core, extras) == fixture
+            assert oracles.insert_singletons(core, extras) == fixture
+            assert by_s_row(D, core + tuple((x,) for x in extras)) == fixture
+            assert find_form_path(D)[0].constituents == fixture
 
     def test_same_column_singletons_insert_deepest_first(self):
-        out = insert_singletons((((1, 1), (2, 1)),), [(1, 2), (2, 2)])
+        # no full form family has two singletons in one column, as both
+        # would lie on the s-row; only the reference placement meets this
+        out = oracles.insert_singletons((((1, 1), (2, 1)),), [(1, 2), (2, 2)])
         assert out == (
             ((1, 1), (2, 1)),
             ((2, 2),),
@@ -420,8 +521,18 @@ class TestInsertSingletons:
         )
 
     def test_straddling_node_is_rejected_by_column(self):
+        # (2, 1) lies between the core's nodes in column 1, so no place
+        # takes it; (3, 2), right of the core's last node, can be placed.
+        # A leftover s-row node never straddles a path that meets the
+        # s-row elsewhere, so find_form_path needs no such rejection.
         with pytest.raises(ValueError, match="column 1"):
-            insert_singletons((((1, 1), (3, 1)),), [(2, 1)])
+            oracles.insert_singletons((((1, 1), (3, 1)),), [(2, 1)])
+        with pytest.raises(ValueError, match="column 1"):
+            oracles.insert_singletons((((1, 1), (3, 1)),), [(2, 1), (3, 2)])
+        assert oracles.insert_singletons((((1, 1), (3, 1)),), [(3, 2)]) == (
+            ((1, 1), (3, 1)),
+            ((3, 2),),
+        )
 
 
 class TestClassifyForm:
@@ -519,28 +630,19 @@ class TestFindFormPath:
             assert admissible_count == expected
 
     def test_every_admissible_diagram_of_width_at_most_four(self):
-        # rows (x, y, z, 1) over the columns 1..w, w <= 4, none empty
-        subsets = [
-            c for k in range(1, 5) for c in itertools.combinations(range(1, 5), k)
-        ]
-        count = 0
-        for r1, r2, r3 in itertools.product(subsets, repeat=3):
-            for b in range(1, 5):
-                columns = set(r1) | set(r2) | set(r3) | {b}
-                if columns != set(range(1, max(columns) + 1)):
-                    continue
-                D = Diagram.from_rows([r1, r2, r3, (b,)])
-                if not is_admissible(D):
-                    continue
-                pi, form = find_form_path(D)
-                assert pi.support == D.nodes, D
-                assert is_ordered(pi), D
-                assert row_distribution_holds(pi, form), D
-                count += 1
-        assert count == 3383
+        diagrams = width_four_diagrams()
+        for D in diagrams:
+            pi, form = find_form_path(D)
+            assert pi.support == D.nodes, D
+            assert is_ordered(pi), D
+            assert row_distribution_holds(pi, form), D
+            check_against_oracles(D, pi, form)
+        assert len(diagrams) == 3383
 
     def test_chains_are_enumerated_once_per_call(self, monkeypatch):
-        # FAMILY_M_385 exhausts plan A before plan B finds its family
+        # FAMILY_M_385 exhausts plan A before plan B finds its family; no
+        # one-node chains are tabulated, as the leftover nodes are placed
+        # by their s-row column
         calls = []
 
         def counted(nodes, lengths):
@@ -548,16 +650,23 @@ class TestFindFormPath:
             return _chain_masks(nodes, lengths)
 
         monkeypatch.setattr(paths, "_chain_masks", counted)
-        for D, form in ((DIAGRAM_4631, FormClass.A), (FAMILY_M_385, FormClass.B)):
+        for D, form in (
+            (DIAGRAM_4631, FormClass.A),
+            (FAMILY_M_385, FormClass.B),
+            (young_diagram((2, 2, 1, 1)), FormClass.A),
+        ):
             calls.clear()
             assert find_form_path(D)[1] is form
             assert calls == [frozenset({2, 3, 4})]
 
     def test_unordered_core_is_caught_in_the_answer(self, monkeypatch):
-        # the plan-A core of this diagram with its two paths swapped
-        D = young_diagram((2, 2, 1, 1))
-        swapped = (((1, 2), (2, 2)), ((1, 1), (2, 1), (3, 1), (4, 1)))
-        monkeypatch.setattr(paths, "_ordered_cores", lambda *_: iter([swapped]))
+        # a plan-A core of this diagram whose paths cross on row 3, so no
+        # listing of it is ordered
+        D = Diagram.from_rows([(1, 2), (1,), (2, 3), (3,)])
+        crossing = (((1, 1), (2, 1), (3, 3), (4, 3)), ((1, 2), (3, 2)))
+        chains = _chain_masks(D.nodes, frozenset({2, 3, 4}))[0]
+        core = tuple(map(chains.index, crossing))
+        monkeypatch.setattr(paths, "_ordered_cores", lambda *_: iter([core]))
         with pytest.raises(VerificationError, match="not ordered"):
             find_form_path(D)
 
@@ -593,6 +702,7 @@ class TestFormPlans:
                 assert z == tuple(plan[k] for k in (1, 2, 3, 4))
                 assert core_counts_hold(z, t, u)
                 assert row_distribution_holds(pi, form)
+                check_against_oracles(D, pi, form)
                 members += 1
         assert members == {(7, 5, 3): 82, (8, 5, 3): 133}[stu]
 
