@@ -174,12 +174,8 @@ def determining_tuple(D: Diagram, shape: StuShape) -> DeterminingTuple:
         if entry is None:
             raise ValueError(f"column on rows {rows} fits no profile entry")
         entries.append(entry)
-    alpha = DeterminingTuple(tuple(entries))
-    if alpha.u != shape.u:
-        raise ValueError(
-            f"{alpha.u - 1} triple columns do not match first row size {shape.u}"
-        )
-    return alpha
+    # the u nodes of row 1 top the 3 and 4 columns, and row 4 forces one 4: .u is u
+    return DeterminingTuple(tuple(entries))
 
 
 @dataclass(frozen=True, slots=True)

@@ -179,24 +179,22 @@ def _chains_within(
 
 def _chain_masks(
     nodes: Iterable[Node], lengths: frozenset[int]
-) -> tuple[list[tuple[Node, ...]], list[int], dict[int, int]]:
+) -> tuple[list[tuple[Node, ...]], list[int], dict[Node, int]]:
     """The chains of _chains_within and bitmasks over their positions:
-    by_len[k] holds the chains of k nodes, follow[i] those that may be
-    listed after chains[i] in an ordered family.  Chain j may not follow
-    chain i exactly when a node of j lies weakly below and weakly left of
-    a node of i (which covers a shared node)."""
+    through[x] holds the chains through node x, follow[i] those that may
+    be listed after chains[i] in an ordered family.  Chain j may not
+    follow chain i exactly when a node of j lies weakly below and weakly
+    left of a node of i (which covers a shared node)."""
     chains = _chains_within(nodes, lengths)
     through: dict[Node, int] = defaultdict(int)
-    by_len: dict[int, int] = defaultdict(int)
     for j, chain in enumerate(chains):
-        by_len[len(chain)] |= 1 << j
         for node in chain:
             through[node] |= 1 << j
     blocked = {x: reduce(or_, (m for y, m in through.items()
                                if y[0] >= x[0] and y[1] <= x[1])) for x in through}
     everything = (1 << len(chains)) - 1
     follow = [everything & ~reduce(or_, map(blocked.get, c)) for c in chains]
-    return chains, follow, by_len
+    return chains, follow, through
 
 
 def family_with_lengths(
@@ -281,66 +279,66 @@ def classify_form(pi: KPath, s: int, t: int, u: int) -> FormClass:
 
 
 def _ordered_cores(
-    masks: tuple[list[tuple[Node, ...]], list[int], dict[int, int]],
+    masks: tuple[list[tuple[Node, ...]], list[int], dict[Node, int]],
+    t_nodes: list[Node],
     length_counts: dict[int, int],
 ) -> Iterator[tuple[int, ...]]:
-    """Ordered families with the prescribed multiset of lengths, as
-    positions in the chain table, in lexicographic order of their
-    flattened node sequences.
+    """Ordered cores of a plan's length counts, as positions in the
+    chain table, in lexicographic order of their flattened node sequences.
 
-    Runs on masks of _chain_masks (a chain of a length not needed never
-    becomes a candidate), trying each prefix's candidates (the AND of
-    follow over it) low bit first, which is sorted order.  A prefix with
-    fewer candidates of some length than it still needs extends to no
-    family, so cutting it loses and reorders nothing.
+    The t core paths cover 2t+u+1 nodes, all that the rows of sizes s, t,
+    u and 1 let them hold (t, t, u and 1), so each meets the t-row once
+    and, the family being ordered, the k-th holds t_nodes[k].  The depth-k
+    candidates are the chains through it that may follow the prefix (the
+    AND of follow over it) and have a length still needed, tried low bit
+    first, which is sorted order.  The counts sum to t, so a full prefix
+    has used every count.
     """
-    chains, follow, by_len = masks
+    chains, follow, through = masks
+    counts = dict(length_counts)
 
-    def extend(
-        prefix: tuple[int, ...], cand: int, counts: dict[int, int]
-    ) -> Iterator[tuple[int, ...]]:
-        live = 0
-        for k, need in counts.items():
-            if need:
-                pool = cand & by_len[k]
-                if pool.bit_count() < need:
-                    return
-                live |= pool
-        if not live:  # no length is still needed
+    def extend(prefix: tuple[int, ...], cand: int) -> Iterator[tuple[int, ...]]:
+        if len(prefix) == len(t_nodes):
             yield prefix
-        while live:
-            i = (live & -live).bit_length() - 1
-            live &= live - 1
-            counts[len(chains[i])] -= 1
-            yield from extend(prefix + (i,), cand & follow[i], counts)
-            counts[len(chains[i])] += 1
+            return
+        pool = cand & through[t_nodes[len(prefix)]]
+        while pool:
+            i = (pool & -pool).bit_length() - 1
+            pool &= pool - 1
+            k = len(chains[i])
+            if counts.get(k):
+                counts[k] -= 1
+                yield from extend(prefix + (i,), cand & follow[i])
+                counts[k] += 1
 
-    yield from extend((), (1 << len(chains)) - 1, dict(length_counts))
+    yield from extend((), (1 << len(chains)) - 1)
 
 
 def find_form_path(D: Diagram) -> tuple[KPath, FormClass]:
     """A full-support ordered family of one of the two forms.
 
     Searches for form A before form B, so whenever a form-A family
-    exists it is the one returned.  The search tabulates the chains once
-    for both plans, takes the first ordered t-constituent core with no
-    singletons in lexicographic order (a bitmask search cut by length
-    counts), and adds the nodes it misses as singletons.
+    exists it is the one returned.  The chains are tabulated once for
+    both plans; each plan fixes its core's length counts, so its first
+    ordered core in lexicographic order plus the s-t nodes it misses, as
+    singletons, has the plan's form profile.
 
-    Each plan fixes its core's length counts, so the core plus its s-t
-    leftover singletons has the plan's form profile, and row counting
-    fixes the rows each constituent crosses: every one meets the s-row
-    once, so the leftover nodes lie on it.  The family is listed by the
-    column where each constituent meets the s-row.  That order keeps the
-    core's, which is ordered.  A path meeting that row right of a
-    singleton comes after it and has no node on or below the row left
-    of the singleton's column; one meeting it left of a singleton comes
+    The t core paths cover 2t+u+1 nodes, and the rows of sizes s, t, u
+    and 1 hold at most t, t, u and 1 of them, as a path meets each row
+    at most once.  Every bound is tight, so each core path meets the
+    s-row and the t-row (with tied parts, any other row of size t) once,
+    and the leftover nodes lie on the s-row.  Ordered constituents
+    sharing a row are listed by their columns there: the k-th core chain
+    holds the k-th t-row node, and the family is listed by s-row column,
+    which keeps the core's order.  A path meeting that row right of a
+    singleton comes after it and has no node on or below the row left of
+    the singleton's column; one meeting it left of a singleton comes
     before it and has no node on or above the row right of that column.
-    So the family is ordered, and every core takes its leftover nodes.
-    Nothing the plan forces is re-checked; only the answer is validated
-    and tested for order.
+    So the family is ordered, and only the answer is validated and
+    tested for order.
     """
-    s, t, u = _stu_parts(D.row_composition())
+    sizes = D.row_composition()
+    s, t, u = _stu_parts(sizes)
     if not is_admissible(D):
         raise ValueError("only admissible diagrams carry form families")
     plans = [(FormClass.A, {2: t - u, 3: u - 1, 4: 1})]
@@ -348,9 +346,10 @@ def find_form_path(D: Diagram) -> tuple[KPath, FormClass]:
         plans.append((FormClass.B, {2: t - u - 1, 3: u + 1}))
     lengths = {k for _, counts in plans for k, need in counts.items() if need}
     masks = chains, _, _ = _chain_masks(D.nodes, frozenset(lengths))
-    row = D.row_composition().index(s) + 1
+    row, t_row, _ = sorted((1, 2, 3), key=lambda a: -sizes[a - 1])
+    t_nodes = [(t_row, b) for b in D.rows()[t_row - 1]]
     for form, counts in plans:
-        core = next(_ordered_cores(masks, counts), None)
+        core = next(_ordered_cores(masks, t_nodes, counts), None)
         if core is not None:
             family = [chains[i] for i in core]
             family += [(x,) for x in D.nodes.difference(*family)]

@@ -358,7 +358,10 @@ def order_equivalent(pi: KPath) -> KPath:
     for a, _ in support:
         row_counts[a] += 1
     all_lengths = frozenset(range(1, pi.diagram.row_count + 1))
-    chains, follow, by_len = _chain_masks(support, all_lengths)
+    chains, follow, _ = _chain_masks(support, all_lengths)
+    by_len: dict[int, int] = defaultdict(int)
+    for j, chain in enumerate(chains):
+        by_len[len(chain)] |= 1 << j
 
     def cover(cand: int, lengths: tuple[int, ...]) -> tuple | None:
         if not lengths:  # the lengths sum to the support size

@@ -114,12 +114,24 @@ def core_plans(D: Diagram) -> list[dict[int, int]]:
     return plans
 
 
-def cores(D: Diagram, counts: dict[int, int]):
+def t_rows(D: Diagram) -> list[int]:
+    """The rows of size t among D's first three other than the s-row
+    find_form_path takes (the first longest); each holds one node of
+    every core path, so any of them may pin the core search."""
+    sizes = D.row_composition()
+    s, t, _ = sorted(sizes[:3], reverse=True)
+    return [a for a in (1, 2, 3) if sizes[a - 1] == t and a != sizes.index(s) + 1]
+
+
+def cores(D: Diagram, counts: dict[int, int], t_row: int | None = None):
     """_ordered_cores on the masks of D's chains of the needed lengths,
+    pinned to the nodes of the t-row (by default the first of t_rows),
     each core as its chains."""
     wanted = frozenset(k for k, v in counts.items() if v)
     masks = _chain_masks(D.nodes, wanted)
-    for core in _ordered_cores(masks, counts):
+    row = t_rows(D)[0] if t_row is None else t_row
+    t_nodes = sorted(x for x in D.nodes if x[0] == row)
+    for core in _ordered_cores(masks, t_nodes, counts):
         yield tuple(masks[0][i] for i in core)
 
 
@@ -162,13 +174,14 @@ def check_against_oracles(D: Diagram, pi: KPath, form: FormClass) -> None:
 
 
 def small_form_hosts() -> list[Diagram]:
-    """Admissible minimal-column diagrams over the six orderings of
-    (3, 2, 1) with a fourth row of one, and every H, M and N member at
-    (s, t, u) = (5, 3, 2)."""
+    """Admissible minimal-column diagrams over every arrangement of
+    (3, 2, 1) and of five heads with tied parts, each with a fourth row
+    of one, and every H, M and N member at (s, t, u) = (5, 3, 2)."""
+    heads = ((3, 2, 1), (2, 2, 1), (2, 1, 1), (2, 2, 2), (3, 3, 1), (3, 1, 1))
     hosts = []
-    for head in itertools.permutations((3, 2, 1)):
+    for head in sorted({p for h in heads for p in itertools.permutations(h)}):
         lam = head + (1,)
-        for e in parabolic(composition_generators(lam), 7).reps:
+        for e in parabolic(composition_generators(lam), sum(lam)).reps:
             D = min_column_diagram(e, lam)
             if is_admissible(D):
                 hosts.append(D)
@@ -459,24 +472,35 @@ class TestOrderedCores:
 
     def test_chain_masks_match_pair_condition(self):
         for D in CORPUS + [DIAGRAM_4631, FAMILY_M_385]:
-            chains, follow, by_len = _chain_masks(
+            chains, follow, through = _chain_masks(
                 D.nodes, frozenset(range(1, 5))
             )
             assert chains == sorted(chains)
+            for x in D.nodes:
+                for j, c in enumerate(chains):
+                    assert bool(through[x] >> j & 1) is (x in c), (D, x, c)
             for i, c in enumerate(chains):
-                assert by_len[len(c)] >> i & 1
                 for j, c2 in enumerate(chains):
                     ok = not set(c) & set(c2) and _precedes_ok(c, c2)
                     assert bool(follow[i] >> j & 1) is ok, (D, c, c2)
 
     def test_full_sequence_matches_backtracking(self):
+        # the tied heads make every row of size t other than the s-row a
+        # valid pin, and each must give the oracle's full sequence
         hosts = small_form_hosts()
-        assert len(hosts) > 100
+        tied_hosts = tied_cores = 0
         for D in hosts:
+            tied = len(set(D.row_composition()[:3])) < 3
+            tied_hosts += tied
             for counts in core_plans(D):
-                assert list(cores(D, counts)) == list(
+                want = list(
                     oracles.ordered_cores_by_backtracking(D.nodes, counts)
-                ), (D, counts)
+                )
+                for t_row in t_rows(D):
+                    assert list(cores(D, counts, t_row)) == want, (D, counts, t_row)
+                tied_cores += tied * len(want)
+        assert len(hosts) - tied_hosts > 100
+        assert (tied_hosts, tied_cores) == (251, 706)
 
     def test_first_core_matches_backtracking_on_form_b_fixtures(self):
         # The form-A plan has no core here, so both searches must exhaust
