@@ -38,7 +38,7 @@ from .families import (
     rim_diagrams,
     verify_rim_family,
 )
-from .paths import family_with_lengths, find_form_path, is_admissible
+from .paths import FormClass, family_with_lengths, find_form_path, is_admissible
 from .permutations import (
     GuardExceeded,
     Permutation,
@@ -178,15 +178,14 @@ def _build_family(args: argparse.Namespace) -> Diagram:
 
 
 def _annotations(D: Diagram) -> dict:
-    admissible = is_admissible(D)
     rows = D.row_composition()
     profile = conjugate(rows)
     out = {
         "row_composition": list(rows),
-        "admissible": admissible,
+        "admissible": False,
         "special": is_special(D),
         "conjugate_type": list(profile),
-        "conjugate_type_path": family_with_lengths(D, profile) is not None,
+        "conjugate_type_path": False,
         "determining_tuple": None,
         "form": None,
         "path": None,
@@ -197,10 +196,23 @@ def _annotations(D: Diagram) -> dict:
             out["determining_tuple"] = list(determining_tuple(D, shape).entries)
         except ValueError:
             pass
-        if admissible:
+        try:
             pi, form = find_form_path(D)
+        except ValueError:  # refused: the diagram is not admissible
+            pass
+        else:
+            out["admissible"] = True
             out["form"] = form.value
             out["path"] = [[[a, b] for a, b in chain] for chain in pi.constituents]
+            # the form-A profile is the conjugate type
+            out["conjugate_type_path"] = form is FormClass.A
+    else:
+        out["admissible"] = is_admissible(D)
+    # A k-path meets each row at most once, so a family of the conjugate
+    # type reaches every bound on the subsequence type: only admissible
+    # diagrams have one.
+    if out["admissible"] and not out["conjugate_type_path"]:
+        out["conjugate_type_path"] = family_with_lengths(D, profile) is not None
     return out
 
 

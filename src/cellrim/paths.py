@@ -18,8 +18,7 @@ import enum
 from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
+from itertools import accumulate
 from typing import Iterator
 
 from .diagrams import Diagram, Node
@@ -177,26 +176,6 @@ def _chains_within(
     return found
 
 
-def _chain_masks(
-    nodes: Iterable[Node], lengths: frozenset[int]
-) -> tuple[list[tuple[Node, ...]], list[int], dict[Node, int]]:
-    """The chains of _chains_within and bitmasks over their positions:
-    through[x] holds the chains through node x, follow[i] those that may
-    be listed after chains[i] in an ordered family.  Chain j may not
-    follow chain i exactly when a node of j lies weakly below and weakly
-    left of a node of i (which covers a shared node)."""
-    chains = _chains_within(nodes, lengths)
-    through: dict[Node, int] = defaultdict(int)
-    for j, chain in enumerate(chains):
-        for node in chain:
-            through[node] |= 1 << j
-    blocked = {x: reduce(or_, (m for y, m in through.items()
-                               if y[0] >= x[0] and y[1] <= x[1])) for x in through}
-    everything = (1 << len(chains)) - 1
-    follow = [everything & ~reduce(or_, map(blocked.get, c)) for c in chains]
-    return chains, follow, through
-
-
 def family_with_lengths(
     D: Diagram, lengths: tuple[int, ...]
 ) -> KPath | None:
@@ -279,46 +258,59 @@ def classify_form(pi: KPath, s: int, t: int, u: int) -> FormClass:
 
 
 def _ordered_cores(
-    masks: tuple[list[tuple[Node, ...]], list[int], dict[Node, int]],
-    t_nodes: list[Node],
-    length_counts: dict[int, int],
-) -> Iterator[tuple[int, ...]]:
-    """Ordered cores of a plan's length counts, as positions in the
-    chain table, in lexicographic order of their flattened node sequences.
+    candidates: list[list[tuple[Node, ...]]], need: dict[int, int]
+) -> Iterator[tuple[tuple[Node, ...], ...]]:
+    """Ordered cores with need[k] chains of each length k, the k-th
+    drawn from candidates[k], in lexicographic order of their flattened
+    node sequences when each list is sorted.
 
-    The t core paths cover 2t+u+1 nodes, all that the rows of sizes s, t,
-    u and 1 let them hold (t, t, u and 1), so each meets the t-row once
-    and, the family being ordered, the k-th holds t_nodes[k].  The depth-k
-    candidates are the chains through it that may follow the prefix (the
-    AND of follow over it) and have a length still needed, tried low bit
-    first, which is sorted order.  The counts sum to t, so a full prefix
-    has used every count.
+    A chain may follow a prefix exactly when each of its nodes lies
+    strictly right of every prefix node on a row weakly above (which
+    rules out a shared node), so what a prefix admits next depends only
+    on the running maximum, down the rows, of its rightmost column on
+    each row and on the lengths still needed.  A state that once yielded
+    nothing is recorded and never expanded again; this cuts no core.
     """
-    chains, follow, through = masks
-    counts = dict(length_counts)
+    need = dict(need)
+    dead: set[tuple] = set()
 
-    def extend(prefix: tuple[int, ...], cand: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == len(t_nodes):
+    def extend(
+        prefix: tuple[tuple[Node, ...], ...], right: tuple[int, ...]
+    ) -> Iterator[tuple[tuple[Node, ...], ...]]:
+        if len(prefix) == len(candidates):
             yield prefix
             return
-        pool = cand & through[t_nodes[len(prefix)]]
-        while pool:
-            i = (pool & -pool).bit_length() - 1
-            pool &= pool - 1
-            k = len(chains[i])
-            if counts.get(k):
-                counts[k] -= 1
-                yield from extend(prefix + (i,), cand & follow[i])
-                counts[k] += 1
+        reach = tuple(accumulate(right, max))
+        state = (reach, tuple(need.values()))
+        if state in dead:
+            return
+        found = False
+        for chain in candidates[len(prefix)]:
+            k = len(chain)
+            if not need.get(k):
+                continue
+            after = list(right)
+            for a, b in chain:
+                if b <= reach[a - 1]:
+                    break
+                after[a - 1] = b
+            else:
+                need[k] -= 1
+                for core in extend(prefix + (chain,), tuple(after)):
+                    found = True
+                    yield core
+                need[k] += 1
+        if not found:
+            dead.add(state)
 
-    yield from extend((), (1 << len(chains)) - 1)
+    yield from extend((), (0, 0, 0, 0))
 
 
 def find_form_path(D: Diagram) -> tuple[KPath, FormClass]:
     """A full-support ordered family of one of the two forms.
 
     Searches for form A before form B, so whenever a form-A family
-    exists it is the one returned.  The chains are tabulated once for
+    exists it is the one returned.  The chains are enumerated once for
     both plans; each plan fixes its core's length counts, so its first
     ordered core in lexicographic order plus the s-t nodes it misses, as
     singletons, has the plan's form profile.
@@ -327,15 +319,16 @@ def find_form_path(D: Diagram) -> tuple[KPath, FormClass]:
     and 1 hold at most t, t, u and 1 of them, as a path meets each row
     at most once.  Every bound is tight, so each core path meets the
     s-row and the t-row (with tied parts, any other row of size t) once,
-    and the leftover nodes lie on the s-row.  Ordered constituents
-    sharing a row are listed by their columns there: the k-th core chain
-    holds the k-th t-row node, and the family is listed by s-row column,
-    which keeps the core's order.  A path meeting that row right of a
-    singleton comes after it and has no node on or below the row left of
-    the singleton's column; one meeting it left of a singleton comes
-    before it and has no node on or above the row right of that column.
-    So the family is ordered, and only the answer is validated and
-    tested for order.
+    and the leftover nodes lie on the s-row.  So only the chains meeting
+    both rows are candidates.  Ordered constituents sharing a row are
+    listed by their columns there: the k-th core chain holds the k-th
+    t-row node, and the family is listed by s-row column, which keeps
+    the core's order.  A path meeting that row right of a singleton
+    comes after it and has no node on or below the row left of the
+    singleton's column; one meeting it left of a singleton comes before
+    it and has no node on or above the row right of that column.  So the
+    family is ordered, and only the answer is validated and tested for
+    order.
     """
     sizes = D.row_composition()
     s, t, u = _stu_parts(sizes)
@@ -344,15 +337,17 @@ def find_form_path(D: Diagram) -> tuple[KPath, FormClass]:
     plans = [(FormClass.A, {2: t - u, 3: u - 1, 4: 1})]
     if t > u:
         plans.append((FormClass.B, {2: t - u - 1, 3: u + 1}))
-    lengths = {k for _, counts in plans for k, need in counts.items() if need}
-    masks = chains, _, _ = _chain_masks(D.nodes, frozenset(lengths))
     row, t_row, _ = sorted((1, 2, 3), key=lambda a: -sizes[a - 1])
-    t_nodes = [(t_row, b) for b in D.rows()[t_row - 1]]
-    for form, counts in plans:
-        core = next(_ordered_cores(masks, t_nodes, counts), None)
+    slot = {b: k for k, b in enumerate(D.rows()[t_row - 1])}
+    candidates: list[list[tuple[Node, ...]]] = [[] for _ in slot]
+    for chain in _chains_within(D.nodes, frozenset({2, 3, 4})):
+        columns = dict(chain)
+        if row in columns and t_row in columns:
+            candidates[slot[columns[t_row]]].append(chain)
+    for form, need in plans:
+        core = next(_ordered_cores(candidates, need), None)
         if core is not None:
-            family = [chains[i] for i in core]
-            family += [(x,) for x in D.nodes.difference(*family)]
+            family = list(core) + [(x,) for x in D.nodes.difference(*core)]
             family.sort(key=lambda c: dict(c)[row])
             pi = KPath(D, family)
             if not is_ordered(pi):

@@ -12,11 +12,13 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import defaultdict
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator
 
-from cellrim.diagrams import Diagram, w_of_diagram
+from cellrim.diagrams import Diagram, Node, w_of_diagram
 from cellrim.families import COLUMN_ROWS, DeterminingTuple, StuShape, determining_tuple
-from cellrim.paths import FormClass, KPath, _chain_masks
+from cellrim.paths import FormClass, KPath, _chains_within
 from cellrim.permutations import (
     Permutation,
     VerificationError,
@@ -331,6 +333,26 @@ def row_distribution_holds(pi: KPath, form: FormClass) -> bool:
             for c in on_fourth
         )
     )
+
+
+def _chain_masks(
+    nodes: Iterable[Node], lengths: frozenset[int]
+) -> tuple[list[tuple[Node, ...]], list[int], dict[Node, int]]:
+    """The chains of _chains_within and bitmasks over their positions:
+    through[x] holds the chains through node x, follow[i] those that may
+    be listed after chains[i] in an ordered family.  Chain j may not
+    follow chain i exactly when a node of j lies weakly below and weakly
+    left of a node of i (which covers a shared node)."""
+    chains = _chains_within(nodes, lengths)
+    through: dict[Node, int] = defaultdict(int)
+    for j, chain in enumerate(chains):
+        for node in chain:
+            through[node] |= 1 << j
+    blocked = {x: reduce(or_, (m for y, m in through.items()
+                               if y[0] >= x[0] and y[1] <= x[1])) for x in through}
+    everything = (1 << len(chains)) - 1
+    follow = [everything & ~reduce(or_, map(blocked.get, c)) for c in chains]
+    return chains, follow, through
 
 
 def _length_sequences(total: int, slots: int, cap: int) -> Iterator[tuple[int, ...]]:

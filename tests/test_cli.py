@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections import Counter
 
 import pytest
 
-from cellrim import cli
+from cellrim import cli, families, paths
 from cellrim.cli import main
 from cellrim.diagrams import Diagram, w_of_diagram
 from cellrim.families import z_ideal
+from cellrim.paths import family_with_lengths, is_admissible
 from cellrim.permutations import prefix_maximal
-from cellrim.tableaux import compositions_of
+from cellrim.tableaux import compositions_of, conjugate
 from claims import from_word
 from fixtures import FAMILY_H_538, FAMILY_M_385, FAMILY_M_385_TUPLE
 
@@ -168,6 +171,45 @@ class TestDiagram:
         assert code == 3
         assert out == ""
         assert "verification failed" in err
+
+    def test_conjugate_type_family_matches_search(self):
+        # A family of the conjugate type forces admissibility, and a
+        # form-A family is one, so only form-B answers are searched for
+        # it; every choice of (x,y,z,1) rows over the columns 1..4, gaps
+        # allowed, must agree with the search
+        subsets = [
+            c for k in range(1, 5) for c in itertools.combinations(range(1, 5), k)
+        ]
+        forms = Counter()
+        for r1, r2, r3 in itertools.product(subsets, repeat=3):
+            for b in range(1, 5):
+                D = Diagram.from_rows([r1, r2, r3, (b,)])
+                notes = cli._annotations(D)
+                profile = conjugate(D.row_composition())
+                want = family_with_lengths(D, profile) is not None
+                assert notes["conjugate_type_path"] is want, D
+                assert notes["admissible"] is is_admissible(D), D
+                forms[notes["form"]] += 1
+        assert forms == {None: 9021, "A": 4461, "B": 18}
+
+    @pytest.mark.parametrize("argv", [
+        ("M", "--stu", "8,5,3", "--order", "u,s,t", "--params", "1,3,1,0,3",
+         "--C", "7,8"),
+        ("young", "--partition", "3,2,1,1"),
+        ("young", "--partition", "2,2"),
+        ("check", "--nodes", "1,2;2,1;3,1;4,1"),
+    ])
+    def test_one_admissibility_test_per_call(self, capsys, monkeypatch, argv):
+        calls = []
+
+        def counted(D):
+            calls.append(D)
+            return is_admissible(D)
+
+        for module in (cli, families, paths):
+            monkeypatch.setattr(module, "is_admissible", counted)
+        run_json(capsys, "diagram", *argv)
+        assert len(calls) == 1
 
     def test_form_path_at_10_7_4(self, capsys):
         # The M member at (10,7,4) on which an exhaustive walk of the

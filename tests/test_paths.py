@@ -23,7 +23,6 @@ from cellrim.families import StuShape, family_diagram, family_parameter_sets
 from cellrim.paths import (
     FormClass,
     KPath,
-    _chain_masks,
     _chains_within,
     _ordered_cores,
     _precedes_ok,
@@ -41,6 +40,7 @@ from cellrim.permutations import (
 )
 from cellrim.tableaux import conjugate
 from claims import (
+    _chain_masks,
     core_counts_hold,
     dominates,
     filling,
@@ -124,15 +124,18 @@ def t_rows(D: Diagram) -> list[int]:
 
 
 def cores(D: Diagram, counts: dict[int, int], t_row: int | None = None):
-    """_ordered_cores on the masks of D's chains of the needed lengths,
-    pinned to the nodes of the t-row (by default the first of t_rows),
-    each core as its chains."""
-    wanted = frozenset(k for k, v in counts.items() if v)
-    masks = _chain_masks(D.nodes, wanted)
+    """_ordered_cores on D's chains of two to four nodes that meet the
+    s-row (the first longest), filed under the node they hold on the
+    t-row (by default the first of t_rows), as find_form_path files them."""
+    sizes = D.row_composition()
+    s_row = sizes.index(max(sizes)) + 1
     row = t_rows(D)[0] if t_row is None else t_row
-    t_nodes = sorted(x for x in D.nodes if x[0] == row)
-    for core in _ordered_cores(masks, t_nodes, counts):
-        yield tuple(masks[0][i] for i in core)
+    chains = _chains_within(D.nodes, frozenset({2, 3, 4}))
+    candidates = [
+        [c for c in chains if x in c and s_row in dict(c)]
+        for x in sorted(x for x in D.nodes if x[0] == row)
+    ]
+    yield from _ordered_cores(candidates, counts)
 
 
 def by_s_row(D: Diagram, chains) -> tuple:
@@ -665,15 +668,15 @@ class TestFindFormPath:
 
     def test_chains_are_enumerated_once_per_call(self, monkeypatch):
         # FAMILY_M_385 exhausts plan A before plan B finds its family; no
-        # one-node chains are tabulated, as the leftover nodes are placed
+        # one-node chains are enumerated, as the leftover nodes are placed
         # by their s-row column
         calls = []
 
         def counted(nodes, lengths):
             calls.append(lengths)
-            return _chain_masks(nodes, lengths)
+            return _chains_within(nodes, lengths)
 
-        monkeypatch.setattr(paths, "_chain_masks", counted)
+        monkeypatch.setattr(paths, "_chains_within", counted)
         for D, form in (
             (DIAGRAM_4631, FormClass.A),
             (FAMILY_M_385, FormClass.B),
@@ -688,9 +691,8 @@ class TestFindFormPath:
         # listing of it is ordered
         D = Diagram.from_rows([(1, 2), (1,), (2, 3), (3,)])
         crossing = (((1, 1), (2, 1), (3, 3), (4, 3)), ((1, 2), (3, 2)))
-        chains = _chain_masks(D.nodes, frozenset({2, 3, 4}))[0]
-        core = tuple(map(chains.index, crossing))
-        monkeypatch.setattr(paths, "_ordered_cores", lambda *_: iter([core]))
+        assert set(crossing) <= set(_chains_within(D.nodes, frozenset({2, 3, 4})))
+        monkeypatch.setattr(paths, "_ordered_cores", lambda *_: iter([crossing]))
         with pytest.raises(VerificationError, match="not ordered"):
             find_form_path(D)
 
