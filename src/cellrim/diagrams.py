@@ -22,16 +22,33 @@ from .permutations import Permutation
 Node = tuple[int, int]
 
 
+def _normal_rows(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    """The normal form of rows given from outside: each row coerced to
+    ``int``, sorted and deduplicated, empty rows dropped, and the columns
+    re-ranked only when the used ones are not ``1..c``."""
+    normal = [tuple(sorted(set(map(int, row)))) for row in rows]
+    normal = [row for row in normal if row]
+    if not normal:
+        raise ValueError("a diagram needs at least one node")
+    used = set().union(*normal)
+    if min(used) != 1 or max(used) != len(used):
+        rank = {b: k for k, b in enumerate(sorted(used), 1)}
+        normal = [tuple([rank[b] for b in row]) for row in normal]
+    return tuple(normal)
+
+
 class Diagram:
     """A principal diagram: a normalized, non-empty set of (row, col) nodes.
 
-    It is stored once, as its normalized rows: ``rows()[a - 1]`` holds the
-    increasing columns of row ``a``.  Construction works row by row: each
-    row is coerced to ``int``, sorted and deduplicated, empty rows are
-    dropped, and the columns are re-ranked only when the used ones are
-    not ``1..c``.  ``Diagram(nodes)`` first buckets its nodes by row;
-    ``from_rows`` hands its rows over as they are.  Every other view is
-    read off the rows.
+    It is stored once, as its normal rows: ``rows()[a - 1]`` holds the
+    increasing columns of row ``a``, and the columns used are exactly
+    ``1..c``.  Rows are normalized only where outside input enters:
+    ``Diagram(nodes)``, which first buckets its nodes by row, and
+    ``from_rows`` pass them through ``_normal_rows``.  ``Diagram(rows=...)``
+    stores its rows unchanged, for the builders that make normal rows by
+    construction: it takes a tuple of non-empty tuples of strictly
+    increasing ``int`` columns whose union is exactly ``1..c``, and checks
+    nothing.  Every other view is read off the rows.
 
     >>> Diagram({(2, 5), (2, 7), (4, 5)}).sorted_nodes
     ((1, 1), (1, 2), (2, 1))
@@ -43,31 +60,29 @@ class Diagram:
         self,
         nodes: Iterable[Iterable[int]] = (),
         *,
-        rows: Iterable[Iterable[int]] | None = None,
+        rows: tuple[tuple[int, ...], ...] | None = None,
     ) -> None:
         if rows is None:
             by_row: dict[int, list[int]] = defaultdict(list)
             for a, b in nodes:
                 by_row[int(a)].append(b)
-            rows = [by_row[a] for a in sorted(by_row)]
-        normal = [tuple(sorted(set(map(int, row)))) for row in rows]
-        normal = [row for row in normal if row]
-        if not normal:
-            raise ValueError("a diagram needs at least one node")
-        used = set().union(*normal)
-        if min(used) != 1 or max(used) != len(used):
-            rank = {b: k for k, b in enumerate(sorted(used), 1)}
-            normal = [tuple([rank[b] for b in row]) for row in normal]
-        object.__setattr__(self, "_rows", tuple(normal))
+            rows = _normal_rows(by_row[a] for a in sorted(by_row))
+        object.__setattr__(self, "_rows", rows)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> Diagram:
         """Build from per-row column index sets, top row first.
 
+        The rows are normalized: any iterables of integers will do, in
+        any order and with repeats, and empty rows and unused columns are
+        dropped.
+
         >>> Diagram.from_rows([(1, 2), (2,)]).sorted_nodes
         ((1, 1), (1, 2), (2, 2))
+        >>> Diagram.from_rows([[7, 3, 7], [], [5]]).rows()
+        ((1, 3), (2,))
         """
-        return cls(rows=rows)
+        return cls(rows=_normal_rows(rows))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("a Diagram is immutable")
@@ -159,7 +174,7 @@ def young_diagram(parts: tuple[int, ...]) -> Diagram:
     """
     if not parts or min(parts) < 1:
         raise ValueError(f"parts must be positive: {parts!r}")
-    return Diagram.from_rows([range(1, p + 1) for p in parts])
+    return Diagram(rows=tuple(tuple(range(1, p + 1)) for p in parts))
 
 
 def w_of_diagram(D: Diagram) -> Permutation:
@@ -209,6 +224,8 @@ def min_column_diagram(d: Permutation, parts: tuple[int, ...]) -> Diagram:
     >>> min_column_diagram(identity(4), (2, 2)).sorted_nodes
     ((1, 1), (1, 2), (2, 2), (2, 3))
     """
+    if not parts or min(parts) < 1:
+        raise ValueError(f"composition parts must be positive, got {parts}")
     n = sum(parts)
     if d.degree != n:
         raise ValueError(f"degree {d.degree} does not match composition total {n}")
@@ -231,7 +248,7 @@ def min_column_diagram(d: Permutation, parts: tuple[int, ...]) -> Diagram:
             column += 1
         rows[row - 1].append(column)
         previous_row = row
-    return Diagram.from_rows(rows)
+    return Diagram(rows=tuple(map(tuple, rows)))
 
 
 def rotate_180(D: Diagram) -> Diagram:
@@ -241,8 +258,10 @@ def rotate_180(D: Diagram) -> Diagram:
     ((1, 2), (2, 1), (2, 2))
     """
     c = D.column_count
-    return Diagram.from_rows(
-        [c + 1 - b for b in reversed(row)] for row in reversed(D.rows())
+    return Diagram(
+        rows=tuple(
+            tuple([c + 1 - b for b in reversed(row)]) for row in reversed(D.rows())
+        )
     )
 
 
@@ -278,7 +297,7 @@ def psi_append(D: Diagram) -> Diagram:
             if a == wanted:
                 wanted += 1
         if wanted > r:
-            candidate = Diagram.from_rows(D.rows() + ((p,),))
+            candidate = Diagram(rows=D.rows() + ((p,),))
             if is_admissible(candidate):
                 return candidate
             break

@@ -27,6 +27,7 @@ recording their column profiles, and built from the blocks' row ranges.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -195,7 +196,10 @@ class FamilyParams:
     counts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "columns", frozenset(self.columns))
+        # the builders store columns and v in the rows as they are: ints only
+        object.__setattr__(self, "columns", frozenset(map(operator.index, self.columns)))
+        if self.v is not None:
+            object.__setattr__(self, "v", operator.index(self.v))
         object.__setattr__(self, "counts", tuple(self.counts))
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown family variant {self.variant!r}")
@@ -206,8 +210,8 @@ def _family_f(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
     if not C or not C.issubset(range(1, t + 1)) or len(C) != u:
         raise ValueError(f"need a {u}-subset of the first {t} columns, got {sorted(C)}")
     v = min(C)
-    return Diagram.from_rows(
-        [range(1, s + 1), sorted(C), range(1, t + 1), (v,)]
+    return Diagram(
+        rows=(tuple(range(1, s + 1)), tuple(sorted(C)), tuple(range(1, t + 1)), (v,))
     )
 
 
@@ -217,13 +221,9 @@ def _family_g(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
     if not C or not C.issubset(range(1, top + 1)) or len(C) != u:
         raise ValueError(f"need a {u}-subset of the first {top} columns, got {sorted(C)}")
     v = min(C)
-    return Diagram.from_rows(
-        [
-            sorted(C) + list(range(top + 1, s + 1)),
-            range(1, s + 1),
-            sorted(C),
-            (v,),
-        ]
+    low = tuple(sorted(C))
+    return Diagram(
+        rows=(low + tuple(range(top + 1, s + 1)), tuple(range(1, s + 1)), low, (v,))
     )
 
 
@@ -244,13 +244,13 @@ def _family_h(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
     elif v > s:
         raise ValueError(f"v = {v} exceeds the column count {s}")
     v_top = v if v < s - t + 1 else s - t + 1
-    return Diagram.from_rows(
-        [
-            [v_top] + list(range(s - t + 2, s + 1)),
-            sorted({v} | companions),
-            range(1, s + 1),
+    return Diagram(
+        rows=(
+            (v_top, *range(s - t + 2, s + 1)),
+            tuple(sorted({v} | companions)),
+            tuple(range(1, s + 1)),
             (v,),
-        ]
+        )
     )
 
 
@@ -258,7 +258,6 @@ def _family_m(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
     if len(params.counts) != 5:
         raise ValueError("five block sizes (eps, eta, theta, zeta, psi) required")
     eps, eta, theta, zeta, psi = params.counts
-    triples = params.columns
     if min(params.counts) < 0:
         raise ValueError(f"negative block size in {params.counts}")
     if s != eps + eta + 1 + zeta + psi:
@@ -270,15 +269,17 @@ def _family_m(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
     if eta < theta:
         raise ValueError(f"need eta >= theta, got {eta} < {theta}")
     m = s + theta
-    if len(triples) != u - 1 or not triples.issubset(range(m - psi + 1, m + 1)):
+    # sorted, as a frozenset need not iterate in order
+    triples = tuple(sorted(params.columns))
+    if len(triples) != u - 1 or not params.columns.issubset(range(m - psi + 1, m + 1)):
         raise ValueError(
-            f"need a {u - 1}-subset of the last {psi} columns, got {sorted(triples)}"
+            f"need a {u - 1}-subset of the last {psi} columns, got {list(triples)}"
         )
     # the profile 2^eps 1^eta 4 1b^theta 2^zeta 1^psi, triples raised to 3
     full = eps + eta + 1
-    second = [*range(1, full + 1), *range(full + theta + 1, m + 1)]
-    third = [*range(1, eps + 1), *range(full, full + theta + zeta + 1), *triples]
-    return Diagram.from_rows([[full, *triples], second, third, (full,)])
+    second = (*range(1, full + 1), *range(full + theta + 1, m + 1))
+    third = (*range(1, eps + 1), *range(full, full + theta + zeta + 1), *triples)
+    return Diagram(rows=((full, *triples), second, third, (full,)))
 
 
 def _family_n(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
@@ -296,9 +297,9 @@ def _family_n(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
     # the profile 1b^eta 2^eps 1^theta 4 1b^phi 2^zeta 3^(u - 1)
     full = eta + eps + theta + 1
     m = full + phi + zeta + u - 1
-    second = [*range(eta + 1, full + 1), *range(full + phi + 1, m + 1)]
-    third = [*range(1, eta + eps + 1), *range(full, m + 1)]
-    return Diagram.from_rows([[full, *range(m - u + 2, m + 1)], second, third, (full,)])
+    second = (*range(eta + 1, full + 1), *range(full + phi + 1, m + 1))
+    third = (*range(1, eta + eps + 1), *range(full, m + 1))
+    return Diagram(rows=((full, *range(m - u + 2, m + 1)), second, third, (full,)))
 
 
 def _f_params(s: int, t: int, u: int) -> tuple[FamilyParams, ...]:
@@ -482,6 +483,8 @@ def _ideal_members(
     minimal-column diagram.  A disagreement raises VerificationError
     naming the composition and the candidate.
     """
+    if not lam or min(lam) < 1:
+        raise ValueError(f"composition parts must be positive, got {lam}")
     n = sum(lam)
     check_enumeration_guard(n, limit)
     longest = parabolic(composition_generators(lam), n).longest

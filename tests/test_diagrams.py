@@ -377,6 +377,11 @@ class TestMinColumnDiagram:
         with pytest.raises(ValueError):
             min_column_diagram(identity(3), (2, 2))
 
+    @pytest.mark.parametrize("parts", [(), (2, 0, 1), (3, 0), (4, -1)])
+    def test_rejects_parts_below_one(self, parts):
+        with pytest.raises(ValueError, match="composition parts must be positive"):
+            min_column_diagram(identity(3), parts)
+
 
 class TestSpecial:
     def test_young_diagrams_are_special(self):

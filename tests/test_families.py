@@ -64,6 +64,7 @@ from fixtures import (
     FAMILY_M_385_TUPLE,
     FAMILY_N_358,
     FAMILY_N_358_TUPLE,
+    box_diagrams,
 )
 
 HEADS = sorted(set(itertools.permutations((3, 2, 1))))
@@ -213,6 +214,16 @@ class TestFamilyConstructors:
                 assert oracles.family_n_by_profile(u, p.counts) == rows
                 checked += 1
         assert checked == 7692
+
+    def test_parameters_are_stored_as_ints(self):
+        for bad in ({"columns": {1.0, 2, 3}}, {"v": 3.0}):
+            with pytest.raises(TypeError):
+                FamilyParams("F", **bad)
+        shape = StuShape(3, 2, 2, (2, 2, 3))
+        D = family_diagram(FamilyParams("H", columns={3}, v=True), shape)
+        E = family_diagram(FamilyParams("H", columns={3}, v=1), shape)
+        assert D.rows() == E.rows()
+        assert_normal_rows(D)
 
     def test_variant_must_match_arrangement(self):
         shape = StuShape(8, 5, 3, (8, 3, 5))
@@ -445,6 +456,12 @@ class TestZIdeal:
         assert str(lam) in str(caught.value)
         assert "f^mu = 16" in str(caught.value)
 
+    @pytest.mark.parametrize("lam", [(), (2, 0, 1), (2, -1, 2)])
+    def test_parts_below_one_are_refused(self, lam):
+        for build in (z_ideal, rim, rim_diagrams):
+            with pytest.raises(ValueError, match="composition parts must be positive"):
+                build(lam)
+
     def test_rim_of_partition_is_singleton(self):
         for lam in [(2, 1), (3, 1), (2, 2), (3, 2, 1), (2, 1, 1)]:
             assert len(rim(lam)) == 1
@@ -654,6 +671,44 @@ class TestRimDiagrams:
                 pi, form = find_form_path(D)
                 assert form in (FormClass.A, FormClass.B)
                 assert pi.support == D.nodes
+
+
+def assert_normal_rows(D: Diagram) -> None:
+    """D stores the rows that normalizing them again would give, all ints."""
+    rows = D.rows()
+    assert rows == Diagram.from_rows(rows).rows(), rows
+    assert all(type(b) is int for row in rows for b in row), rows
+
+
+class TestStoredRowsAreNormal:
+    """The builders that store their rows without normalizing them."""
+
+    def test_family_members(self):
+        members = 0
+        for s, t, u in itertools.combinations_with_replacement(range(9, 0, -1), 3):
+            for order in set(itertools.permutations((s, t, u))):
+                shape = StuShape(s, t, u, order)
+                for p in family_parameter_sets(shape):
+                    assert_normal_rows(family_diagram(p, shape))
+                    members += 1
+        assert members == 11836
+
+    def test_young_diagrams(self):
+        for n in range(1, 9):
+            for parts in compositions_of(n):
+                assert_normal_rows(young_diagram(parts))
+
+    def test_rotation_and_row_append(self):
+        for D in box_diagrams(3, 4) + box_diagrams(4, 3):
+            assert_normal_rows(rotate_180(D))
+            if is_admissible(D):
+                assert_normal_rows(psi_append(D))
+
+    def test_min_column_diagrams(self):
+        for n in range(1, 7):
+            for parts in compositions_of(n):
+                for d in parabolic(composition_generators(parts), n).reps:
+                    assert_normal_rows(min_column_diagram(d, parts))
 
 
 class TestVerifyRimFamily:
