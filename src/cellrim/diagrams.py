@@ -200,6 +200,10 @@ def is_special(D: Diagram) -> bool:
     which are fewer than the columns on the closed families (four rows
     against up to dozens of columns).
 
+    ``families.rim_diagrams`` reads the special subset of a four-row
+    family rim off the family parameters and decides every other diagram
+    here; the tests check that rule against this one.
+
     >>> is_special(Diagram({(1, 1), (2, 1), (2, 2)}))
     True
     >>> is_special(Diagram({(1, 2), (2, 1)}))

@@ -179,7 +179,7 @@ def determining_tuple(D: Diagram, shape: StuShape) -> DeterminingTuple:
     return DeterminingTuple(tuple(entries))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FamilyParams:
     """Parameters selecting one member of a closed diagram family.
 
@@ -195,59 +195,62 @@ class FamilyParams:
     v: int | None = None
     counts: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        # the builders store columns and v in the rows as they are: ints only
-        object.__setattr__(self, "columns", frozenset(map(operator.index, self.columns)))
-        if self.v is not None:
-            object.__setattr__(self, "v", operator.index(self.v))
-        object.__setattr__(self, "counts", tuple(self.counts))
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"unknown family variant {self.variant!r}")
+    def __init__(
+        self,
+        variant: str,
+        columns: Iterable[int] = frozenset(),
+        v: int | None = None,
+        counts: Iterable[int] = (),
+    ) -> None:
+        # each field is set once; the builders store columns and v in the
+        # rows as they are, so both must be ints
+        if variant not in _VARIANTS:
+            raise ValueError(f"unknown family variant {variant!r}")
+        put = object.__setattr__
+        put(self, "variant", variant)
+        put(self, "columns", frozenset(map(operator.index, columns)) if columns else frozenset())
+        put(self, "v", v if v is None else operator.index(v))
+        put(self, "counts", tuple(counts))
 
 
 def _family_f(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
-    C = params.columns
-    if not C or not C.issubset(range(1, t + 1)) or len(C) != u:
-        raise ValueError(f"need a {u}-subset of the first {t} columns, got {sorted(C)}")
-    v = min(C)
-    return Diagram(
-        rows=(tuple(range(1, s + 1)), tuple(sorted(C)), tuple(range(1, t + 1)), (v,))
-    )
+    C = tuple(sorted(params.columns))
+    if not C or C[0] < 1 or C[-1] > t or len(C) != u:
+        raise ValueError(f"need a {u}-subset of the first {t} columns, got {list(C)}")
+    return Diagram(rows=(tuple(range(1, s + 1)), C, tuple(range(1, t + 1)), (C[0],)))
 
 
 def _family_g(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
-    C = params.columns
+    low = tuple(sorted(params.columns))
     top = s - t + u
-    if not C or not C.issubset(range(1, top + 1)) or len(C) != u:
-        raise ValueError(f"need a {u}-subset of the first {top} columns, got {sorted(C)}")
-    v = min(C)
-    low = tuple(sorted(C))
+    if not low or low[0] < 1 or low[-1] > top or len(low) != u:
+        raise ValueError(f"need a {u}-subset of the first {top} columns, got {list(low)}")
     return Diagram(
-        rows=(low + tuple(range(top + 1, s + 1)), tuple(range(1, s + 1)), low, (v,))
+        rows=(low + tuple(range(top + 1, s + 1)), tuple(range(1, s + 1)), low, (low[0],))
     )
 
 
 def _family_h(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
-    companions = params.columns
+    companions = tuple(sorted(params.columns))
     v = params.v
     if v is None or v < 1:
         raise ValueError("a positive fourth-row column v is required")
-    if len(companions) != u - 1 or not companions.issubset(
-        range(s - t + 2, s + 1)
+    if len(companions) != u - 1 or (
+        companions and (companions[0] < s - t + 2 or companions[-1] > s)
     ):
         raise ValueError(
-            f"need a {u - 1}-subset of the last {t - 1} columns, got {sorted(companions)}"
+            f"need a {u - 1}-subset of the last {t - 1} columns, got {list(companions)}"
         )
     if companions:
-        if v >= min(companions):
-            raise ValueError(f"v = {v} must be less than {min(companions)}")
+        if v >= companions[0]:
+            raise ValueError(f"v = {v} must be less than {companions[0]}")
     elif v > s:
         raise ValueError(f"v = {v} exceeds the column count {s}")
     v_top = v if v < s - t + 1 else s - t + 1
     return Diagram(
         rows=(
             (v_top, *range(s - t + 2, s + 1)),
-            tuple(sorted({v} | companions)),
+            (v, *companions),
             tuple(range(1, s + 1)),
             (v,),
         )
@@ -271,7 +274,7 @@ def _family_m(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
     m = s + theta
     # sorted, as a frozenset need not iterate in order
     triples = tuple(sorted(params.columns))
-    if len(triples) != u - 1 or not params.columns.issubset(range(m - psi + 1, m + 1)):
+    if len(triples) != u - 1 or (triples and (triples[0] <= m - psi or triples[-1] > m)):
         raise ValueError(
             f"need a {u - 1}-subset of the last {psi} columns, got {list(triples)}"
         )
@@ -304,14 +307,14 @@ def _family_n(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
 
 def _f_params(s: int, t: int, u: int) -> tuple[FamilyParams, ...]:
     return tuple(
-        FamilyParams("F", columns=frozenset(C))
+        FamilyParams("F", C)
         for C in itertools.combinations(range(1, t + 1), u)
     )
 
 
 def _g_params(s: int, t: int, u: int) -> tuple[FamilyParams, ...]:
     return tuple(
-        FamilyParams("G", columns=frozenset(C))
+        FamilyParams("G", C)
         for C in itertools.combinations(range(1, s - t + u + 1), u)
     )
 
@@ -322,7 +325,7 @@ def _h_params(s: int, t: int, u: int) -> tuple[FamilyParams, ...]:
     out = []
     for companions in itertools.combinations(range(s - t + 2, s + 1), u - 1):
         for v in range(1, min(companions)):
-            out.append(FamilyParams("H", columns=frozenset(companions), v=v))
+            out.append(FamilyParams("H", companions, v))
     return tuple(out)
 
 
@@ -340,11 +343,7 @@ def _m_params(s: int, t: int, u: int) -> tuple[FamilyParams, ...]:
                     range(m - psi + 1, m + 1), u - 1
                 ):
                     out.append(
-                        FamilyParams(
-                            "M",
-                            columns=frozenset(triples),
-                            counts=(eps, eta, theta, zeta, psi),
-                        )
+                        FamilyParams("M", triples, counts=(eps, eta, theta, zeta, psi))
                     )
     return tuple(out)
 
@@ -561,15 +560,27 @@ def rim(
     )
 
 
-def _closed_rim(shape: StuShape) -> frozenset[Diagram]:
+def _closed_rim(
+    shape: StuShape,
+) -> tuple[frozenset[Diagram], frozenset[Diagram] | None]:
+    """The closed-form rim of a shape, with its special subset when the
+    family parameters settle it (four rows, not a sorted head), else None."""
     base = StuShape(shape.s, shape.t, shape.u, shape.order, 1)
     if _variant(base) is None:
-        diagrams = {young_diagram(base.composition)}
+        diagrams, specials = {young_diagram(base.composition)}, None
     else:
-        diagrams = {family_diagram(p, base) for p in family_parameter_sets(base)}
+        diagrams, specials = set(), set()
+        for p in family_parameter_sets(base):
+            D = family_diagram(p, base)
+            diagrams.add(D)
+            # theta is counts[2] in both the M and the N order
+            if p.variant in "FGH" or p.counts[2] == 0:
+                specials.add(D)
+    if shape.trailing_ones == 1:
+        return frozenset(diagrams), None if specials is None else frozenset(specials)
     for _ in range(shape.trailing_ones - 1):
         diagrams = {psi_append(D) for D in diagrams}
-    return frozenset(diagrams)
+    return frozenset(diagrams), None
 
 
 def rim_diagrams(
@@ -582,25 +593,33 @@ def rim_diagrams(
     four rows and rotated for the reversed arrangement.  Any other
     composition falls back to the ideal construction under the guard.
 
+    The special subset E_s of a four-row family rim is read off the
+    family parameters: F, G and H members are all special, M and N
+    members exactly when theta = 0.  Every other diagram, the Young head
+    of a sorted arrangement, each row-append extension, each rotated
+    image and each fallback diagram, is tested by ``is_special``.
+
     >>> E, E_s = rim_diagrams((3, 2, 1, 1))
     >>> len(E), len(E_s)
     (1, 1)
     """
     lam = tuple(lam)
     shape = _shape_or_none(lam)
+    specials = None
     if shape is not None:
-        diagrams = _closed_rim(shape)
+        diagrams, specials = _closed_rim(shape)
     else:
         reversed_shape = _shape_or_none(tuple(reversed(lam)))
         if reversed_shape is not None:
             diagrams = frozenset(
-                rotate_180(D) for D in _closed_rim(reversed_shape)
+                rotate_180(D) for D in _closed_rim(reversed_shape)[0]
             )
         else:
             diagrams = frozenset(
                 min_column_diagram(y, lam) for y in rim(lam, limit)
             )
-    specials = frozenset(D for D in diagrams if is_special(D))
+    if specials is None:
+        specials = frozenset(D for D in diagrams if is_special(D))
     return diagrams, specials
 
 

@@ -16,7 +16,14 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Iterator
 
-from cellrim.diagrams import Diagram, Node, w_of_diagram
+from cellrim.diagrams import (
+    Diagram,
+    Node,
+    is_special,
+    psi_append,
+    rotate_180,
+    w_of_diagram,
+)
 from cellrim.families import COLUMN_ROWS, DeterminingTuple, StuShape, determining_tuple
 from cellrim.paths import FormClass, KPath, _chains_within
 from cellrim.permutations import (
@@ -259,6 +266,28 @@ def hat_diagram(D: Diagram) -> Diagram:
     ((1, 2), (2, 1))
     """
     return Diagram(frozenset((a, b + 1) for a, b in D.nodes) | {(D.row_count + 1, 1)})
+
+
+def transport_keeps_specialness(D: Diagram) -> bool:
+    """Whether ``psi_append`` and ``rotate_180`` keep the specialness of an
+    admissible D: both images are special exactly when D is.
+
+    A diagram is special when no two rows and two columns meet in the
+    pattern ``[[1, 0], [0, 1]]``.  A half turn maps that pattern to
+    itself, and adding a row keeps every pattern D already has.  For a
+    special D the columns are nested, so the greedy match of rows 1..r in
+    ``psi_append`` cannot complete before the first full column, whose
+    rows alone complete it; the new node joins that column, and its
+    one-node row lies inside every other row.
+
+    >>> from cellrim.diagrams import young_diagram
+    >>> transport_keeps_specialness(young_diagram((2, 1)))
+    True
+    >>> transport_keeps_specialness(Diagram.from_rows([(1, 2), (2, 3)]))
+    True
+    """
+    special = is_special(D)
+    return is_special(rotate_180(D)) == special == is_special(psi_append(D))
 
 
 # ---------------------------------------------------------------------------

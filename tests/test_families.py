@@ -55,6 +55,7 @@ from claims import (
     diagram_from_tuple,
     insertion_tableau,
     prefix_closure,
+    transport_keeps_specialness,
 )
 from fixtures import (
     FAMILY_F_853,
@@ -73,6 +74,16 @@ HEADS = sorted(set(itertools.permutations((3, 2, 1))))
 def family_members(s, t, u, order):
     shape = StuShape(s, t, u, order)
     return [family_diagram(p, shape) for p in family_parameter_sets(shape)]
+
+
+def every_member(max_s):
+    """(params, diagram) for each member of every closed family with
+    s <= max_s, tied parts included."""
+    for s, t, u in itertools.combinations_with_replacement(range(max_s, 0, -1), 3):
+        for order in set(itertools.permutations((s, t, u))):
+            shape = StuShape(s, t, u, order)
+            for p in family_parameter_sets(shape):
+                yield p, family_diagram(p, shape)
 
 
 def brute_rim_diagrams(lam):
@@ -650,15 +661,40 @@ class TestRimDiagrams:
         assert (len(E_s), len(E) - len(E_s)) == (40, 50)
 
     def test_specials_are_theta_zero_members(self):
-        for order in [(3, 8, 5), (3, 5, 8)]:
-            shape = StuShape(8, 5, 3, order)
-            for p in family_parameter_sets(shape):
-                D = family_diagram(p, shape)
-                assert is_special(D) == (p.counts[2] == 0)
+        # rim_diagrams files M and N members under E_s by this rule
+        members = 0
+        for p, D in every_member(9):
+            if p.variant in "MN":
+                assert is_special(D) == (p.counts[2] == 0), p
+                members += 1
+        assert members == 6028
 
     def test_f_g_h_members_all_special(self):
-        for order in [(8, 3, 5), (5, 8, 3), (5, 3, 8)]:
-            assert all(is_special(D) for D in family_members(8, 5, 3, order))
+        members = 0
+        for p, D in every_member(9):
+            if p.variant in "FGH":
+                assert is_special(D), p
+                members += 1
+        assert members == 5808
+
+    def test_specials_match_the_is_special_filter(self):
+        # the four-row rims take E_s from the family parameters; the Young
+        # heads, the appended rows and the rotations test each diagram
+        for s, t, u in itertools.combinations_with_replacement(range(9, 0, -1), 3):
+            for order in set(itertools.permutations((s, t, u))):
+                for k in (1, 3):
+                    for lam in (order + (1,) * k, (1,) * k + order[::-1]):
+                        E, E_s = rim_diagrams(lam)
+                        assert E_s == {D for D in E if is_special(D)}, lam
+
+    def test_transport_keeps_specialness(self):
+        cases = 0
+        for _, D in every_member(9):
+            for _ in range(3):
+                assert transport_keeps_specialness(D), D
+                D = psi_append(D)
+                cases += 1
+        assert cases == 35508
 
     def test_form_class_tracks_leading_part(self):
         for order in [(8, 3, 5), (5, 8, 3), (5, 3, 8)]:
@@ -753,8 +789,9 @@ class TestVerifyRimFamily:
         closed_rim = families._closed_rim
 
         def without_first(shape):
-            members = sorted(closed_rim(shape), key=lambda D: D.sorted_nodes)
-            return frozenset(members[1:])
+            diagrams, specials = closed_rim(shape)
+            first = min(diagrams, key=lambda D: D.sorted_nodes)
+            return diagrams - {first}, specials - {first}
 
         monkeypatch.setattr(families, "_closed_rim", without_first)
         with pytest.raises(VerificationError, match="missing"):
@@ -763,11 +800,14 @@ class TestVerifyRimFamily:
     def test_detects_a_non_maximal_member(self, monkeypatch):
         lam = (1, 3, 2, 1)
         below = max(z_ideal(lam) - rim(lam), key=lambda e: e.sort_key)
+        extra = min_column_diagram(below, lam)
         closed_rim = families._closed_rim
-        monkeypatch.setattr(
-            families, "_closed_rim",
-            lambda shape: closed_rim(shape) | {min_column_diagram(below, lam)},
-        )
+
+        def with_extra(shape):
+            diagrams, specials = closed_rim(shape)
+            return diagrams | {extra}, specials | {extra} if is_special(extra) else specials
+
+        monkeypatch.setattr(families, "_closed_rim", with_extra)
         with pytest.raises(VerificationError, match="extra") as caught:
             verify_rim_family(lam)
         assert str(below.images) in str(caught.value).split("extra")[1]
