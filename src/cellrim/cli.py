@@ -216,7 +216,17 @@ def _annotations(D: Diagram) -> dict:
     return out
 
 
+_DIAGRAM_OPTIONS = {
+    "young": ("partition",), "check": ("nodes",), "F": ("stu", "order", "C"),
+    "G": ("stu", "order", "C"), "H": ("stu", "order", "C", "v"),
+    "M": ("stu", "order", "C", "params"), "N": ("stu", "order", "params"),
+}
+
+
 def cmd_diagram(args: argparse.Namespace) -> int:
+    for name in ("partition", "nodes", "stu", "order", "C", "v", "params"):
+        if getattr(args, name) is not None and name not in _DIAGRAM_OPTIONS[args.kind]:
+            raise ValueError(f"diagram {args.kind} does not read --{name}")
     if args.kind == "young":
         if not args.partition:
             raise ValueError("young diagrams need --partition")

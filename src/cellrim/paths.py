@@ -19,7 +19,6 @@ from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator
 
 from .diagrams import Diagram, Node
 from .permutations import VerificationError
@@ -214,33 +213,22 @@ def family_with_lengths(
     return None if found is None else KPath(D, found)
 
 
-def _stu_parts(parts: tuple[int, ...]) -> tuple[int, int, int]:
-    """The sorted head (s, t, u) of a composition (x, y, z, 1)."""
-    if len(parts) != 4 or parts[3] != 1:
-        raise ValueError(
-            "row sizes must be three parts followed by a single 1, got "
-            f"{parts}"
-        )
-    s, t, u = sorted(parts[:3], reverse=True)
-    return s, t, u
-
-
-def _length_profile(pi: KPath) -> tuple[int, int, int, int]:
-    z = [0, 0, 0, 0]
-    for c in pi.constituents:
-        if len(c) > 4:
-            raise ValueError("constituent longer than four nodes")
-        z[len(c) - 1] += 1
-    return tuple(z)
+def _form_profiles(s: int, t: int, u: int) -> dict[tuple, FormClass]:
+    """Each form by its profile for the sorted head (s, t, u), form A
+    first: how many constituents have one, two, three and four nodes.
+    Form B needs t > u.  Each profile forces t constituents to cover
+    2t+u+1 nodes."""
+    profiles = {(s - t, t - u, u - 1, 1): FormClass.A}
+    if t > u:
+        profiles[s - t, t - u - 1, u + 1, 0] = FormClass.B
+    return profiles
 
 
 def classify_form(pi: KPath, s: int, t: int, u: int) -> FormClass:
     """Classify a full ordered family by its constituent length profile.
 
     The input must be an ordered s-constituent family covering s+t+u+1
-    nodes.  Form A has s-t singletons, t-u pairs, u-1 triples and one
-    quadruple; form B has s-t singletons, t-u-1 pairs and u+1 triples.
-    Each profile forces t of the constituents to cover 2t+u+1 nodes.
+    nodes; its form is the one whose profile it has.
     """
     if pi.k != s or pi.size != s + t + u + 1:
         raise ValueError(
@@ -249,45 +237,39 @@ def classify_form(pi: KPath, s: int, t: int, u: int) -> FormClass:
         )
     if not is_ordered(pi):
         raise ValueError("family is not ordered")
-    z = _length_profile(pi)
-    if z == (s - t, t - u, u - 1, 1):
-        return FormClass.A
-    if z == (s - t, t - u - 1, u + 1, 0):
-        return FormClass.B
-    return FormClass.NEITHER
+    lengths = [len(c) for c in pi.constituents]
+    if max(lengths, default=0) > 4:
+        raise ValueError("constituent longer than four nodes")
+    z = tuple(lengths.count(k) for k in (1, 2, 3, 4))
+    return _form_profiles(s, t, u).get(z, FormClass.NEITHER)
 
 
-def _ordered_cores(
-    candidates: list[list[tuple[Node, ...]]], need: dict[int, int]
-) -> Iterator[tuple[tuple[Node, ...], ...]]:
-    """Ordered cores with need[k] chains of each length k, the k-th
-    drawn from candidates[k], in lexicographic order of their flattened
-    node sequences when each list is sorted.
+def _first_core(
+    candidates: list[list[tuple[Node, ...]]], need: tuple[int, ...]
+) -> tuple[tuple[Node, ...], ...] | None:
+    """The first ordered core, in lexicographic order of its flattened
+    node sequence when each list is sorted, whose k-th chain is drawn
+    from candidates[k] and which has need[j] chains of j+2 nodes; None
+    when there is none.
 
     A chain may follow a prefix exactly when each of its nodes lies
     strictly right of every prefix node on a row weakly above (which
     rules out a shared node), so what a prefix admits next depends only
     on the running maximum, down the rows, of its rightmost column on
-    each row and on the lengths still needed.  A state that once yielded
-    nothing is recorded and never expanded again; this cuts no core.
+    each row and on the lengths still needed.  A state that once failed
+    is recorded and never expanded again; this cuts no core.
     """
-    need = dict(need)
     dead: set[tuple] = set()
 
-    def extend(
-        prefix: tuple[tuple[Node, ...], ...], right: tuple[int, ...]
-    ) -> Iterator[tuple[tuple[Node, ...], ...]]:
-        if len(prefix) == len(candidates):
-            yield prefix
-            return
+    def extend(depth: int, right: tuple, need: tuple) -> tuple | None:
+        if depth == len(candidates):
+            return ()
         reach = tuple(accumulate(right, max))
-        state = (reach, tuple(need.values()))
-        if state in dead:
-            return
-        found = False
-        for chain in candidates[len(prefix)]:
-            k = len(chain)
-            if not need.get(k):
+        if (reach, need) in dead:
+            return None
+        for chain in candidates[depth]:
+            j = len(chain) - 2
+            if not need[j]:
                 continue
             after = list(right)
             for a, b in chain:
@@ -295,15 +277,14 @@ def _ordered_cores(
                     break
                 after[a - 1] = b
             else:
-                need[k] -= 1
-                for core in extend(prefix + (chain,), tuple(after)):
-                    found = True
-                    yield core
-                need[k] += 1
-        if not found:
-            dead.add(state)
+                less = need[:j] + (need[j] - 1,) + need[j + 1:]
+                rest = extend(depth + 1, tuple(after), less)
+                if rest is not None:
+                    return (chain,) + rest
+        dead.add((reach, need))
+        return None
 
-    yield from extend((), (0, 0, 0, 0))
+    return extend(0, (0, 0, 0, 0), need)
 
 
 def find_form_path(D: Diagram) -> tuple[KPath, FormClass]:
@@ -311,9 +292,9 @@ def find_form_path(D: Diagram) -> tuple[KPath, FormClass]:
 
     Searches for form A before form B, so whenever a form-A family
     exists it is the one returned.  The chains are enumerated once for
-    both plans; each plan fixes its core's length counts, so its first
-    ordered core in lexicographic order plus the s-t nodes it misses, as
-    singletons, has the plan's form profile.
+    both forms; each form's profile fixes its core's length counts, and
+    the search returns the first ordered core in lexicographic order,
+    which with the s-t nodes it misses, as singletons, has that profile.
 
     The t core paths cover 2t+u+1 nodes, and the rows of sizes s, t, u
     and 1 hold at most t, t, u and 1 of them, as a path meets each row
@@ -331,12 +312,14 @@ def find_form_path(D: Diagram) -> tuple[KPath, FormClass]:
     order.
     """
     sizes = D.row_composition()
-    s, t, u = _stu_parts(sizes)
+    if len(sizes) != 4 or sizes[3] != 1:
+        raise ValueError(
+            "row sizes must be three parts followed by a single 1, got "
+            f"{sizes}"
+        )
+    s, t, u = sorted(sizes[:3], reverse=True)
     if not is_admissible(D):
         raise ValueError("only admissible diagrams carry form families")
-    plans = [(FormClass.A, {2: t - u, 3: u - 1, 4: 1})]
-    if t > u:
-        plans.append((FormClass.B, {2: t - u - 1, 3: u + 1}))
     row, t_row, _ = sorted((1, 2, 3), key=lambda a: -sizes[a - 1])
     slot = {b: k for k, b in enumerate(D.rows()[t_row - 1])}
     candidates: list[list[tuple[Node, ...]]] = [[] for _ in slot]
@@ -344,8 +327,8 @@ def find_form_path(D: Diagram) -> tuple[KPath, FormClass]:
         columns = dict(chain)
         if row in columns and t_row in columns:
             candidates[slot[columns[t_row]]].append(chain)
-    for form, need in plans:
-        core = next(_ordered_cores(candidates, need), None)
+    for profile, form in _form_profiles(s, t, u).items():
+        core = _first_core(candidates, profile[1:])
         if core is not None:
             family = list(core) + [(x,) for x in D.nodes.difference(*core)]
             family.sort(key=lambda c: dict(c)[row])

@@ -154,6 +154,29 @@ class TestDiagram:
         assert code == 1
         assert "stu" in err
 
+    @pytest.mark.parametrize("argv, option", [
+        (("N", "--stu", "8,5,3", "--order", "u,s,t", "--params", "1,3,1,0,3",
+          "--C", "7,8"), "--C"),
+        (("F", "--stu", "8,5,3", "--order", "u,s,t", "--C", "7,8", "--v", "2",
+          "--params", "9,9"), "--v"),
+        (("G", "--stu", "8,5,3", "--order", "u,s,t", "--params", "1,1"),
+         "--params"),
+        (("H", "--stu", "8,5,3", "--order", "t,u,s", "--C", "6,8", "--v", "3",
+          "--params", "1"), "--params"),
+        (("M", "--stu", "8,5,3", "--order", "u,s,t", "--params", "1,3,1,0,3",
+          "--C", "7,8", "--v", "3"), "--v"),
+        (("young", "--partition", "2,2", "--nodes", "1,1", "--stu", "3,2,1"),
+         "--nodes"),
+        (("young", "--partition", "2,2", "--order", "u,s,t"), "--order"),
+        (("check", "--nodes", "1,1", "--partition", "1"), "--partition"),
+        (("check", "--nodes", "1,1", "--C", ""), "--C"),
+    ])
+    def test_option_the_kind_does_not_read_rejected(self, capsys, argv, option):
+        code, out, err = run(capsys, "diagram", *argv, "--format", "json")
+        assert code == 1
+        assert out == ""
+        assert f"invalid input: diagram {argv[0]} does not read {option}\n" in err
+
     def test_stu_needs_three_parts(self, capsys):
         code, _, err = run(capsys, "diagram", "M", "--stu", "3,2", "--order", "u,s,t")
         assert code == 1

@@ -24,7 +24,8 @@ from cellrim.paths import (
     FormClass,
     KPath,
     _chains_within,
-    _ordered_cores,
+    _first_core,
+    _form_profiles,
     _precedes_ok,
     classify_form,
     family_with_lengths,
@@ -123,10 +124,10 @@ def t_rows(D: Diagram) -> list[int]:
     return [a for a in (1, 2, 3) if sizes[a - 1] == t and a != sizes.index(s) + 1]
 
 
-def cores(D: Diagram, counts: dict[int, int], t_row: int | None = None):
-    """_ordered_cores on D's chains of two to four nodes that meet the
-    s-row (the first longest), filed under the node they hold on the
-    t-row (by default the first of t_rows), as find_form_path files them."""
+def first_core(D: Diagram, counts: dict[int, int], t_row: int | None = None):
+    """_first_core on D's chains of two to four nodes that meet the s-row
+    (the first longest), filed under the node they hold on the t-row (by
+    default the first of t_rows), as find_form_path files them."""
     sizes = D.row_composition()
     s_row = sizes.index(max(sizes)) + 1
     row = t_rows(D)[0] if t_row is None else t_row
@@ -135,7 +136,7 @@ def cores(D: Diagram, counts: dict[int, int], t_row: int | None = None):
         [c for c in chains if x in c and s_row in dict(c)]
         for x in sorted(x for x in D.nodes if x[0] == row)
     ]
-    yield from _ordered_cores(candidates, counts)
+    return _first_core(candidates, tuple(counts[k] for k in (2, 3, 4)))
 
 
 def by_s_row(D: Diagram, chains) -> tuple:
@@ -487,34 +488,34 @@ class TestOrderedCores:
                     ok = not set(c) & set(c2) and _precedes_ok(c, c2)
                     assert bool(follow[i] >> j & 1) is ok, (D, c, c2)
 
-    def test_full_sequence_matches_backtracking(self):
+    def test_first_core_matches_backtracking(self):
         # the tied heads make every row of size t other than the s-row a
-        # valid pin, and each must give the oracle's full sequence
+        # valid pin, and each must give the oracle's first core
         hosts = small_form_hosts()
-        tied_hosts = tied_cores = 0
+        tied_hosts = tied_found = 0
         for D in hosts:
             tied = len(set(D.row_composition()[:3])) < 3
             tied_hosts += tied
             for counts in core_plans(D):
-                want = list(
-                    oracles.ordered_cores_by_backtracking(D.nodes, counts)
+                want = next(
+                    oracles.ordered_cores_by_backtracking(D.nodes, counts), None
                 )
                 for t_row in t_rows(D):
-                    assert list(cores(D, counts, t_row)) == want, (D, counts, t_row)
-                tied_cores += tied * len(want)
+                    assert first_core(D, counts, t_row) == want, (D, counts, t_row)
+                tied_found += tied and want is not None
         assert len(hosts) - tied_hosts > 100
-        assert (tied_hosts, tied_cores) == (251, 706)
+        assert (tied_hosts, tied_found) == (251, 406)
 
     def test_first_core_matches_backtracking_on_form_b_fixtures(self):
         # The form-A plan has no core here, so both searches must exhaust
-        # it before the form-B plan yields.
+        # it before the form-B plan finds one.
         for D in (FAMILY_M_385, FAMILY_N_358):
             plan_a, plan_b = core_plans(D)
             oracle_a = oracles.ordered_cores_by_backtracking(D.nodes, plan_a)
             oracle_b = oracles.ordered_cores_by_backtracking(D.nodes, plan_b)
-            assert next(cores(D, plan_a), None) is None
+            assert first_core(D, plan_a) is None
             assert next(oracle_a, None) is None
-            assert next(cores(D, plan_b)) == next(oracle_b)
+            assert first_core(D, plan_b) == next(oracle_b)
 
 
 class TestInsertSingletons:
@@ -587,6 +588,20 @@ class TestClassifyForm:
             classify_form(pi, 5, 4, 3)
         with pytest.raises(ValueError, match="expected"):
             classify_form(pi, 6, 4, 2)
+
+    def test_constituent_longer_than_four_rejected(self):
+        # rows (2, 2, 1, 1, 1): a five-node column and a two-node column,
+        # an ordered family of the right size for (s, t, u) = (2, 2, 2)
+        D = Diagram.from_rows([(1, 2), (1, 2), (1,), (1,), (1,)])
+        five = tuple((a, 1) for a in range(1, 6))
+        two = ((1, 2), (2, 2))
+        with pytest.raises(ValueError, match="longer than four"):
+            classify_form(KPath(D, (five, two)), 2, 2, 2)
+        # the shape and order checks come first
+        with pytest.raises(ValueError, match="expected"):
+            classify_form(KPath(D, (five, two)), 2, 2, 1)
+        with pytest.raises(ValueError, match="not ordered"):
+            classify_form(KPath(D, (two, five)), 2, 2, 2)
 
     def test_profile_off_both_forms_is_neither(self):
         result = order_equivalent(KPath(DIAGRAM_4631, PATH_B_4631))
@@ -692,7 +707,7 @@ class TestFindFormPath:
         D = Diagram.from_rows([(1, 2), (1,), (2, 3), (3,)])
         crossing = (((1, 1), (2, 1), (3, 3), (4, 3)), ((1, 2), (3, 2)))
         assert set(crossing) <= set(_chains_within(D.nodes, frozenset({2, 3, 4})))
-        monkeypatch.setattr(paths, "_ordered_cores", lambda *_: iter([crossing]))
+        monkeypatch.setattr(paths, "_first_core", lambda *_: crossing)
         with pytest.raises(VerificationError, match="not ordered"):
             find_form_path(D)
 
@@ -705,8 +720,11 @@ class TestFormPlans:
         for t in range(1, 41):
             for u in range(1, t + 1):
                 assert core_counts_hold((0, t - u, u - 1, 1), t, u), (t, u)
+                profiles = [((3, t - u, u - 1, 1), FormClass.A)]
                 if u < t:
                     assert core_counts_hold((0, t - u - 1, u + 1, 0), t, u), (t, u)
+                    profiles.append(((3, t - u - 1, u + 1, 0), FormClass.B))
+                assert list(_form_profiles(t + 3, t, u).items()) == profiles
                 # a pair shrunk to a singleton breaks them
                 assert not core_counts_hold((1, t - u - 1, u - 1, 1), t, u)
 
