@@ -82,7 +82,7 @@ def _parse_nodes(text: str) -> Diagram:
         if len(pair) != 2 or min(pair) < 1:
             raise ValueError(f"each node needs two positive coordinates, got {item!r}")
         nodes.add(pair)
-    return Diagram(frozenset(nodes))
+    return Diagram(nodes)
 
 
 def _parse_order(text: str, s: int, t: int, u: int) -> tuple[int, int, int]:
@@ -102,7 +102,7 @@ def _glyphs(args: argparse.Namespace) -> tuple[str, str]:
 
 
 def _diagram_json(D: Diagram) -> dict:
-    return {"nodes": [[a, b] for a, b in D.sorted_nodes]}
+    return {"nodes": D.sorted_nodes}
 
 
 def _word_text(word: tuple[int, ...]) -> str:
@@ -126,11 +126,11 @@ def cmd_rim(args: argparse.Namespace) -> int:
     payload, lines = {}, []
     if args.format == "json":
         payload = {
-            "lambda": list(lam),
+            "lambda": lam,
             "rim_size": len(E),
             "special": len(E_s),
             "diagrams": [_diagram_json(D) for D in ordered],
-            "reduced_words": [list(word) for word in words],
+            "reduced_words": words,
         }
     else:
         node, empty = _glyphs(args)
@@ -150,7 +150,7 @@ def cmd_cell(args: argparse.Namespace) -> int:
     payload, lines = {}, []
     if args.format == "json":
         payload = {
-            "permutation": list(images),
+            "permutation": images,
             "degree": len(images),
             "cell_size": len(members),
             "members": members,
@@ -171,7 +171,7 @@ def _build_family(args: argparse.Namespace) -> Diagram:
     s, t, u = sorted(stu, reverse=True)
     order = _parse_order(args.order, s, t, u)
     shape = StuShape(s, t, u, order)
-    columns = frozenset(_parse_ints(args.C, "C")) if args.C else frozenset()
+    columns = _parse_ints(args.C, "C") if args.C else ()
     counts = _parse_ints(args.params, "params") if args.params else ()
     params = FamilyParams(args.kind, columns=columns, v=args.v, counts=counts)
     return family_diagram(params, shape)
@@ -181,10 +181,10 @@ def _annotations(D: Diagram) -> dict:
     rows = D.row_composition()
     profile = conjugate(rows)
     out = {
-        "row_composition": list(rows),
+        "row_composition": rows,
         "admissible": False,
         "special": is_special(D),
-        "conjugate_type": list(profile),
+        "conjugate_type": profile,
         "conjugate_type_path": False,
         "determining_tuple": None,
         "form": None,
@@ -193,7 +193,7 @@ def _annotations(D: Diagram) -> dict:
     if len(rows) == 4 and rows[3] == 1:
         try:
             shape = StuShape.from_composition(rows)
-            out["determining_tuple"] = list(determining_tuple(D, shape).entries)
+            out["determining_tuple"] = determining_tuple(D, shape).entries
         except ValueError:
             pass
         try:
@@ -203,7 +203,7 @@ def _annotations(D: Diagram) -> dict:
         else:
             out["admissible"] = True
             out["form"] = form.value
-            out["path"] = [[[a, b] for a, b in chain] for chain in pi.constituents]
+            out["path"] = pi.constituents
             # the form-A profile is the conjugate type
             out["conjugate_type_path"] = form is FormClass.A
     else:
@@ -244,12 +244,11 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     else:
         node, empty = _glyphs(args)
         lines = [D.render(node_char=node, empty_char=empty), ""]
-        lines.append(f"row composition: {tuple(notes['row_composition'])}")
+        lines.append(f"row composition: {notes['row_composition']}")
         lines.append(f"admissible: {'yes' if notes['admissible'] else 'no'}")
         lines.append(f"special: {'yes' if notes['special'] else 'no'}")
-        profile = tuple(notes["conjugate_type"])
         has = "yes" if notes["conjugate_type_path"] else "no"
-        lines.append(f"family of type {profile}: {has}")
+        lines.append(f"family of type {notes['conjugate_type']}: {has}")
         if notes["determining_tuple"] is not None:
             lines.append("determining tuple: " + " ".join(notes["determining_tuple"]))
         if notes["form"] is not None:
@@ -271,7 +270,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     payload, lines = {}, []
     if args.format == "json":
         payload = {
-            "lambda": list(lam),
+            "lambda": lam,
             "ideal_size": ideal_size,
             "rim_size": rim_size,
             "routes_agree": True,
@@ -300,7 +299,7 @@ def _verify_tables(args: argparse.Namespace) -> tuple[dict, list[str]]:
         report = verify_rim_family(lam, limit=args.max_n)
         results.append(
             {
-                "lambda": list(lam),
+                "lambda": lam,
                 "rim_size": report.rim_size,
                 "special": report.special_size,
                 "ideal_size": report.ideal_size,
@@ -332,7 +331,7 @@ def _verify_oracle(args: argparse.Namespace) -> tuple[dict, list[str]]:
     for offset in range(1, args.spots + 1):
         lam = rng.choice(list(compositions_of(bound + offset)))
         deque(_ideal_members(lam, None), maxlen=0)
-        spot_shapes.append(list(lam))
+        spot_shapes.append(lam)
         lines.append(f"spot {lam}: two routes agree")
     payload = {
         "suite": "oracle",

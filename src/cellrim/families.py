@@ -185,43 +185,46 @@ class FamilyParams:
 
     variant is one of F, G, H, M, N.  columns holds the free column set
     (C for F and G, the fixed companions of v for H, the triple-column
-    positions for M); v is the fourth-row column for H; counts holds
-    the block sizes for M as (eps, eta, theta, zeta, psi) and for N as
-    (eta, eps, theta, phi, zeta).
+    positions for M), sorted and deduplicated at entry; v is the
+    fourth-row column for H; counts holds the block sizes for M as
+    (eps, eta, theta, zeta, psi) and for N as (eta, eps, theta, phi, zeta).
+
+    >>> FamilyParams("M", columns=(8, 7, 7), counts=(1, 3, 1, 0, 3)).columns
+    (7, 8)
     """
 
     variant: str
-    columns: frozenset[int] = frozenset()
+    columns: tuple[int, ...] = ()
     v: int | None = None
     counts: tuple[int, ...] = ()
 
     def __init__(
         self,
         variant: str,
-        columns: Iterable[int] = frozenset(),
+        columns: Iterable[int] = (),
         v: int | None = None,
         counts: Iterable[int] = (),
     ) -> None:
         # each field is set once; the builders store columns and v in the
-        # rows as they are, so both must be ints
+        # rows as they are, so both must be ints, and read columns in order
         if variant not in _VARIANTS:
             raise ValueError(f"unknown family variant {variant!r}")
         put = object.__setattr__
         put(self, "variant", variant)
-        put(self, "columns", frozenset(map(operator.index, columns)) if columns else frozenset())
+        put(self, "columns", tuple(sorted(set(map(operator.index, columns)))))
         put(self, "v", v if v is None else operator.index(v))
         put(self, "counts", tuple(counts))
 
 
 def _family_f(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
-    C = tuple(sorted(params.columns))
+    C = params.columns
     if not C or C[0] < 1 or C[-1] > t or len(C) != u:
         raise ValueError(f"need a {u}-subset of the first {t} columns, got {list(C)}")
     return Diagram(rows=(tuple(range(1, s + 1)), C, tuple(range(1, t + 1)), (C[0],)))
 
 
 def _family_g(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
-    low = tuple(sorted(params.columns))
+    low = params.columns
     top = s - t + u
     if not low or low[0] < 1 or low[-1] > top or len(low) != u:
         raise ValueError(f"need a {u}-subset of the first {top} columns, got {list(low)}")
@@ -231,7 +234,7 @@ def _family_g(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
 
 
 def _family_h(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
-    companions = tuple(sorted(params.columns))
+    companions = params.columns
     v = params.v
     if v is None or v < 1:
         raise ValueError("a positive fourth-row column v is required")
@@ -241,11 +244,9 @@ def _family_h(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
         raise ValueError(
             f"need a {u - 1}-subset of the last {t - 1} columns, got {list(companions)}"
         )
-    if companions:
-        if v >= companions[0]:
-            raise ValueError(f"v = {v} must be less than {companions[0]}")
-    elif v > s:
-        raise ValueError(f"v = {v} exceeds the column count {s}")
+    top = companions[0] if companions else s + 1
+    if v >= top:
+        raise ValueError(f"v = {v} must be less than {top}")
     v_top = v if v < s - t + 1 else s - t + 1
     return Diagram(
         rows=(
@@ -272,8 +273,7 @@ def _family_m(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
     if eta < theta:
         raise ValueError(f"need eta >= theta, got {eta} < {theta}")
     m = s + theta
-    # sorted, as a frozenset need not iterate in order
-    triples = tuple(sorted(params.columns))
+    triples = params.columns
     if len(triples) != u - 1 or (triples and (triples[0] <= m - psi or triples[-1] > m)):
         raise ValueError(
             f"need a {u - 1}-subset of the last {psi} columns, got {list(triples)}"
@@ -320,13 +320,11 @@ def _g_params(s: int, t: int, u: int) -> tuple[FamilyParams, ...]:
 
 
 def _h_params(s: int, t: int, u: int) -> tuple[FamilyParams, ...]:
-    if u == 1:
-        return tuple(FamilyParams("H", v=v) for v in range(1, s + 1))
-    out = []
-    for companions in itertools.combinations(range(s - t + 2, s + 1), u - 1):
-        for v in range(1, min(companions)):
-            out.append(FamilyParams("H", companions, v))
-    return tuple(out)
+    return tuple(
+        FamilyParams("H", companions, v)
+        for companions in itertools.combinations(range(s - t + 2, s + 1), u - 1)
+        for v in range(1, companions[0] if companions else s + 1)
+    )
 
 
 def _m_params(s: int, t: int, u: int) -> tuple[FamilyParams, ...]:

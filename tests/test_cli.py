@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 from collections import Counter
@@ -362,6 +363,46 @@ class TestOracleCommand:
             )
             assert code == 0, err
         assert walks == [((2, 1, 2), None)] * 2
+
+
+class TestJsonBytes:
+    # md5 of the exact stdout of each --format json call: a change in key
+    # order, spacing or number formatting shows here though the parsed
+    # payload stays equal
+    @pytest.mark.parametrize("digest, argv", [
+        ("9bf34293a1b72cadec480289e90f2d46",
+         ("cell", "--permutation", "2,1,4,3,6,5,8,7")),
+        ("4c6a50f94485607288b64b237b2be7d4",
+         ("oracle", "--composition", "2,4,1,3", "--max-n", "10", "--list")),
+        ("3e0a0e35bb16b8ca00779ce2249aec98",
+         ("verify", "tables", "--s", "4", "--t", "3", "--u", "2", "--max-n", "10")),
+        ("a7372a37d044bad4bcbd6dea93700f17",
+         ("verify", "oracle", "--max-n", "5", "--spots", "2")),
+        ("2c654920ba21fc171b7ac5865974e207",
+         ("diagram", "young", "--partition", "4,2,1")),
+        ("ca0585b07d5836c1c58cfa51db48f165",
+         ("diagram", "F", "--stu", "8,5,3", "--order", "s,u,t", "--C", "2,3,4")),
+        ("dbb8fe0574f0ab66bb68a56a4d9b370b",
+         ("diagram", "G", "--stu", "8,5,3", "--order", "t,s,u", "--C", "2,4,5")),
+        ("65a591735c7d616b22b15ab56fb6f30c",
+         ("diagram", "H", "--stu", "8,5,3", "--order", "t,u,s", "--C", "6,8", "--v", "3")),
+        ("3fc461ea7273642e0f8e7bcaf18970cd",
+         ("diagram", "H", "--stu", "4,3,1", "--order", "t,u,s", "--v", "4")),
+        ("cb10c4a4e70260c89806be7c2cdb4a1c",
+         ("diagram", "M", "--stu", "8,5,3", "--order", "u,s,t", "--params", "1,3,1,0,3",
+          "--C", "7,8")),
+        ("5c63e566558144859f18cfb0ac02e43a",
+         ("diagram", "N", "--stu", "8,5,3", "--order", "u,t,s", "--params", "3,0,1,1,1")),
+        ("440ba846ea1292a573855cfa0eb6bf9a",
+         ("diagram", "check", "--nodes", "1,1;1,2;2,1;3,2;4,1;4,2")),
+        ("3cdc9cd4954de4c62c99d28ad3d95904",
+         ("rim", "--composition", "3,8,5,1,1")),
+    ])
+    def test_stdout_md5(self, capsys, monkeypatch, digest, argv):
+        monkeypatch.delenv("CELLRIM_MAX_N", raising=False)
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        assert hashlib.md5(out.encode()).hexdigest() == digest
 
 
 class TestExitCodes:

@@ -214,9 +214,10 @@ class TestFamilyConstructors:
         for s, t, u in itertools.combinations_with_replacement(range(9, 0, -1), 3):
             m_shape = StuShape(s, t, u, (u, s, t))
             for p in families._m_params(s, t, u):
-                rows = oracles.family_m_rows(s, p.counts, p.columns)
+                triples = frozenset(p.columns)
+                rows = oracles.family_m_rows(s, p.counts, triples)
                 assert family_diagram(p, m_shape).rows() == rows, (s, t, u, p)
-                assert oracles.family_m_by_profile(p.counts, p.columns) == rows
+                assert oracles.family_m_by_profile(p.counts, triples) == rows
                 checked += 1
             n_shape = StuShape(s, t, u, (u, t, s))
             for p in families._n_params(s, t, u):
@@ -225,6 +226,26 @@ class TestFamilyConstructors:
                 assert oracles.family_n_by_profile(u, p.counts) == rows
                 checked += 1
         assert checked == 7692
+
+    def test_columns_are_sorted_at_entry(self):
+        counts = (1, 3, 1, 0, 3)
+        params = FamilyParams("M", columns=(8, 7, 7), counts=counts)
+        assert params == FamilyParams("M", columns={7, 8}, counts=counts)
+        assert params.columns == (7, 8)
+        assert all(type(c) is int for c in params.columns)
+        shape = StuShape(8, 5, 3, (3, 8, 5))
+        assert family_diagram(params, shape) == FAMILY_M_385
+        shape = StuShape(8, 5, 3, (8, 3, 5))
+        params = FamilyParams("F", columns=[4, 2, 3, 2])
+        assert params == FamilyParams("F", columns=(2, 3, 4))
+        assert family_diagram(params, shape) == FAMILY_F_853
+        assert FamilyParams("N").columns == ()
+
+    def test_h_with_one_companion_slot_refuses_v_past_s(self):
+        shape = StuShape(4, 3, 1, (3, 1, 4))
+        assert family_diagram(FamilyParams("H", v=4), shape).rows()[3] == (4,)
+        with pytest.raises(ValueError):
+            family_diagram(FamilyParams("H", v=5), shape)
 
     def test_parameters_are_stored_as_ints(self):
         for bad in ({"columns": {1.0, 2, 3}}, {"v": 3.0}):
@@ -306,6 +327,19 @@ class TestParameterSets:
         for order in [(8, 3, 5), (5, 8, 3), (5, 3, 8), (3, 8, 5), (3, 5, 8)]:
             for D in family_members(8, 5, 3, order):
                 assert D.row_composition() == order + (1,)
+
+    def test_h_with_u_one_lists_every_v_up_to_s(self):
+        shapes = 0
+        for s in range(1, 10):
+            for t in range(1, s + 1):
+                shape = StuShape(s, t, 1, (t, 1, s))
+                if families._variant(shape) != "H":
+                    continue
+                expected = tuple(FamilyParams("H", v=v) for v in range(1, s + 1))
+                assert family_parameter_sets(shape) == expected, shape
+                shapes += 1
+        # H serves (t, 1, s) exactly when t < s; F takes the tie s = t
+        assert shapes == 36
 
     def test_m_duplicate_constraint(self):
         for p in family_parameter_sets(StuShape(8, 5, 3, (3, 8, 5))):
