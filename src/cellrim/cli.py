@@ -38,7 +38,14 @@ from .families import (
     rim_diagrams,
     verify_rim_family,
 )
-from .paths import FormClass, family_with_lengths, find_form_path, is_admissible
+from .paths import (
+    FormClass,
+    KPath,
+    classify_form,
+    family_with_lengths,
+    find_form_path,
+    is_admissible,
+)
 from .permutations import (
     GuardExceeded,
     Permutation,
@@ -177,7 +184,36 @@ def _build_family(args: argparse.Namespace) -> Diagram:
     return family_diagram(params, shape)
 
 
-def _annotations(D: Diagram) -> dict:
+def _column_path(D: Diagram) -> tuple[KPath, FormClass]:
+    """The form path of a special family member: its columns, left to
+    right, each listed top to bottom.
+
+    A special diagram's column lengths are the conjugate of its rows, the
+    form-A profile (s-t, t-u, u-1, 1), and columns listed left to right
+    are ordered.  That the search returns this same family on the members
+    is a lemma of ``tests/claims.py``, checked, not proved.  A full family
+    of the conjugate type reaches every bound on the subsequence type, so
+    the member must be admissible.
+    """
+    s, t, u = sorted(D.row_composition()[:3], reverse=True)
+    try:
+        pi = KPath(D, tuple(
+            tuple((a, b) for a in column) for b, column in enumerate(D.columns(), 1)
+        ))
+        form = classify_form(pi, s, t, u)
+    except ValueError as exc:
+        raise VerificationError(f"the columns of a special member: {exc}")
+    if form is not FormClass.A:
+        raise VerificationError(f"the columns of a special member have form {form.value}")
+    if not is_admissible(D):
+        raise VerificationError("a special member is not admissible")
+    return pi, form
+
+
+def _annotations(D: Diagram, member: bool = False) -> dict:
+    """The annotations of ``cellrim diagram``; member says D was built as a
+    closed-family member, whose form path, when it is special, is its
+    columns."""
     rows = D.row_composition()
     profile = conjugate(rows)
     out = {
@@ -196,11 +232,16 @@ def _annotations(D: Diagram) -> dict:
             out["determining_tuple"] = determining_tuple(D, shape).entries
         except ValueError:
             pass
-        try:
-            pi, form = find_form_path(D)
-        except ValueError:  # refused: the diagram is not admissible
-            pass
+        found = None
+        if member and out["special"]:
+            found = _column_path(D)
         else:
+            try:
+                found = find_form_path(D)
+            except ValueError:  # refused: the diagram is not admissible
+                pass
+        if found is not None:
+            pi, form = found
             out["admissible"] = True
             out["form"] = form.value
             out["path"] = pi.constituents
@@ -237,7 +278,7 @@ def cmd_diagram(args: argparse.Namespace) -> int:
         D = _parse_nodes(args.nodes)
     else:
         D = _build_family(args)
-    notes = _annotations(D)
+    notes = _annotations(D, member=args.kind not in ("young", "check"))
     payload, lines = {}, []
     if args.format == "json":
         payload = dict(_diagram_json(D), **notes)

@@ -25,7 +25,7 @@ from cellrim.diagrams import (
     w_of_diagram,
 )
 from cellrim.families import COLUMN_ROWS, DeterminingTuple, StuShape, determining_tuple
-from cellrim.paths import FormClass, KPath, _chains_within
+from cellrim.paths import FormClass, KPath, _chains_within, find_form_path
 from cellrim.permutations import (
     Permutation,
     VerificationError,
@@ -362,6 +362,69 @@ def row_distribution_holds(pi: KPath, form: FormClass) -> bool:
             for c in on_fourth
         )
     )
+
+
+def column_family(D: Diagram) -> tuple[tuple[Node, ...], ...]:
+    """The columns of D, left to right, each listed top to bottom."""
+    return tuple(
+        tuple((a, b) for a in column) for b, column in enumerate(D.columns(), 1)
+    )
+
+
+def special_member_path_is_columns(pi: KPath, form: FormClass) -> bool:
+    """Whether the answer ``find_form_path`` gives a closed-family member,
+    when the member is special, is its column family, of form A; true of
+    every member that is not special.
+
+    Proved: the columns of a special D are an ordered full family of form
+    A.  Each column is a path, the columns are disjoint and cover D, and
+    a column listed earlier lies strictly left of every later one, so
+    the family is ordered.  D is a Young diagram with rows and columns
+    shuffled, so its column lengths are the conjugate of its row sizes
+    (s, t, u, 1): one column of four nodes, u-1 of three, t-u of two and
+    s-t of one, the form-A profile (s-t, t-u, u-1, 1).
+
+    Only checked: that the search returns exactly this family.  It
+    returns the first ordered core in lexicographic order, which on a
+    special diagram outside the families can be another form-A family:
+
+    >>> special_member_path_is_columns(*find_form_path(
+    ...     Diagram.from_rows([(1, 2), (2,), (2,), (2,)])))
+    False
+    >>> from cellrim.families import FamilyParams, StuShape, family_diagram
+    >>> member = family_diagram(FamilyParams("F", (2,)), StuShape(3, 2, 1, (3, 1, 2)))
+    >>> special_member_path_is_columns(*find_form_path(member))
+    True
+    """
+    D = pi.diagram
+    if not is_special(D):
+        return True
+    return form is FormClass.A and pi.constituents == column_family(D)
+
+
+def member_form_is_specialness(pi: KPath, form: FormClass) -> bool:
+    """Whether the answer ``find_form_path`` gives a closed-family member
+    has form A exactly when the member is special.
+
+    Proved: a special D has form A.  Its columns are an ordered full
+    family of form A (``special_member_path_is_columns``), and the search
+    returns form A whenever such a family exists.
+
+    Only checked: that a member that is not special has no ordered full
+    family of form A.  This is a fact about the families, not about all
+    diagrams; most admissible (x, y, z, 1) diagrams that are not special
+    still have form A:
+
+    >>> member_form_is_specialness(*find_form_path(
+    ...     Diagram.from_rows([(1,), (1,), (1,), (2,)])))
+    False
+    >>> from cellrim.families import FamilyParams, StuShape, family_diagram
+    >>> shape = StuShape(8, 5, 3, (3, 8, 5))
+    >>> member = family_diagram(FamilyParams("M", (7, 8), counts=(1, 3, 1, 0, 3)), shape)
+    >>> is_special(member), member_form_is_specialness(*find_form_path(member))
+    (False, True)
+    """
+    return (form is FormClass.A) == is_special(pi.diagram)
 
 
 def _chain_masks(

@@ -11,6 +11,7 @@ import functools
 import itertools
 
 from cellrim.diagrams import Diagram
+from cellrim.families import StuShape, family_diagram, family_parameter_sets
 
 # A 14-node diagram with row composition (4, 6, 3, 1) carrying one ordered
 # 6-path of each form; the running example for path classification.
@@ -153,3 +154,13 @@ def box_diagrams(max_rows: int, max_cols: int) -> list[Diagram]:
                 seen.add(diagram.nodes)
                 out.append(diagram)
     return out
+
+
+def every_member(max_s: int):
+    """(params, diagram) for each member of every closed family with
+    s <= max_s, tied parts included."""
+    for s, t, u in itertools.combinations_with_replacement(range(max_s, 0, -1), 3):
+        for order in set(itertools.permutations((s, t, u))):
+            shape = StuShape(s, t, u, order)
+            for p in family_parameter_sets(shape):
+                yield p, family_diagram(p, shape)

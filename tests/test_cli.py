@@ -13,11 +13,11 @@ from cellrim import cli, families, paths
 from cellrim.cli import main
 from cellrim.diagrams import Diagram, w_of_diagram
 from cellrim.families import z_ideal
-from cellrim.paths import family_with_lengths, is_admissible
+from cellrim.paths import family_with_lengths, find_form_path, is_admissible
 from cellrim.permutations import prefix_maximal
 from cellrim.tableaux import compositions_of, conjugate
 from claims import from_word
-from fixtures import FAMILY_H_538, FAMILY_M_385, FAMILY_M_385_TUPLE
+from fixtures import FAMILY_H_538, FAMILY_M_385, FAMILY_M_385_TUPLE, every_member
 
 
 def run(capsys, *argv):
@@ -222,6 +222,7 @@ class TestDiagram:
         ("young", "--partition", "3,2,1,1"),
         ("young", "--partition", "2,2"),
         ("check", "--nodes", "1,2;2,1;3,1;4,1"),
+        ("H", "--stu", "8,5,3", "--order", "t,u,s", "--C", "6,8", "--v", "3"),
     ])
     def test_one_admissibility_test_per_call(self, capsys, monkeypatch, argv):
         calls = []
@@ -234,6 +235,53 @@ class TestDiagram:
             monkeypatch.setattr(module, "is_admissible", counted)
         run_json(capsys, "diagram", *argv)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv, searches", [
+        (("H", "--stu", "8,5,3", "--order", "t,u,s", "--C", "6,8", "--v", "3"), 0),
+        (("F", "--stu", "8,5,3", "--order", "s,u,t", "--C", "2,3,4"), 0),
+        (("G", "--stu", "8,5,3", "--order", "t,s,u", "--C", "2,4,5"), 0),
+        (("M", "--stu", "8,5,3", "--order", "u,s,t", "--params", "2,0,0,0,5",
+          "--C", "7,8"), 0),
+        (("M", "--stu", "8,5,3", "--order", "u,s,t", "--params", "1,3,1,0,3",
+          "--C", "7,8"), 1),
+    ])
+    def test_special_members_read_their_columns(self, capsys, monkeypatch, argv, searches):
+        # a special member's form path is its columns; only the M member
+        # with theta = 1 is not special and runs the search
+        calls = []
+
+        def counted(D):
+            calls.append(D)
+            return find_form_path(D)
+
+        monkeypatch.setattr(cli, "find_form_path", counted)
+        payload = run_json(capsys, "diagram", *argv)
+        assert len(calls) == searches
+        assert payload["special"] is (searches == 0)
+        assert payload["form"] == ("A" if searches == 0 else "B")
+
+    def test_column_route_matches_the_search(self):
+        # every annotation of every member with s <= 6, tied parts and
+        # u = 1 included, is the same by either route
+        members = 0
+        for _, D in every_member(6):
+            assert cli._annotations(D, member=True) == cli._annotations(D), D
+            members += 1
+        assert members == 1221
+
+    def test_columns_that_are_no_form_path_exit_3(self, capsys, monkeypatch):
+        # taken for special, FAMILY_M_385 offers its 9 columns for s = 8,
+        # which classify_form refuses; that is a failed claim, not a
+        # diagram without a form path
+        monkeypatch.setattr(cli, "is_special", lambda D: True)
+        code, out, err = run(
+            capsys, "diagram", "M", "--stu", "8,5,3", "--order", "u,s,t",
+            "--params", "1,3,1,0,3", "--C", "7,8", "--format", "json",
+        )
+        assert code == 3
+        assert out == ""
+        assert "verification failed" in err
+        assert FAMILY_M_385.column_count == 9
 
     def test_form_path_at_10_7_4(self, capsys):
         # The M member at (10,7,4) on which an exhaustive walk of the

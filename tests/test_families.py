@@ -54,7 +54,9 @@ from claims import (
     apply_column_op,
     diagram_from_tuple,
     insertion_tableau,
+    member_form_is_specialness,
     prefix_closure,
+    special_member_path_is_columns,
     transport_keeps_specialness,
 )
 from fixtures import (
@@ -66,6 +68,7 @@ from fixtures import (
     FAMILY_N_358,
     FAMILY_N_358_TUPLE,
     box_diagrams,
+    every_member,
 )
 
 HEADS = sorted(set(itertools.permutations((3, 2, 1))))
@@ -74,16 +77,6 @@ HEADS = sorted(set(itertools.permutations((3, 2, 1))))
 def family_members(s, t, u, order):
     shape = StuShape(s, t, u, order)
     return [family_diagram(p, shape) for p in family_parameter_sets(shape)]
-
-
-def every_member(max_s):
-    """(params, diagram) for each member of every closed family with
-    s <= max_s, tied parts included."""
-    for s, t, u in itertools.combinations_with_replacement(range(max_s, 0, -1), 3):
-        for order in set(itertools.permutations((s, t, u))):
-            shape = StuShape(s, t, u, order)
-            for p in family_parameter_sets(shape):
-                yield p, family_diagram(p, shape)
 
 
 def brute_rim_diagrams(lam):
@@ -729,6 +722,18 @@ class TestRimDiagrams:
                 D = psi_append(D)
                 cases += 1
         assert cases == 35508
+
+    def test_member_form_paths_follow_specialness(self):
+        # both form-path lemmas against the search on every member with
+        # s <= 8, tied parts and u = 1 included
+        members = special = 0
+        for _, D in every_member(8):
+            answer = find_form_path(D)
+            assert member_form_is_specialness(*answer), D
+            assert special_member_path_is_columns(*answer), D
+            members += 1
+            special += is_special(D)
+        assert (members, special) == (5770, 4036)
 
     def test_form_class_tracks_leading_part(self):
         for order in [(8, 3, 5), (5, 8, 3), (5, 3, 8)]:
