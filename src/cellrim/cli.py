@@ -108,65 +108,46 @@ def _glyphs(args: argparse.Namespace) -> tuple[str, str]:
     return "×", "·"
 
 
-def _diagram_json(D: Diagram) -> dict:
-    return {"nodes": D.sorted_nodes}
-
-
 def _word_text(word: tuple[int, ...]) -> str:
     if not word:
         return "(identity)"
     return " ".join(f"s{i}" for i in word)
 
 
-def _emit(args: argparse.Namespace, payload: dict, ascii_lines: list[str]) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print("\n".join(ascii_lines))
-
-
-def cmd_rim(args: argparse.Namespace) -> int:
+def cmd_rim(args: argparse.Namespace) -> dict | list[str]:
     lam = _parse_composition(args.composition)
     E, E_s = rim_diagrams(lam, limit=args.max_n)
     ordered = sorted(E, key=Diagram.rows)
     words = [reduced_word(w_of_diagram(D)) for D in ordered]
-    payload, lines = {}, []
     if args.format == "json":
-        payload = {
+        return {
             "lambda": lam,
             "rim_size": len(E),
             "special": len(E_s),
-            "diagrams": [_diagram_json(D) for D in ordered],
+            "diagrams": [{"nodes": D.sorted_nodes} for D in ordered],
             "reduced_words": words,
         }
-    else:
-        node, empty = _glyphs(args)
-        lines.append(f"lambda: {lam}  rim size: {len(E)}  special: {len(E_s)}")
-        for k, (D, word) in enumerate(zip(ordered, words), start=1):
-            tag = "special" if D in E_s else "non-special"
-            lines += ["", f"[{k}] {tag}  word: {_word_text(word)}"]
-            lines.append(D.render(node_char=node, empty_char=empty))
-    _emit(args, payload, lines)
-    return 0
+    node, empty = _glyphs(args)
+    lines = [f"lambda: {lam}  rim size: {len(E)}  special: {len(E_s)}"]
+    for k, (D, word) in enumerate(zip(ordered, words), start=1):
+        tag = "special" if D in E_s else "non-special"
+        lines += ["", f"[{k}] {tag}  word: {_word_text(word)}"]
+        lines.append(D.render(node_char=node, empty_char=empty))
+    return lines
 
 
-def cmd_cell(args: argparse.Namespace) -> int:
+def cmd_cell(args: argparse.Namespace) -> dict | list[str]:
     images = _parse_ints(args.permutation, "permutation")
     cell = right_cell_of(Permutation(images), limit=args.max_n)
     members = sorted(x.images for x in cell)
-    payload, lines = {}, []
     if args.format == "json":
-        payload = {
+        return {
             "permutation": images,
             "degree": len(images),
             "cell_size": len(members),
             "members": members,
         }
-    else:
-        lines = [f"permutation: {images}  cell size: {len(members)}"]
-        lines.extend(map(str, members))
-    _emit(args, payload, lines)
-    return 0
+    return [f"permutation: {images}  cell size: {len(members)}", *map(str, members)]
 
 
 def _build_family(args: argparse.Namespace) -> Diagram:
@@ -264,7 +245,7 @@ _DIAGRAM_OPTIONS = {
 }
 
 
-def cmd_diagram(args: argparse.Namespace) -> int:
+def cmd_diagram(args: argparse.Namespace) -> dict | list[str]:
     for name in ("partition", "nodes", "stu", "order", "C", "v", "params"):
         if getattr(args, name) is not None and name not in _DIAGRAM_OPTIONS[args.kind]:
             raise ValueError(f"diagram {args.kind} does not read --{name}")
@@ -279,26 +260,26 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     else:
         D = _build_family(args)
     notes = _annotations(D, member=args.kind not in ("young", "check"))
-    payload, lines = {}, []
     if args.format == "json":
-        payload = dict(_diagram_json(D), **notes)
-    else:
-        node, empty = _glyphs(args)
-        lines = [D.render(node_char=node, empty_char=empty), ""]
-        lines.append(f"row composition: {notes['row_composition']}")
-        lines.append(f"admissible: {'yes' if notes['admissible'] else 'no'}")
-        lines.append(f"special: {'yes' if notes['special'] else 'no'}")
-        has = "yes" if notes["conjugate_type_path"] else "no"
-        lines.append(f"family of type {notes['conjugate_type']}: {has}")
-        if notes["determining_tuple"] is not None:
-            lines.append("determining tuple: " + " ".join(notes["determining_tuple"]))
-        if notes["form"] is not None:
-            lines.append(f"form: {notes['form']}")
-    _emit(args, payload, lines)
-    return 0
+        return dict(nodes=D.sorted_nodes, **notes)
+    node, empty = _glyphs(args)
+    has = "yes" if notes["conjugate_type_path"] else "no"
+    lines = [
+        D.render(node_char=node, empty_char=empty),
+        "",
+        f"row composition: {notes['row_composition']}",
+        f"admissible: {'yes' if notes['admissible'] else 'no'}",
+        f"special: {'yes' if notes['special'] else 'no'}",
+        f"family of type {notes['conjugate_type']}: {has}",
+    ]
+    if notes["determining_tuple"] is not None:
+        lines.append("determining tuple: " + " ".join(notes["determining_tuple"]))
+    if notes["form"] is not None:
+        lines.append(f"form: {notes['form']}")
+    return lines
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: argparse.Namespace) -> dict | list[str]:
     lam = _parse_composition(args.composition)
     # one walk: it checks its member count against f^mu and flags the rim
     ideal_size, rim_size, members = 0, 0, []
@@ -308,7 +289,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         if args.list:
             members.append(e)
     members.sort()
-    payload, lines = {}, []
     if args.format == "json":
         payload = {
             "lambda": lam,
@@ -318,25 +298,20 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         }
         if args.list:
             payload["members"] = members
-    else:
-        lines = [
-            f"lambda: {lam}",
-            f"ideal size: {ideal_size} (cell route and diagram route agree)",
-            f"rim size: {rim_size}",
-        ]
-        lines.extend(map(str, members))
-    _emit(args, payload, lines)
-    return 0
+        return payload
+    return [
+        f"lambda: {lam}",
+        f"ideal size: {ideal_size} (cell route and diagram route agree)",
+        f"rim size: {rim_size}",
+        *map(str, members),
+    ]
 
 
-def _verify_tables(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _verify_tables(args: argparse.Namespace) -> dict | list[str]:
     s, t, u = sorted((args.s, args.t, args.u), reverse=True)
-    ones = args.trailing_ones
-    results = []
-    lines = []
-    orderings = sorted(set(itertools.permutations((s, t, u))))
-    for order in orderings:
-        lam = order + (1,) * ones
+    results, lines = [], []
+    for order in sorted(set(itertools.permutations((s, t, u)))):
+        lam = order + (1,) * args.trailing_ones
         report = verify_rim_family(lam, limit=args.max_n)
         results.append(
             {
@@ -351,12 +326,14 @@ def _verify_tables(args: argparse.Namespace) -> tuple[dict, list[str]]:
             f"ordering {order}: rim {report.rim_size} "
             f"special {report.special_size} ideal {report.ideal_size} PASS"
         )
-    payload = {"suite": "tables", "results": results, "ok": True}
-    lines.append(f"tables suite: {len(results)} orderings PASS")
-    return payload, lines
+    if args.format == "json":
+        return {"suite": "tables", "results": results, "ok": True}
+    return lines + [f"tables suite: {len(results)} orderings PASS"]
 
 
-def _verify_oracle(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _verify_oracle(args: argparse.Namespace) -> dict | list[str]:
+    if args.spots < 0:
+        raise ValueError(f"--spots must not be negative, got {args.spots}")
     bound = args.max_n if args.max_n is not None else 5
     checked = 0
     lines = []
@@ -374,19 +351,20 @@ def _verify_oracle(args: argparse.Namespace) -> tuple[dict, list[str]]:
         deque(_ideal_members(lam, None), maxlen=0)
         spot_shapes.append(lam)
         lines.append(f"spot {lam}: two routes agree")
-    payload = {
-        "suite": "oracle",
-        "compositions_checked": checked,
-        "spot_shapes": spot_shapes,
-        "ok": True,
-    }
-    lines.append(f"oracle suite: {checked} compositions + {len(spot_shapes)} spots PASS")
-    return payload, lines
+    if args.format == "json":
+        return {
+            "suite": "oracle",
+            "compositions_checked": checked,
+            "spot_shapes": spot_shapes,
+            "ok": True,
+        }
+    spots = len(spot_shapes)
+    return lines + [f"oracle suite: {checked} compositions + {spots} spots PASS"]
 
 
-def _verify_bijections(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def _verify_bijections(args: argparse.Namespace) -> dict | list[str]:
     bound = args.max_n if args.max_n is not None else 6
-    rotations = 0
+    rotations = appends = 0
     for n in range(1, bound + 1):
         for lam in compositions_of(n):
             E, E_s = rim_diagrams(lam, limit=bound)
@@ -398,12 +376,8 @@ def _verify_bijections(args: argparse.Namespace) -> tuple[dict, list[str]]:
                     f"rotation transport fails on specials for {lam}"
                 )
             rotations += 1
-    appends = 0
-    for n in range(1, bound):
-        for lam in compositions_of(n):
-            if lam[-1] != 1:
+            if n == bound or lam[-1] != 1:
                 continue
-            E, _ = rim_diagrams(lam, limit=bound)
             # the searched rim: rim_diagrams builds closed shapes by psi_append
             grown = frozenset(
                 min_column_diagram(y, lam + (1,))
@@ -412,30 +386,17 @@ def _verify_bijections(args: argparse.Namespace) -> tuple[dict, list[str]]:
             if grown != frozenset(psi_append(D) for D in E):
                 raise VerificationError(f"row-append transport fails for {lam}")
             appends += 1
-    lines = [
+    if args.format == "json":
+        return {
+            "suite": "bijections",
+            "rotation_checked": rotations,
+            "append_checked": appends,
+            "ok": True,
+        }
+    return [
         f"rotation transport: {rotations} compositions PASS",
         f"row-append transport: {appends} compositions PASS",
     ]
-    payload = {
-        "suite": "bijections",
-        "rotation_checked": rotations,
-        "append_checked": appends,
-        "ok": True,
-    }
-    return payload, lines
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    suites = {
-        "tables": _verify_tables,
-        "oracle": _verify_oracle,
-        "bijections": _verify_bijections,
-    }
-    if args.spots < 0:
-        raise ValueError(f"--spots must not be negative, got {args.spots}")
-    payload, lines = suites[args.suite](args)
-    _emit(args, payload, lines)
-    return 0
 
 
 @cache
@@ -443,7 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cellrim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, glyphs: bool, guard: bool) -> None:
+    def common(p: argparse.ArgumentParser, func, *, glyphs=False, guard=True) -> None:
+        """The options every command reads after its own, and its handler."""
+        p.set_defaults(func=func)
         p.add_argument(
             "--format", choices=("json", "ascii"), default="ascii",
             help="output format",
@@ -461,13 +424,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rim = sub.add_parser("rim", help="rim of a composition")
     p_rim.add_argument("--composition", required=True)
-    common(p_rim, glyphs=True, guard=True)
-    p_rim.set_defaults(func=cmd_rim)
+    common(p_rim, cmd_rim, glyphs=True)
 
     p_cell = sub.add_parser("cell", help="right cell of a permutation")
     p_cell.add_argument("--permutation", required=True, help="one-line images")
-    common(p_cell, glyphs=False, guard=True)
-    p_cell.set_defaults(func=cmd_cell)
+    common(p_cell, cmd_cell)
 
     p_diag = sub.add_parser("diagram", help="build and annotate a diagram")
     p_diag.add_argument(
@@ -480,25 +441,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--C", help="column set, e.g. 7,8")
     p_diag.add_argument("--v", type=int, help="fourth-row column for H")
     p_diag.add_argument("--params", help="block sizes for M or N")
-    common(p_diag, glyphs=True, guard=False)
-    p_diag.set_defaults(func=cmd_diagram)
+    common(p_diag, cmd_diagram, glyphs=True, guard=False)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=("tables", "oracle", "bijections"))
-    p_verify.add_argument("--s", type=int, default=3)
-    p_verify.add_argument("--t", type=int, default=2)
-    p_verify.add_argument("--u", type=int, default=1)
-    p_verify.add_argument("--trailing-ones", type=int, default=1)
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--spots", type=int, default=0)
-    common(p_verify, glyphs=False, guard=True)
-    p_verify.set_defaults(func=cmd_verify)
+    suites = p_verify.add_subparsers(dest="suite", required=True)
+    p_tables = suites.add_parser(
+        "tables", help="closed families against the inverse-RS rim"
+    )
+    p_tables.add_argument("--s", type=int, default=3)
+    p_tables.add_argument("--t", type=int, default=2)
+    p_tables.add_argument("--u", type=int, default=1)
+    p_tables.add_argument("--trailing-ones", type=int, default=1)
+    common(p_tables, _verify_tables)
+
+    p_spots = suites.add_parser("oracle", help="both membership routes, seeded spots")
+    p_spots.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_spots.add_argument("--spots", type=int, default=0)
+    common(p_spots, _verify_oracle)
+
+    p_bij = suites.add_parser("bijections", help="rotation and row-append transport")
+    common(p_bij, _verify_bijections)
 
     p_oracle = sub.add_parser("oracle", help="two-route ideal membership probe")
     p_oracle.add_argument("--composition", required=True)
     p_oracle.add_argument("--list", action="store_true", help="list members")
-    common(p_oracle, glyphs=False, guard=True)
-    p_oracle.set_defaults(func=cmd_oracle)
+    common(p_oracle, cmd_oracle)
 
     return parser
 
@@ -512,7 +479,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if getattr(args, "max_n", None) is not None and args.max_n < 1:
             raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
-        return args.func(args)
+        out = args.func(args)
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return 2
@@ -522,6 +489,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
+    print(json.dumps(out, sort_keys=True) if args.format == "json" else "\n".join(out))
+    return 0
 
 
 if __name__ == "__main__":

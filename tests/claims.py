@@ -25,7 +25,7 @@ from cellrim.diagrams import (
     w_of_diagram,
 )
 from cellrim.families import COLUMN_ROWS, DeterminingTuple, StuShape, determining_tuple
-from cellrim.paths import FormClass, KPath, _chains_within, find_form_path
+from cellrim.paths import FormClass, KPath, _chains_within, _is_path, find_form_path
 from cellrim.permutations import (
     Permutation,
     VerificationError,
@@ -35,7 +35,7 @@ from cellrim.permutations import (
     positive_pairs,
     simple,
 )
-from cellrim.tableaux import compositions_of, recording_tableau, rs_pair
+from cellrim.tableaux import compositions_of, conjugate, recording_tableau, rs_pair
 
 Pairs = frozenset[tuple[int, int]]
 
@@ -425,6 +425,73 @@ def member_form_is_specialness(pi: KPath, form: FormClass) -> bool:
     (False, True)
     """
     return (form is FormClass.A) == is_special(pi.diagram)
+
+
+def recut_pair(pi: KPath) -> tuple[int, int, KPath] | None:
+    """The first two 3-chains of pi, by their places i < j in the family
+    and in lexicographic order of (i, j), whose six nodes split into a
+    path of four nodes and a path of two, and the family with those two
+    paths in their places; None when no pair splits so.
+
+    >>> D = Diagram.from_rows([(1, 2), (1, 2), (2,), (2,)])
+    >>> pi = KPath(D, (((1, 1), (2, 1), (3, 2)), ((1, 2), (2, 2), (4, 2))))
+    >>> i, j, recut = recut_pair(pi)
+    >>> (i, j), recut.constituents
+    ((0, 1), (((1, 1), (2, 1), (3, 2), (4, 2)), ((1, 2), (2, 2))))
+    """
+    cs = pi.constituents
+    triples = [k for k, c in enumerate(cs) if len(c) == 3]
+    for i, j in itertools.combinations(triples, 2):
+        six = sorted(cs[i] + cs[j])
+        for four in itertools.combinations(six, 4):
+            two = tuple(x for x in six if x not in four)
+            if _is_path(four) and _is_path(two):
+                family = list(cs)
+                family[i], family[j] = four, two
+                return i, j, KPath(pi.diagram, family)
+    return None
+
+
+def form_b_path_recuts_to_conjugate_type(pi: KPath, form: FormClass) -> bool:
+    """Whether the answer ``find_form_path`` gives a closed-family member,
+    when it has form B, re-cuts on two of its 3-chains (``recut_pair``)
+    into a family of the conjugate type, the pair being the 3-chain that
+    holds the row-4 node and the next 3-chain in the family; true of
+    every form-A answer.
+
+    Proved: a re-cut family has the conjugate type.  The form-B profile
+    on rows (s, t, u, 1) is (s-t, t-u-1, u+1, 0) constituents of one,
+    two, three and four nodes.  Trading two 3-chains for a 4-chain and a
+    2-chain, 3 + 3 = 4 + 2, gives (s-t, t-u, u-1, 1), the form-A profile,
+    which is conjugate(rows); the six nodes stay, so the support is
+    still D.  A family of the conjugate type makes D admissible.
+
+    Only checked: that some pair of 3-chains re-cuts, and that the first
+    pair that does is the one named above.  Two 3-chains need not re-cut:
+
+    >>> D = Diagram.from_rows([(1, 2), (1, 2), (1, 2)])
+    >>> recut_pair(KPath(D, (((1, 1), (2, 1), (3, 1)), ((1, 2), (2, 2), (3, 2)))))
+    >>> from cellrim.families import FamilyParams, StuShape, family_diagram
+    >>> shape = StuShape(8, 5, 3, (3, 8, 5))
+    >>> member = family_diagram(FamilyParams("M", (7, 8), counts=(1, 3, 1, 0, 3)), shape)
+    >>> form_b_path_recuts_to_conjugate_type(*find_form_path(member))
+    True
+    """
+    if form is not FormClass.B:
+        return True
+    found = recut_pair(pi)
+    if found is None:
+        return False
+    i, j, recut = found
+    D = pi.diagram
+    triples = [k for k, c in enumerate(pi.constituents) if len(c) == 3]
+    fourth = [k for k in triples if any(a == 4 for a, _ in pi.constituents[k])]
+    return (
+        recut.path_type() == conjugate(D.row_composition())
+        and recut.support == D.nodes
+        and fourth == [i]
+        and triples[triples.index(i) + 1] == j
+    )
 
 
 def _chain_masks(

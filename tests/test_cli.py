@@ -445,10 +445,55 @@ class TestJsonBytes:
          ("diagram", "check", "--nodes", "1,1;1,2;2,1;3,2;4,1;4,2")),
         ("3cdc9cd4954de4c62c99d28ad3d95904",
          ("rim", "--composition", "3,8,5,1,1")),
+        ("c7b82b880fe687656c377fc1603d2fc0",
+         ("verify", "bijections", "--max-n", "6")),
     ])
     def test_stdout_md5(self, capsys, monkeypatch, digest, argv):
         monkeypatch.delenv("CELLRIM_MAX_N", raising=False)
         code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
+class TestAsciiBytes:
+    # md5 of the exact stdout of each call in the default ascii format:
+    # the TestJsonBytes calls, plus the plain glyphs
+    @pytest.mark.parametrize("digest, argv", [
+        ("b4937600740be4cf093bc090a8c5b14d",
+         ("cell", "--permutation", "2,1,4,3,6,5,8,7")),
+        ("370ae6ce81a88013403ff7baa9946711",
+         ("oracle", "--composition", "2,4,1,3", "--max-n", "10", "--list")),
+        ("f3f2637645bfedb4895e790ba6e51246",
+         ("verify", "tables", "--s", "4", "--t", "3", "--u", "2", "--max-n", "10")),
+        ("2a62c6700a806bb2799cb70b7eab8b2b",
+         ("verify", "oracle", "--max-n", "5", "--spots", "2")),
+        ("737105bf9789e9ca77ceed4652ba16b9",
+         ("verify", "bijections", "--max-n", "6")),
+        ("93ab1317da37ed8b554cc57acea47899",
+         ("diagram", "young", "--partition", "4,2,1")),
+        ("3ffe555cefa9148e4816e24b2783c8b3",
+         ("diagram", "F", "--stu", "8,5,3", "--order", "s,u,t", "--C", "2,3,4")),
+        ("076e2dc92817efde21ffbaff97f4e000",
+         ("diagram", "G", "--stu", "8,5,3", "--order", "t,s,u", "--C", "2,4,5")),
+        ("29520cd76ecb614a36b415d450ffb02e",
+         ("diagram", "H", "--stu", "8,5,3", "--order", "t,u,s", "--C", "6,8", "--v", "3")),
+        ("159979acec72ba29c9fd070ea4f768d9",
+         ("diagram", "H", "--stu", "4,3,1", "--order", "t,u,s", "--v", "4")),
+        ("5bb269f7e8d6987cfe02a9b4f7820cc9",
+         ("diagram", "M", "--stu", "8,5,3", "--order", "u,s,t", "--params", "1,3,1,0,3",
+          "--C", "7,8")),
+        ("3a54b21b6ec915344200ebf6e06a0b91",
+         ("diagram", "N", "--stu", "8,5,3", "--order", "u,t,s", "--params", "3,0,1,1,1")),
+        ("a4c446a73138e9385b6ff86350875f83",
+         ("diagram", "check", "--nodes", "1,1;1,2;2,1;3,2;4,1;4,2")),
+        ("2b25af5f30d8784f86b3b6af52bbe7c4",
+         ("rim", "--composition", "3,8,5,1,1")),
+        ("afcd230b295aa1d5f32f9a32587b1f62",
+         ("rim", "--composition", "1,3,2,1", "--plain-x")),
+    ])
+    def test_stdout_md5(self, capsys, monkeypatch, digest, argv):
+        monkeypatch.delenv("CELLRIM_MAX_N", raising=False)
+        code, out, err = run(capsys, *argv)
         assert code == 0, err
         assert hashlib.md5(out.encode()).hexdigest() == digest
 
@@ -486,9 +531,18 @@ class TestExitCodes:
         assert json.loads(out)["routes_agree"] is True
 
     def test_flags_only_where_read(self, capsys):
-        # diagram builds nothing under the guard; cell draws no diagram
-        assert main(["diagram", "young", "--partition", "2,1", "--max-n", "3"]) == 1
-        assert main(["cell", "--permutation", "2,1", "--plain-x"]) == 1
+        for argv in (
+            # diagram builds nothing under the guard; cell draws no diagram
+            ("diagram", "young", "--partition", "2,1", "--max-n", "3"),
+            ("cell", "--permutation", "2,1", "--plain-x"),
+            # each verify suite reads only its own options, after its name
+            ("verify", "tables", "--spots", "2"),
+            ("verify", "oracle", "--trailing-ones", "2"),
+            ("verify", "bijections", "--s", "4"),
+            ("verify", "--max-n", "3", "oracle"),
+        ):
+            code, out, _ = run(capsys, *argv)
+            assert (code, out) == (1, ""), argv
 
     @pytest.mark.parametrize(
         "argv",
@@ -508,4 +562,10 @@ class TestExitCodes:
         assert f"invalid input: --max-n must be at least 1, got {bound}" in err
 
     def test_help_exits_zero(self, capsys):
-        assert main(["--help"]) == 0
+        for argv in (
+            (), ("rim",), ("cell",), ("diagram",), ("oracle",), ("verify",),
+            ("verify", "tables"), ("verify", "oracle"), ("verify", "bijections"),
+        ):
+            code, out, _ = run(capsys, *argv, "--help")
+            assert code == 0, argv
+            assert out.startswith("usage: cellrim"), argv

@@ -33,7 +33,7 @@ from cellrim.families import (
     verify_rim_family,
     z_ideal,
 )
-from cellrim.paths import FormClass, find_form_path, is_admissible
+from cellrim.paths import FormClass, family_with_lengths, find_form_path, is_admissible
 from cellrim.permutations import (
     Permutation,
     VerificationError,
@@ -53,6 +53,7 @@ from claims import (
     ColumnOp,
     apply_column_op,
     diagram_from_tuple,
+    form_b_path_recuts_to_conjugate_type,
     insertion_tableau,
     member_form_is_specialness,
     prefix_closure,
@@ -734,6 +735,20 @@ class TestRimDiagrams:
             members += 1
             special += is_special(D)
         assert (members, special) == (5770, 4036)
+
+    def test_form_b_paths_recut_to_conjugate_type(self):
+        # lemma (c) on every member with s <= 8, tied parts and u = 1
+        # included; the exhaustive family search is its oracle
+        members = form_b = 0
+        for _, D in every_member(8):
+            pi, form = find_form_path(D)
+            assert form_b_path_recuts_to_conjugate_type(pi, form), D
+            if form is FormClass.B:
+                profile = conjugate(D.row_composition())
+                assert family_with_lengths(D, profile) is not None, D
+                form_b += 1
+            members += 1
+        assert (members, form_b) == (5770, 1734)
 
     def test_form_class_tracks_leading_part(self):
         for order in [(8, 3, 5), (5, 8, 3), (5, 3, 8)]:
