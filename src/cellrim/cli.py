@@ -16,7 +16,7 @@ import json
 import random
 import sys
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from functools import cache
 
 from .diagrams import (
@@ -24,8 +24,8 @@ from .diagrams import (
     is_special,
     min_column_diagram,
     psi_append,
+    reduced_word_runs,
     rotate_180,
-    w_of_diagram,
     young_diagram,
 )
 from .families import (
@@ -50,7 +50,6 @@ from .permutations import (
     GuardExceeded,
     Permutation,
     VerificationError,
-    reduced_word,
 )
 from .tableaux import compositions_of, conjugate, right_cell_of
 
@@ -108,32 +107,61 @@ def _glyphs(args: argparse.Namespace) -> tuple[str, str]:
     return "×", "·"
 
 
-def _word_text(word: tuple[int, ...]) -> str:
-    if not word:
-        return "(identity)"
-    return " ".join(f"s{i}" for i in word)
+class _WordTexts(dict):
+    """Reduced words given as runs spelled out: the text of each run (j, k),
+    its letters j, j - 1, ..., k + 1 each formatted by ``letter`` and
+    joined by ``sep``, is made on first use, as a rim's words share runs."""
+
+    def __init__(self, letter: str, sep: str) -> None:
+        super().__init__()
+        self.letter, self.sep = letter, sep
+
+    def __missing__(self, run: tuple[int, int]) -> str:
+        text = self[run] = self.sep.join(map(self.letter.format, range(*run, -1)))
+        return text
+
+    def word(self, runs: list[tuple[int, int]]) -> str:
+        return self.sep.join(map(self.__getitem__, runs))
 
 
-def cmd_rim(args: argparse.Namespace) -> dict | list[str]:
+def _word_text(runs: list[tuple[int, int]], texts: _WordTexts) -> str:
+    return texts.word(runs) if runs else "(identity)"
+
+
+def cmd_rim(args: argparse.Namespace) -> Iterator[str]:
+    # every check runs here, before the first piece is written
     lam = _parse_composition(args.composition)
     E, E_s = rim_diagrams(lam, limit=args.max_n)
     ordered = sorted(E, key=Diagram.rows)
-    words = [reduced_word(w_of_diagram(D)) for D in ordered]
     if args.format == "json":
-        return {
-            "lambda": lam,
-            "rim_size": len(E),
-            "special": len(E_s),
-            "diagrams": [{"nodes": D.sorted_nodes} for D in ordered],
-            "reduced_words": words,
-        }
-    node, empty = _glyphs(args)
-    lines = [f"lambda: {lam}  rim size: {len(E)}  special: {len(E_s)}"]
-    for k, (D, word) in enumerate(zip(ordered, words), start=1):
+        return _rim_json(lam, ordered, len(E_s))
+    return _rim_lines(lam, ordered, E_s, *_glyphs(args))
+
+
+def _rim_json(lam: tuple[int, ...], ordered: list[Diagram], special: int) -> Iterator[str]:
+    """The pieces of ``json.dumps`` of the rim payload with sorted keys,
+    one diagram at a time."""
+    yield '{"diagrams": ['
+    for k, D in enumerate(ordered):
+        yield f'{", " if k else ""}{{"nodes": {json.dumps(D.sorted_nodes)}}}'
+    yield f'], "lambda": {json.dumps(lam)}, "reduced_words": ['
+    texts = _WordTexts("{}", ", ")
+    for k, D in enumerate(ordered):
+        yield f'{", " if k else ""}[{texts.word(reduced_word_runs(D))}]'
+    yield f'], "rim_size": {len(ordered)}, "special": {special}}}'
+
+
+def _rim_lines(
+    lam: tuple[int, ...], ordered: list[Diagram], E_s: frozenset[Diagram],
+    node: str, empty: str,
+) -> Iterator[str]:
+    yield f"lambda: {lam}  rim size: {len(ordered)}  special: {len(E_s)}"
+    texts = _WordTexts("s{}", " ")
+    for k, D in enumerate(ordered, start=1):
         tag = "special" if D in E_s else "non-special"
-        lines += ["", f"[{k}] {tag}  word: {_word_text(word)}"]
-        lines.append(D.render(node_char=node, empty_char=empty))
-    return lines
+        yield ""
+        yield f"[{k}] {tag}  word: {_word_text(reduced_word_runs(D), texts)}"
+        yield D.render(node_char=node, empty_char=empty)
 
 
 def cmd_cell(args: argparse.Namespace) -> dict | list[str]:
@@ -489,7 +517,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(out, sort_keys=True) if args.format == "json" else "\n".join(out))
+    if args.format == "json":
+        # a payload dict is written whole; cmd_rim streams its JSON in pieces
+        sys.stdout.writelines((json.dumps(out, sort_keys=True),) if isinstance(out, dict) else out)
+        sys.stdout.write("\n")
+    else:
+        sys.stdout.writelines(f"{line}\n" for line in out)
     return 0
 
 

@@ -15,9 +15,10 @@ fillings of ``D``, which drives everything else in the package.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import accumulate
 from typing import Iterable
 
-from .permutations import Permutation
+from .permutations import Permutation, _sorting_runs
 
 Node = tuple[int, int]
 
@@ -177,15 +178,43 @@ def young_diagram(parts: tuple[int, ...]) -> Diagram:
     return Diagram(rows=tuple(tuple(range(1, p + 1)) for p in parts))
 
 
+def _column_filling(D: Diagram) -> list[int]:
+    """The entries of the column filling in row-major order, which are the
+    images of ``w_D``: a node's entry counts the nodes of the columns to
+    its left and those above it in its own column."""
+    rows = D.rows()
+    sizes = [0] * (D.column_count + 1)
+    for row in rows:
+        for b in row:
+            sizes[b] += 1
+    # next_entry[b] is the entry of the next node down column b
+    next_entry = list(accumulate(sizes, initial=1))
+    entries = []
+    for row in rows:
+        for b in row:
+            entries.append(next_entry[b])
+            next_entry[b] += 1
+    return entries
+
+
 def w_of_diagram(D: Diagram) -> Permutation:
     """The permutation carrying the row filling to the column filling.
 
     >>> w_of_diagram(young_diagram((2, 2))).images
     (1, 3, 2, 4)
     """
-    by_cols = ((a, b) for b, col in enumerate(D.columns(), 1) for a in col)
-    entry = {node: k for k, node in enumerate(by_cols, 1)}
-    return Permutation(tuple(entry[node] for node in D.sorted_nodes))
+    return Permutation(tuple(_column_filling(D)))
+
+
+def reduced_word_runs(D: Diagram) -> list[tuple[int, int]]:
+    """``reduced_word(w_of_diagram(D))`` read off the column filling,
+    without building the ``Permutation``, as runs: (j, k) stands for the
+    letters j, j - 1, ..., k + 1, and the word is its runs in order.
+
+    >>> reduced_word_runs(Diagram({(1, 3), (2, 2), (3, 1)}))
+    [(1, 0), (2, 0)]
+    """
+    return _sorting_runs(_column_filling(D))
 
 
 def is_special(D: Diagram) -> bool:

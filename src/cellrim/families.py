@@ -185,7 +185,8 @@ class FamilyParams:
 
     variant is one of F, G, H, M, N.  columns holds the free column set
     (C for F and G, the fixed companions of v for H, the triple-column
-    positions for M), sorted and deduplicated at entry; v is the
+    positions for M), sorted and deduplicated by the constructor, and
+    built that way by the parameter enumerators; v is the
     fourth-row column for H; counts holds the block sizes for M as
     (eps, eta, theta, zeta, psi) and for N as (eta, eps, theta, phi, zeta).
 
@@ -214,6 +215,34 @@ class FamilyParams:
         put(self, "columns", tuple(sorted(set(map(operator.index, columns)))))
         put(self, "v", v if v is None else operator.index(v))
         put(self, "counts", tuple(counts))
+
+
+# the slot setters, which store a field even on the frozen class
+_set_variant, _set_columns, _set_v, _set_counts = (
+    getattr(FamilyParams, name).__set__ for name in ("variant", "columns", "v", "counts")
+)
+
+
+def _as_built(
+    variant: str,
+    columns: tuple[int, ...] = (),
+    v: int | None = None,
+    counts: tuple[int, ...] = (),
+) -> FamilyParams:
+    """Parameters an enumerator builds, stored as they are.
+
+    The enumerators make them normal by construction, as ``FamilyParams``
+    would store them: a known variant, columns a sorted tuple of distinct
+    ints, v an int or None and counts a tuple of ints.  So this skips the
+    normalising ``__init__`` and checks nothing, as ``Diagram(rows=...)``
+    does for rows.
+    """
+    p = object.__new__(FamilyParams)
+    _set_variant(p, variant)
+    _set_columns(p, columns)
+    _set_v(p, v)
+    _set_counts(p, counts)
+    return p
 
 
 def _family_f(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
@@ -307,21 +336,21 @@ def _family_n(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
 
 def _f_params(s: int, t: int, u: int) -> tuple[FamilyParams, ...]:
     return tuple(
-        FamilyParams("F", C)
+        _as_built("F", C)
         for C in itertools.combinations(range(1, t + 1), u)
     )
 
 
 def _g_params(s: int, t: int, u: int) -> tuple[FamilyParams, ...]:
     return tuple(
-        FamilyParams("G", C)
+        _as_built("G", C)
         for C in itertools.combinations(range(1, s - t + u + 1), u)
     )
 
 
 def _h_params(s: int, t: int, u: int) -> tuple[FamilyParams, ...]:
     return tuple(
-        FamilyParams("H", companions, v)
+        _as_built("H", companions, v)
         for companions in itertools.combinations(range(s - t + 2, s + 1), u - 1)
         for v in range(1, companions[0] if companions else s + 1)
     )
@@ -337,12 +366,11 @@ def _m_params(s: int, t: int, u: int) -> tuple[FamilyParams, ...]:
                 # psi >= u - 1 by eta's range, or by s >= t when zeta > 0
                 psi = s - eps - eta - 1 - zeta
                 m = s + theta
-                for triples in itertools.combinations(
-                    range(m - psi + 1, m + 1), u - 1
-                ):
-                    out.append(
-                        FamilyParams("M", triples, counts=(eps, eta, theta, zeta, psi))
-                    )
+                counts = (eps, eta, theta, zeta, psi)
+                out.extend(
+                    _as_built("M", triples, None, counts)
+                    for triples in itertools.combinations(range(m - psi + 1, m + 1), u - 1)
+                )
     return tuple(out)
 
 
@@ -355,7 +383,7 @@ def _n_params(s: int, t: int, u: int) -> tuple[FamilyParams, ...]:
             eps_choices = (0,) if extra > 0 else range(t - u - theta + 1)
             for eps in eps_choices:
                 zeta = t - u - theta - eps
-                out.append(FamilyParams("N", counts=(eta, eps, theta, phi, zeta)))
+                out.append(_as_built("N", (), None, (eta, eps, theta, phi, zeta)))
     return tuple(out)
 
 
@@ -514,11 +542,17 @@ def _ideal_members(
         for k, v in enumerate(word, 1):
             position[v] = k
         e = tuple([position[v] for v in longest.images])
-        check(e, True, _admissible_by_word([block_of[v] for v in word], admissible))
-        covers = [i for i in range(n - 1) if block_of[word[i]] < block_of[word[i + 1]]]
-        knuth = any(
-            word[i] < v < word[i + 1] for i in covers for v in word[max(i - 1, 0) : i + 3]
-        )
+        labels = [block_of[v] for v in word]
+        check(e, True, _admissible_by_word(labels, admissible))
+        # one scan lists the covers and stops at the first Knuth witness
+        covers, knuth = [], False
+        for i in range(n - 1):
+            if labels[i] < labels[i + 1]:
+                low, high = word[i], word[i + 1]
+                if i and low < word[i - 1] < high or i < n - 2 and low < word[i + 2] < high:
+                    knuth = True
+                    break
+                covers.append(i)
         yield e, not knuth and not any(cover_is_member(word, e, i) for i in covers)
     expected = count_standard_tableaux(tuple(map(len, target)))
     if members != expected:

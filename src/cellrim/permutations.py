@@ -181,13 +181,21 @@ def reduced_word(x: Permutation) -> tuple[int, ...]:
     >>> reduced_word(longest_element(3))
     (1, 2, 1)
     """
+    return tuple(i for j, k in _sorting_runs(x.images) for i in range(j, k, -1))
+
+
+def _sorting_runs(images: Iterable[int]) -> list[tuple[int, int]]:
+    """The word of ``reduced_word`` for one-line images, which it does not
+    check, as runs: (j, k) for each entry whose swaps read j, j - 1, ...,
+    k + 1, with k < j."""
     prefix: list[int] = []
-    word: list[int] = []
-    for j, value in enumerate(x.images):
+    runs: list[tuple[int, int]] = []
+    for j, value in enumerate(images):
         k = bisect(prefix, value)
-        word.extend(range(j, k, -1))
+        if k < j:
+            runs.append((j, k))
         prefix.insert(k, value)
-    return tuple(word)
+    return runs
 
 
 def prefix_maximal(elements: Iterable[Permutation]) -> set[Permutation]:

@@ -6,7 +6,7 @@ conventions match the package: one-line notation is 1-based and products
 compose left to right, so ``compose(a, b)[k-1]`` is the image of ``k`` under
 "first a, then b".
 
-There are three exceptions.  ``symmetric_group`` yields the package's
+There are four exceptions.  ``symmetric_group`` yields the package's
 permutations, for the tests that range over a whole group.  The ideal by
 enumeration runs the package's two membership routes on every coset
 representative, and the ideal by reverse search runs them on the covers
@@ -15,18 +15,22 @@ the members by inverse Robinson-Schensted insertion.  The single-node
 row extension by trial tests admissibility with the package's
 ``row_insert``: it checks the placement ``diagrams.psi_append`` builds from
 Schensted's theorem, not the insertion itself, which has oracles of its own.
+The whole ``cellrim rim`` output builds its text from the package's
+``rim_diagrams``, ``w_of_diagram`` and ``reduced_word``: it checks the
+streamed writer of the command, not the rim.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from collections import defaultdict
 from functools import lru_cache
 from math import comb
 from typing import Iterator
 
-from cellrim.diagrams import min_column_diagram
-from cellrim.families import COLUMN_ROWS
+from cellrim.diagrams import Diagram, min_column_diagram, w_of_diagram
+from cellrim.families import COLUMN_ROWS, rim_diagrams
 from cellrim.paths import is_admissible
 from cellrim.permutations import (
     Permutation,
@@ -34,6 +38,7 @@ from cellrim.permutations import (
     composition_generators,
     identity,
     parabolic,
+    reduced_word,
 )
 from cellrim.tableaux import recording_tableau, row_insert
 
@@ -1094,3 +1099,35 @@ def family_n_by_profile(u: int, counts: tuple[int, ...]) -> tuple[tuple[int, ...
         ["1b"] * eta + ["2"] * eps + ["1"] * theta + ["4"]
         + ["1b"] * phi + ["2"] * zeta + ["3"] * (u - 1)
     )
+
+
+# ---------------------------------------------------------------------------
+# the cellrim rim output, built whole
+
+
+def rim_output_whole(
+    lam: tuple[int, ...], fmt: str, plain_x: bool = False
+) -> str:
+    """The stdout of ``cellrim rim`` made in one piece: the payload dict
+    dumped with sorted keys, or every ascii line joined, with each reduced
+    word from the diagram's ``Permutation``."""
+    E, E_s = rim_diagrams(lam)
+    ordered = sorted(E, key=Diagram.rows)
+    words = [reduced_word(w_of_diagram(D)) for D in ordered]
+    if fmt == "json":
+        payload = {
+            "lambda": lam,
+            "rim_size": len(E),
+            "special": len(E_s),
+            "diagrams": [{"nodes": D.sorted_nodes} for D in ordered],
+            "reduced_words": words,
+        }
+        return json.dumps(payload, sort_keys=True) + "\n"
+    node, empty = ("x", ".") if plain_x else ("×", "·")
+    lines = [f"lambda: {lam}  rim size: {len(E)}  special: {len(E_s)}"]
+    for k, (D, word) in enumerate(zip(ordered, words), start=1):
+        tag = "special" if D in E_s else "non-special"
+        text = " ".join(f"s{i}" for i in word) if word else "(identity)"
+        lines += ["", f"[{k}] {tag}  word: {text}"]
+        lines.append(D.render(node_char=node, empty_char=empty))
+    return "\n".join(lines) + "\n"

@@ -9,12 +9,13 @@ from collections import Counter
 
 import pytest
 
+import oracles
 from cellrim import cli, families, paths
 from cellrim.cli import main
-from cellrim.diagrams import Diagram, w_of_diagram
-from cellrim.families import z_ideal
+from cellrim.diagrams import Diagram, reduced_word_runs, w_of_diagram
+from cellrim.families import rim_diagrams, z_ideal
 from cellrim.paths import family_with_lengths, find_form_path, is_admissible
-from cellrim.permutations import prefix_maximal
+from cellrim.permutations import prefix_maximal, reduced_word
 from cellrim.tableaux import compositions_of, conjugate
 from claims import from_word
 from fixtures import FAMILY_H_538, FAMILY_M_385, FAMILY_M_385_TUPLE, every_member
@@ -85,6 +86,40 @@ class TestRim:
         monkeypatch.setattr(cli, "_word_text", refuse)
         payload = run_json(capsys, "rim", "--composition", "1,3,2,1")
         assert payload["rim_size"] == 5
+
+
+def _streamed_rim_compositions() -> list[tuple[int, ...]]:
+    """Every composition with n <= 7, and every closed shape with s <= 5
+    and one to three trailing ones with its reversal."""
+    out = [lam for n in range(1, 8) for lam in compositions_of(n)]
+    for s, t, u in itertools.combinations_with_replacement(range(5, 0, -1), 3):
+        for order in sorted(set(itertools.permutations((s, t, u)))):
+            for k in (1, 2, 3):
+                out += [order + (1,) * k, (1,) * k + order[::-1]]
+    return list(dict.fromkeys(out))
+
+
+class TestStreamedRim:
+    # cellrim rim writes one diagram at a time; the oracle builds the whole
+    # payload, or every ascii line, from each diagram's Permutation
+    def test_stdout_matches_the_whole_output(self, capsys, monkeypatch):
+        monkeypatch.delenv("CELLRIM_MAX_N", raising=False)
+        shapes = _streamed_rim_compositions()
+        for lam in shapes:
+            text = ",".join(map(str, lam))
+            for fmt, extra in (("json", ("--format", "json")), ("ascii", ()),
+                               ("ascii", ("--plain-x",))):
+                code, out, err = run(capsys, "rim", "--composition", text, *extra)
+                assert code == 0, err
+                assert out == oracles.rim_output_whole(lam, fmt, "--plain-x" in extra), (lam, extra)
+        assert len(shapes) == 792
+
+    def test_runs_spell_the_reduced_word(self, monkeypatch):
+        monkeypatch.delenv("CELLRIM_MAX_N", raising=False)
+        for lam in _streamed_rim_compositions():
+            for D in rim_diagrams(lam)[0]:
+                word = tuple(i for j, k in reduced_word_runs(D) for i in range(j, k, -1))
+                assert word == reduced_word(w_of_diagram(D)), (lam, D)
 
 
 class TestCell:
@@ -515,8 +550,9 @@ class TestExitCodes:
         assert main(["rim"]) == 1
 
     def test_guard_exceeded(self, capsys):
-        code, _, err = run(capsys, "rim", "--composition", "2,2,2,2,2")
-        assert code == 2
+        # rim streams its output, but only after the guard has passed
+        code, out, err = run(capsys, "rim", "--composition", "2,2,2,2,2")
+        assert (code, out) == (2, "")
         assert "guard" in err.lower() or "bound" in err.lower()
         for way in ("limit argument", "--max-n", "CELLRIM_MAX_N"):
             assert way in err

@@ -235,6 +235,21 @@ class TestFamilyConstructors:
         assert family_diagram(params, shape) == FAMILY_F_853
         assert FamilyParams("N").columns == ()
 
+    def test_enumerators_store_normal_parameters(self):
+        # the enumerators skip the normalising constructor, so each member
+        # must already be what the constructor stores
+        members = 0
+        for s, t, u in itertools.combinations_with_replacement(range(9, 0, -1), 3):
+            for order in sorted(set(itertools.permutations((s, t, u)))):
+                for p in family_parameter_sets(StuShape(s, t, u, order)):
+                    assert p == FamilyParams(p.variant, p.columns, p.v, p.counts), p
+                    assert type(p.columns) is tuple and type(p.counts) is tuple, p
+                    assert all(type(c) is int for c in p.columns + p.counts), p
+                    assert all(a < b for a, b in zip(p.columns, p.columns[1:])), p
+                    assert p.v is None or type(p.v) is int, p
+                    members += 1
+        assert members == 11836
+
     def test_h_with_one_companion_slot_refuses_v_past_s(self):
         shape = StuShape(4, 3, 1, (3, 1, 4))
         assert family_diagram(FamilyParams("H", v=4), shape).rows()[3] == (4,)
