@@ -230,7 +230,8 @@ def is_special(D: Diagram) -> bool:
     against up to dozens of columns).
 
     ``families.rim_diagrams`` reads the special subset of a four-row
-    family rim off the family parameters and decides every other diagram
+    family rim off the family parameters, carries it through the half
+    turn of a reversed composition, and decides every other diagram
     here; the tests check that rule against this one.
 
     >>> is_special(Diagram({(1, 1), (2, 1), (2, 2)}))

@@ -594,12 +594,17 @@ def rim(
 
 def _closed_rim(
     shape: StuShape,
-) -> tuple[frozenset[Diagram], frozenset[Diagram] | None]:
-    """The closed-form rim of a shape, with its special subset when the
-    family parameters settle it (four rows, not a sorted head), else None."""
+) -> tuple[frozenset[Diagram], frozenset[Diagram]]:
+    """The closed-form rim of a shape, with its special subset E_s.
+
+    E_s of a four-row family rim is read off the family parameters: F, G
+    and H members are all special, M and N members exactly when
+    theta = 0.  The Young head of a sorted arrangement and the rims
+    extended by ``psi_append`` past four rows go through ``is_special``.
+    """
     base = StuShape(shape.s, shape.t, shape.u, shape.order, 1)
     if _variant(base) is None:
-        diagrams, specials = {young_diagram(base.composition)}, None
+        diagrams = {young_diagram(base.composition)}
     else:
         diagrams, specials = set(), set()
         for p in family_parameter_sets(base):
@@ -608,11 +613,20 @@ def _closed_rim(
             # theta is counts[2] in both the M and the N order
             if p.variant in "FGH" or p.counts[2] == 0:
                 specials.add(D)
-    if shape.trailing_ones == 1:
-        return frozenset(diagrams), None if specials is None else frozenset(specials)
+        if shape.trailing_ones == 1:
+            return frozenset(diagrams), frozenset(specials)
     for _ in range(shape.trailing_ones - 1):
         diagrams = {psi_append(D) for D in diagrams}
-    return frozenset(diagrams), None
+    return frozenset(diagrams), frozenset(D for D in diagrams if is_special(D))
+
+
+def _searched_rim(
+    lam: tuple[int, ...], limit: int | None
+) -> tuple[frozenset[Diagram], frozenset[Diagram]]:
+    """The rim of any composition from the ideal construction, as
+    minimal-column diagrams, with E_s decided by ``is_special``."""
+    diagrams = frozenset(min_column_diagram(y, lam) for y in rim(lam, limit))
+    return diagrams, frozenset(D for D in diagrams if is_special(D))
 
 
 def rim_diagrams(
@@ -620,16 +634,13 @@ def rim_diagrams(
 ) -> tuple[frozenset[Diagram], frozenset[Diagram]]:
     """The rim of a composition as diagrams, with its special subset.
 
-    Compositions with three leading parts followed by ones (or the
-    reverse) use the closed families, extended one row at a time past
-    four rows and rotated for the reversed arrangement.  Any other
+    Compositions with three leading parts followed by ones use the closed
+    families, extended one row at a time past four rows, each with its
+    special subset E_s as ``_closed_rim`` decides it.  Their reversals
+    take the half turn of that rim, and of its E_s: a half turn keeps
+    specialness, so no rotated image is tested again.  Any other
     composition falls back to the ideal construction under the guard.
-
-    The special subset E_s of a four-row family rim is read off the
-    family parameters: F, G and H members are all special, M and N
-    members exactly when theta = 0.  Every other diagram, the Young head
-    of a sorted arrangement, each row-append extension, each rotated
-    image and each fallback diagram, is tested by ``is_special``.
+    ``cellrim verify bijections`` checks every route against the search.
 
     >>> E, E_s = rim_diagrams((3, 2, 1, 1))
     >>> len(E), len(E_s)
@@ -637,22 +648,14 @@ def rim_diagrams(
     """
     lam = tuple(lam)
     shape = _shape_or_none(lam)
-    specials = None
     if shape is not None:
-        diagrams, specials = _closed_rim(shape)
-    else:
-        reversed_shape = _shape_or_none(tuple(reversed(lam)))
-        if reversed_shape is not None:
-            diagrams = frozenset(
-                rotate_180(D) for D in _closed_rim(reversed_shape)[0]
-            )
-        else:
-            diagrams = frozenset(
-                min_column_diagram(y, lam) for y in rim(lam, limit)
-            )
-    if specials is None:
-        specials = frozenset(D for D in diagrams if is_special(D))
-    return diagrams, specials
+        return _closed_rim(shape)
+    reversed_shape = _shape_or_none(lam[::-1])
+    if reversed_shape is None:
+        return _searched_rim(lam, limit)
+    diagrams, specials = _closed_rim(reversed_shape)
+    turned = {D: rotate_180(D) for D in diagrams}
+    return frozenset(turned.values()), frozenset(turned[D] for D in specials)
 
 
 @dataclass(frozen=True, slots=True)

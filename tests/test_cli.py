@@ -382,6 +382,29 @@ class TestVerify:
         assert payload["ok"] is True
         assert payload["rotation_checked"] == 15
 
+    def test_bijections_check_closed_rims_against_the_search(self, capsys, monkeypatch):
+        # drop one member of each closed shape of degree 8 whose reversal
+        # is not closed: a rotation compared with itself would not see it
+        code, _, err = run(capsys, "verify", "bijections", "--max-n", "8")
+        assert code == 0, err
+        closed_rim = families._closed_rim
+        dropped = []
+
+        def dropping_one(shape):
+            E, E_s = closed_rim(shape)
+            lam = shape.composition
+            if sum(lam) != 8 or families._shape_or_none(lam[::-1]) is not None:
+                return E, E_s
+            D = min(E, key=Diagram.rows)
+            dropped.append(lam)
+            return E - {D}, E_s - {D}
+
+        monkeypatch.setattr(families, "_closed_rim", dropping_one)
+        code, out, err = run(capsys, "verify", "bijections", "--max-n", "8")
+        assert dropped
+        assert (code, out) == (3, "")
+        assert "verification failed" in err
+
     @pytest.mark.parametrize("suite", ["tables", "oracle", "bijections"])
     def test_degree_bound_below_one_is_rejected(self, capsys, suite):
         code, out, err = run(capsys, "verify", suite, "--max-n", "0")

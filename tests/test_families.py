@@ -721,8 +721,9 @@ class TestRimDiagrams:
         assert members == 5808
 
     def test_specials_match_the_is_special_filter(self):
-        # the four-row rims take E_s from the family parameters; the Young
-        # heads, the appended rows and the rotations test each diagram
+        # the four-row rims take E_s from the family parameters, the Young
+        # heads and the appended rows test each diagram, and the reversals
+        # carry E_s through the half turn without testing again
         for s, t, u in itertools.combinations_with_replacement(range(9, 0, -1), 3):
             for order in set(itertools.permutations((s, t, u))):
                 for k in (1, 3):
