@@ -674,30 +674,24 @@ def verify_rim_family(
 ) -> RimReport:
     """Check a closed-form rim against the constructed ideal.
 
-    The closed-form diagram words must be exactly the prefix-maximal
-    elements of the constructed ideal, each word must rebuild its diagram,
-    and the counts must match the table formulas.  The ideal is streamed
-    by ``rim``, which checks that it has f^mu members, the size reported.
-    Any failure raises; success returns a report.
+    ``rim_diagrams`` must give exactly the rim and the special subset of
+    ``_searched_rim``, and the counts must match the table formulas.  As
+    ``w_of_diagram`` inverts ``min_column_diagram``, equal diagrams mean
+    equal rim elements.  The ideal is streamed by ``rim``, which checks
+    that it has f^mu members, the size reported.  Any failure raises;
+    success returns a report.
     """
     lam = tuple(lam)
     shape = _shape_or_none(lam) or _shape_or_none(tuple(reversed(lam)))
     if shape is None:
         raise ValueError(f"{lam} is outside the closed-form families")
-    diagrams, specials = rim_diagrams(lam)
-    words = {D: w_of_diagram(D) for D in diagrams}
-    tops = rim(lam, limit)
-    closed = set(words.values())
-    if closed != tops:
-        raise VerificationError(
-            f"closed-form words for {lam} are not the maxima of the ideal: "
-            f"missing {sorted(w.images for w in tops - closed)}, "
-            f"extra {sorted(w.images for w in closed - tops)}"
-        )
-    for D, w in words.items():
-        if min_column_diagram(w, lam) != D:
+    diagrams, specials = built = rim_diagrams(lam)
+    for name, closed, searched in zip(("rim", "E_s"), built, _searched_rim(lam, limit)):
+        if closed != searched:
             raise VerificationError(
-                f"rim word {w.images} does not rebuild its diagram"
+                f"the closed-form {name} of {lam} is not the searched one: "
+                f"missing {sorted(w_of_diagram(D).images for D in searched - closed)}, "
+                f"extra {sorted(w_of_diagram(D).images for D in closed - searched)}"
             )
     expected = table_counts(shape)
     got = (len(specials), len(diagrams) - len(specials))

@@ -405,6 +405,21 @@ class TestVerify:
         assert (code, out) == (3, "")
         assert "verification failed" in err
 
+    def test_bijections_search_each_composition_once(self, capsys, monkeypatch):
+        searched_rim = families._searched_rim
+        calls = []
+
+        def counting(lam, limit):
+            calls.append(lam)
+            return searched_rim(lam, limit)
+
+        monkeypatch.setattr(families, "_searched_rim", counting)
+        monkeypatch.setattr(cli, "_searched_rim", counting)
+        code, _, err = run(capsys, "verify", "bijections", "--max-n", "8")
+        assert code == 0, err
+        # 2^(n-1) compositions of each degree n up to 8
+        assert len(calls) == len(set(calls)) == 255
+
     @pytest.mark.parametrize("suite", ["tables", "oracle", "bijections"])
     def test_degree_bound_below_one_is_rejected(self, capsys, suite):
         code, out, err = run(capsys, "verify", suite, "--max-n", "0")

@@ -351,6 +351,7 @@ class TestMinColumnDiagram:
                     D = min_column_diagram(d, parts)
                     assert D.nodes == frozenset(nodes)
                     assert D.rows() == oracles.rows_by_bucketing(nodes)
+                    assert w_of_diagram(D) == d
 
     def test_rejects_non_representative(self):
         with pytest.raises(ValueError):

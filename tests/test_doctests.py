@@ -1,9 +1,11 @@
 """Run the docstring examples across every package module, the lemma
-checkers in ``tests/claims.py`` and the oracles in ``tests/oracles.py``."""
+checkers in ``tests/claims.py`` and the oracles in ``tests/oracles.py``,
+and the library quick tour in the README."""
 
 from __future__ import annotations
 
 import doctest
+from pathlib import Path
 
 import pytest
 
@@ -31,4 +33,10 @@ MODULES = [
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_docstring_examples(module):
     result = doctest.testmod(module)
+    assert result.failed == 0
+
+
+def test_readme_quick_tour():
+    readme = Path(__file__).parent.parent / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
     assert result.failed == 0

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from cellrim import families
+from cellrim.cli import main
 from cellrim.diagrams import (
     Diagram,
     is_special,
@@ -881,6 +882,28 @@ class TestVerifyRimFamily:
         with pytest.raises(VerificationError, match="extra") as caught:
             verify_rim_family(lam)
         assert str(below.images) in str(caught.value).split("extra")[1]
+
+    def test_detects_a_wrong_special_subset(self, capsys, monkeypatch):
+        # swapping a special member for a non-special one keeps the counts
+        # of (1,3,2,1) at (3, 2): only a comparison of E_s can see it
+        argv = ["verify", "tables", "--s", "3", "--t", "2", "--u", "1"]
+        assert verify_rim_family((1, 3, 2, 1)).expected_counts == (3, 2)
+        assert main(argv) == 0
+        closed_rim = families._closed_rim
+
+        def swapping_one(shape):
+            E, E_s = closed_rim(shape)
+            if not E_s or E_s == E:
+                return E, E_s
+            special, other = min(E_s, key=Diagram.rows), min(E - E_s, key=Diagram.rows)
+            return E, E_s - {special} | {other}
+
+        monkeypatch.setattr(families, "_closed_rim", swapping_one)
+        with pytest.raises(VerificationError, match="E_s"):
+            verify_rim_family((1, 3, 2, 1))
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert "verification failed" in capsys.readouterr().err
 
 
 class TestColumnOps:
