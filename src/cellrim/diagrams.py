@@ -14,6 +14,7 @@ fillings of ``D``, which drives everything else in the package.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from itertools import accumulate
 from typing import Iterable
@@ -299,9 +300,9 @@ def rotate_180(D: Diagram) -> Diagram:
     )
 
 
-def psi_append(D: Diagram) -> Diagram:
-    """Append a single-node row below D, at the least column keeping the
-    diagram admissible.
+def psi_append(D: Diagram, k: int = 1) -> Diagram:
+    """Append k single-node rows below D, each at the least column keeping
+    the diagram admissible.
 
     The new node (r + 1, c), for D with r rows, either joins column c or
     sits in a fresh column inserted at c, and joining wins a tie.  The
@@ -316,23 +317,33 @@ def psi_append(D: Diagram) -> Diagram:
     fresh column at c, when columns 1..c - 1 do.  So the answer joins the
     first column p at which a greedy match of 1..r completes.
 
-    The one candidate is still checked, so an input that is not
-    admissible raises even when the match completes.
+    The match is read off the rows.  Within a column the rows increase, so
+    the letter a is matched at p_a, the least column of row a that is at
+    least p_(a-1) (with p_0 = 1): one bisection per row.  The new node
+    (r + 1, p_r) is read right after r in column p_r, so the match of
+    1..r + 1 in the extension completes at p_r too, and every one of the
+    k nodes stacks in that column.  Each append keeps admissibility both
+    ways, so the final diagram is admissible exactly when D is, and one
+    test of it checks D and every intermediate extension; an input that
+    is not admissible raises even when the match completes.
 
     >>> psi_append(young_diagram((2, 1))).sorted_nodes
     ((1, 1), (1, 2), (2, 1), (3, 1))
+    >>> psi_append(young_diagram((2, 1)), 2).rows()
+    ((1, 2), (1,), (1,), (1,))
     """
     from .paths import is_admissible  # deferred: paths builds on this module
 
-    r = D.row_count
-    wanted = 1
-    for p, column in enumerate(D.columns(), 1):
-        for a in column:
-            if a == wanted:
-                wanted += 1
-        if wanted > r:
-            candidate = Diagram(rows=D.rows() + ((p,),))
-            if is_admissible(candidate):
-                return candidate
+    if k < 1:
+        raise ValueError(f"psi_append needs k >= 1 rows, got {k}")
+    p = 1
+    for row in D.rows():
+        i = bisect_left(row, p)
+        if i == len(row):  # the match of 1..r never completes
             break
+        p = row[i]
+    else:
+        candidate = Diagram(rows=D.rows() + ((p,),) * k)
+        if is_admissible(candidate):
+            return candidate
     raise ValueError(f"no admissible single-node row extension of {D!r}")

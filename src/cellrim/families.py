@@ -600,7 +600,8 @@ def _closed_rim(
     E_s of a four-row family rim is read off the family parameters: F, G
     and H members are all special, M and N members exactly when
     theta = 0.  The Young head of a sorted arrangement and the rims
-    extended by ``psi_append`` past four rows go through ``is_special``.
+    extended past four rows, by one ``psi_append`` call per diagram, go
+    through ``is_special``.
     """
     base = StuShape(shape.s, shape.t, shape.u, shape.order, 1)
     if _variant(base) is None:
@@ -615,8 +616,8 @@ def _closed_rim(
                 specials.add(D)
         if shape.trailing_ones == 1:
             return frozenset(diagrams), frozenset(specials)
-    for _ in range(shape.trailing_ones - 1):
-        diagrams = {psi_append(D) for D in diagrams}
+    if shape.trailing_ones > 1:
+        diagrams = {psi_append(D, shape.trailing_ones - 1) for D in diagrams}
     return frozenset(diagrams), frozenset(D for D in diagrams if is_special(D))
 
 
@@ -635,11 +636,11 @@ def rim_diagrams(
     """The rim of a composition as diagrams, with its special subset.
 
     Compositions with three leading parts followed by ones use the closed
-    families, extended one row at a time past four rows, each with its
-    special subset E_s as ``_closed_rim`` decides it.  Their reversals
-    take the half turn of that rim, and of its E_s: a half turn keeps
-    specialness, so no rotated image is tested again.  Any other
-    composition falls back to the ideal construction under the guard.
+    families, each member given all its rows past the fourth by one
+    ``psi_append``, with the special subset E_s as ``_closed_rim`` decides
+    it.  Their reversals take the half turn of that rim, and of its E_s: a
+    half turn keeps specialness, so no rotated image is tested again.  Any
+    other composition falls back to the ideal construction under the guard.
     ``cellrim verify bijections`` checks every route against the search.
 
     >>> E, E_s = rim_diagrams((3, 2, 1, 1))

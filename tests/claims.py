@@ -269,15 +269,16 @@ def hat_diagram(D: Diagram) -> Diagram:
 
 
 def transport_keeps_specialness(D: Diagram) -> bool:
-    """Whether ``psi_append`` and ``rotate_180`` keep the specialness of an
-    admissible D: both images are special exactly when D is.
+    """Whether ``psi_append``, with one, two or three rows, and
+    ``rotate_180`` keep the specialness of an admissible D: every image is
+    special exactly when D is.
 
     A diagram is special when no two rows and two columns meet in the
     pattern ``[[1, 0], [0, 1]]``.  A half turn maps that pattern to
-    itself, and adding a row keeps every pattern D already has.  For a
+    itself, and adding rows keeps every pattern D already has.  For a
     special D the columns are nested, so the greedy match of rows 1..r in
     ``psi_append`` cannot complete before the first full column, whose
-    rows alone complete it; the new node joins that column, and its
+    rows alone complete it; the new nodes stack in that column, and each
     one-node row lies inside every other row.
 
     >>> from cellrim.diagrams import young_diagram
@@ -286,8 +287,8 @@ def transport_keeps_specialness(D: Diagram) -> bool:
     >>> transport_keeps_specialness(Diagram.from_rows([(1, 2), (2, 3)]))
     True
     """
-    special = is_special(D)
-    return is_special(rotate_180(D)) == special == is_special(psi_append(D))
+    images = [rotate_180(D)] + [psi_append(D, k) for k in (1, 2, 3)]
+    return all(is_special(E) == is_special(D) for E in images)
 
 
 # ---------------------------------------------------------------------------

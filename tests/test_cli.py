@@ -169,10 +169,15 @@ class TestDiagram:
         assert payload["admissible"] is True
 
     def test_check_counterexample(self, capsys):
+        # rows (1,2), (1), (2), (1,2): admissible, with no form path to
+        # settle the answer, and no family of the conjugate type, so
+        # family_with_lengths misses; answering True for every admissible
+        # diagram fails here
         payload = run_json(
             capsys, "diagram", "check", "--nodes", "1,1;1,2;2,1;3,2;4,1;4,2",
         )
         assert payload["admissible"] is True
+        assert payload["form"] is None
         assert payload["conjugate_type"] == [4, 2]
         assert payload["conjugate_type_path"] is False
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -679,6 +681,23 @@ class TestRimDiagrams:
             assert grown == {psi_append(D) for D in base}
             # rim_diagrams builds grown by psi_append; the search does not
             assert grown == brute_rim_diagrams(head + (1, 1))
+
+    def test_k_rows_are_the_searched_transport(self):
+        # k rows appended at once carry the searched rim and its E_s of
+        # every composition ending in 1 onto those of the k-longer one
+        searched = functools.cache(lambda lam: families._searched_rim(lam, None))
+        checked = Counter()
+        for k in (2, 3):
+            for n in range(1, 9 - k):
+                for lam in compositions_of(n):
+                    if lam[-1] != 1:
+                        continue
+                    moved = tuple(
+                        frozenset(psi_append(D, k) for D in X) for X in searched(lam)
+                    )
+                    assert moved == searched(lam + (1,) * k), (lam, k)
+                    checked[k] += 1
+        assert checked == {2: 32, 3: 16}
 
     def test_reversed_composition_rotates(self):
         for head in HEADS:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -811,16 +812,38 @@ class TestPsiAppend:
             psi_append(Diagram.from_rows([(1, 3), (1, 2)]))
 
     def test_matches_trial_oracle_on_every_box_diagram(self):
+        # k rows appended at once are k successive least placements, and
+        # the one admissibility test refuses exactly the inputs the trials do
         diagrams = box_diagrams(3, 4) + box_diagrams(4, 3)
-        extended = sum(assert_matches_trial(D) is not None for D in diagrams)
-        assert (len(diagrams), extended) == (5136, 2470)
+        extended = Counter()
+        for D in diagrams:
+            placed = D.nodes
+            for k in (1, 2, 3):
+                try:
+                    placed = oracles.psi_append_by_trial(placed)
+                except ValueError:
+                    for rows in range(k, 4):
+                        with pytest.raises(ValueError, match="no admissible"):
+                            psi_append(D, rows)
+                    break
+                assert psi_append(D, k).nodes == placed, (D, k)
+                extended[k] += 1
+        assert len(diagrams) == 5136
+        assert extended == {1: 2470, 2: 2470, 3: 2470}
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_fewer_than_one_row_raises(self, k):
+        with pytest.raises(ValueError, match="k >= 1"):
+            psi_append(young_diagram((2, 1)), k)
 
     @settings(max_examples=200, deadline=None)
     @given(large_node_sets)
     def test_random_diagrams_match_trial_oracle(self, nodes):
-        # extensions are extended again, as trailing-one transport does
+        # extensions are extended again, as trailing-one transport does,
+        # and the rows appended one at a time are the rows appended at once
         D = Diagram(nodes)
-        for _ in range(3):
+        for k in (1, 2, 3):
             D = assert_matches_trial(D)
             if D is None:
                 break
+            assert psi_append(Diagram(nodes), k) == D
