@@ -179,70 +179,49 @@ def determining_tuple(D: Diagram, shape: StuShape) -> DeterminingTuple:
     return DeterminingTuple(tuple(entries))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class FamilyParams:
-    """Parameters selecting one member of a closed diagram family.
-
-    variant is one of F, G, H, M, N.  columns holds the free column set
-    (C for F and G, the fixed companions of v for H, the triple-column
-    positions for M), sorted and deduplicated by the constructor, and
-    built that way by the parameter enumerators; v is the
-    fourth-row column for H; counts holds the block sizes for M as
-    (eps, eta, theta, zeta, psi) and for N as (eta, eps, theta, phi, zeta).
-
-    >>> FamilyParams("M", columns=(8, 7, 7), counts=(1, 3, 1, 0, 3)).columns
-    (7, 8)
-    """
-
+class _FamilyFields(NamedTuple):
     variant: str
     columns: tuple[int, ...] = ()
     v: int | None = None
     counts: tuple[int, ...] = ()
 
-    def __init__(
-        self,
+
+class FamilyParams(_FamilyFields):
+    """Parameters selecting one member of a closed diagram family.
+
+    variant is one of F, G, H, M, N.  columns holds the free column set
+    (C for F and G, the fixed companions of v for H, the triple-column
+    positions for M), sorted and deduplicated; v is the fourth-row column
+    for H; counts holds the block sizes for M as
+    (eps, eta, theta, zeta, psi) and for N as (eta, eps, theta, phi, zeta).
+
+    The constructor, and ``_replace`` through it, normalises outside input.
+    ``FamilyParams._make`` is the one path that stores fields as they are,
+    for the enumerators, which build them normal.
+
+    >>> FamilyParams("M", columns=(8, 7, 7), counts=(1, 3, 1, 0, 3)).columns
+    (7, 8)
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
         variant: str,
         columns: Iterable[int] = (),
         v: int | None = None,
         counts: Iterable[int] = (),
-    ) -> None:
-        # each field is set once; the builders store columns and v in the
-        # rows as they are, so both must be ints, and read columns in order
+    ) -> FamilyParams:
+        # the builders store columns and v in the rows as they are, so both
+        # must be ints, and read columns in order
         if variant not in _VARIANTS:
             raise ValueError(f"unknown family variant {variant!r}")
-        put = object.__setattr__
-        put(self, "variant", variant)
-        put(self, "columns", tuple(sorted(set(map(operator.index, columns)))))
-        put(self, "v", v if v is None else operator.index(v))
-        put(self, "counts", tuple(counts))
+        columns = tuple(sorted(set(map(operator.index, columns))))
+        v = v if v is None else operator.index(v)
+        return super().__new__(cls, variant, columns, v, tuple(counts))
 
-
-# the slot setters, which store a field even on the frozen class
-_set_variant, _set_columns, _set_v, _set_counts = (
-    getattr(FamilyParams, name).__set__ for name in ("variant", "columns", "v", "counts")
-)
-
-
-def _as_built(
-    variant: str,
-    columns: tuple[int, ...] = (),
-    v: int | None = None,
-    counts: tuple[int, ...] = (),
-) -> FamilyParams:
-    """Parameters an enumerator builds, stored as they are.
-
-    The enumerators make them normal by construction, as ``FamilyParams``
-    would store them: a known variant, columns a sorted tuple of distinct
-    ints, v an int or None and counts a tuple of ints.  So this skips the
-    normalising ``__init__`` and checks nothing, as ``Diagram(rows=...)``
-    does for rows.
-    """
-    p = object.__new__(FamilyParams)
-    _set_variant(p, variant)
-    _set_columns(p, columns)
-    _set_v(p, v)
-    _set_counts(p, counts)
-    return p
+    def _replace(self, **changes) -> FamilyParams:
+        return FamilyParams(**{**self._asdict(), **changes})
 
 
 def _family_f(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
@@ -336,21 +315,21 @@ def _family_n(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
 
 def _f_params(s: int, t: int, u: int) -> tuple[FamilyParams, ...]:
     return tuple(
-        _as_built("F", C)
+        FamilyParams._make(("F", C, None, ()))
         for C in itertools.combinations(range(1, t + 1), u)
     )
 
 
 def _g_params(s: int, t: int, u: int) -> tuple[FamilyParams, ...]:
     return tuple(
-        _as_built("G", C)
+        FamilyParams._make(("G", C, None, ()))
         for C in itertools.combinations(range(1, s - t + u + 1), u)
     )
 
 
 def _h_params(s: int, t: int, u: int) -> tuple[FamilyParams, ...]:
     return tuple(
-        _as_built("H", companions, v)
+        FamilyParams._make(("H", companions, v, ()))
         for companions in itertools.combinations(range(s - t + 2, s + 1), u - 1)
         for v in range(1, companions[0] if companions else s + 1)
     )
@@ -368,7 +347,7 @@ def _m_params(s: int, t: int, u: int) -> tuple[FamilyParams, ...]:
                 m = s + theta
                 counts = (eps, eta, theta, zeta, psi)
                 out.extend(
-                    _as_built("M", triples, None, counts)
+                    FamilyParams._make(("M", triples, None, counts))
                     for triples in itertools.combinations(range(m - psi + 1, m + 1), u - 1)
                 )
     return tuple(out)
@@ -383,7 +362,7 @@ def _n_params(s: int, t: int, u: int) -> tuple[FamilyParams, ...]:
             eps_choices = (0,) if extra > 0 else range(t - u - theta + 1)
             for eps in eps_choices:
                 zeta = t - u - theta - eps
-                out.append(_as_built("N", (), None, (eta, eps, theta, phi, zeta)))
+                out.append(FamilyParams._make(("N", (), None, (eta, eps, theta, phi, zeta))))
     return tuple(out)
 
 

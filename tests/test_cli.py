@@ -102,8 +102,7 @@ def _streamed_rim_compositions() -> list[tuple[int, ...]]:
 class TestStreamedRim:
     # cellrim rim writes one diagram at a time; the oracle builds the whole
     # payload, or every ascii line, from each diagram's Permutation
-    def test_stdout_matches_the_whole_output(self, capsys, monkeypatch):
-        monkeypatch.delenv("CELLRIM_MAX_N", raising=False)
+    def test_stdout_matches_the_whole_output(self, capsys):
         shapes = _streamed_rim_compositions()
         for lam in shapes:
             text = ",".join(map(str, lam))
@@ -114,8 +113,7 @@ class TestStreamedRim:
                 assert out == oracles.rim_output_whole(lam, fmt, "--plain-x" in extra), (lam, extra)
         assert len(shapes) == 792
 
-    def test_runs_spell_the_reduced_word(self, monkeypatch):
-        monkeypatch.delenv("CELLRIM_MAX_N", raising=False)
+    def test_runs_spell_the_reduced_word(self):
         for lam in _streamed_rim_compositions():
             for D in rim_diagrams(lam)[0]:
                 word = tuple(i for j, k in reduced_word_runs(D) for i in range(j, k, -1))
@@ -526,8 +524,7 @@ class TestJsonBytes:
         ("c7b82b880fe687656c377fc1603d2fc0",
          ("verify", "bijections", "--max-n", "6")),
     ])
-    def test_stdout_md5(self, capsys, monkeypatch, digest, argv):
-        monkeypatch.delenv("CELLRIM_MAX_N", raising=False)
+    def test_stdout_md5(self, capsys, digest, argv):
         code, out, err = run(capsys, *argv, "--format", "json")
         assert code == 0, err
         assert hashlib.md5(out.encode()).hexdigest() == digest
@@ -569,8 +566,7 @@ class TestAsciiBytes:
         ("afcd230b295aa1d5f32f9a32587b1f62",
          ("rim", "--composition", "1,3,2,1", "--plain-x")),
     ])
-    def test_stdout_md5(self, capsys, monkeypatch, digest, argv):
-        monkeypatch.delenv("CELLRIM_MAX_N", raising=False)
+    def test_stdout_md5(self, capsys, digest, argv):
         code, out, err = run(capsys, *argv)
         assert code == 0, err
         assert hashlib.md5(out.encode()).hexdigest() == digest

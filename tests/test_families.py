@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
+import pickle
 import random
 from collections import Counter
 
@@ -238,13 +240,37 @@ class TestFamilyConstructors:
         assert family_diagram(params, shape) == FAMILY_F_853
         assert FamilyParams("N").columns == ()
 
+    def test_replace_normalises_like_the_constructor(self):
+        params = FamilyParams("M", columns=(7, 8), counts=(1, 3, 1, 0, 3))
+        assert params._replace(columns={9, 3}).columns == (3, 9)
+        with pytest.raises(TypeError):
+            params._replace(columns=(1.5,))
+        with pytest.raises(ValueError):
+            params._replace(variant="X")
+
+    def test_parameters_are_a_frozen_record(self):
+        params = FamilyParams("M", columns=(7, 8), counts=(1, 3, 1, 0, 3))
+        assert repr(params) == (
+            "FamilyParams(variant='M', columns=(7, 8), v=None, counts=(1, 3, 1, 0, 3))"
+        )
+        for name in ("variant", "columns", "v", "counts", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(params, name, None)
+        twin = FamilyParams("M", columns=[8, 7], counts=[1, 3, 1, 0, 3])
+        assert hash(twin) == hash(params)
+        for clone in (pickle.loads(pickle.dumps(params)), copy.copy(params),
+                      copy.deepcopy(params)):
+            assert type(clone) is FamilyParams and clone == params
+
     def test_enumerators_store_normal_parameters(self):
         # the enumerators skip the normalising constructor, so each member
-        # must already be what the constructor stores
+        # must already be what the constructor stores; a bare 4-tuple
+        # would pass the equality check, so the type is checked too
         members = 0
         for s, t, u in itertools.combinations_with_replacement(range(9, 0, -1), 3):
             for order in sorted(set(itertools.permutations((s, t, u)))):
                 for p in family_parameter_sets(StuShape(s, t, u, order)):
+                    assert type(p) is FamilyParams, p
                     assert p == FamilyParams(p.variant, p.columns, p.v, p.counts), p
                     assert type(p.columns) is tuple and type(p.counts) is tuple, p
                     assert all(type(c) is int for c in p.columns + p.counts), p
