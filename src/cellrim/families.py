@@ -649,40 +649,45 @@ class RimReport:
     expected_counts: tuple[int, int]
 
 
-def verify_rim_family(
-    lam: tuple[int, ...], limit: int | None = None
-) -> RimReport:
-    """Check a closed-form rim against the constructed ideal.
-
-    ``rim_diagrams`` must give exactly the rim and the special subset of
-    ``_searched_rim``, and the counts must match the table formulas.  As
-    ``w_of_diagram`` inverts ``min_column_diagram``, equal diagrams mean
-    equal rim elements.  The ideal is streamed by ``rim``, which checks
-    that it has f^mu members, the size reported.  Any failure raises;
-    success returns a report.
-    """
-    lam = tuple(lam)
-    shape = _shape_or_none(lam) or _shape_or_none(tuple(reversed(lam)))
-    if shape is None:
-        raise ValueError(f"{lam} is outside the closed-form families")
+def _check_closed_rim(
+    lam: tuple[int, ...], shape: StuShape, searched: tuple[frozenset[Diagram], ...]
+) -> tuple[int, int]:
+    """The table counts (special, non-special) of ``shape``, once
+    ``rim_diagrams(lam)`` gives exactly the rim and E_s of ``searched``
+    and those counts; as ``w_of_diagram`` inverts ``min_column_diagram``,
+    equal diagrams are equal rim elements.  Else VerificationError."""
     diagrams, specials = built = rim_diagrams(lam)
-    for name, closed, searched in zip(("rim", "E_s"), built, _searched_rim(lam, limit)):
-        if closed != searched:
+    for name, closed, found in zip(("rim", "E_s"), built, searched):
+        if closed != found:
             raise VerificationError(
                 f"the closed-form {name} of {lam} is not the searched one: "
-                f"missing {sorted(w_of_diagram(D).images for D in searched - closed)}, "
-                f"extra {sorted(w_of_diagram(D).images for D in closed - searched)}"
+                f"missing {sorted(w_of_diagram(D).images for D in found - closed)}, "
+                f"extra {sorted(w_of_diagram(D).images for D in closed - found)}"
             )
     expected = table_counts(shape)
     got = (len(specials), len(diagrams) - len(specials))
     if got != expected:
         raise VerificationError(
-            f"rim counts {got} differ from the table values {expected}"
+            f"rim counts {got} of {lam} differ from the table values {expected}"
         )
+    return expected
+
+
+def verify_rim_family(
+    lam: tuple[int, ...], limit: int | None = None
+) -> RimReport:
+    """Check a closed-form rim against the searched rim, as
+    ``_check_closed_rim`` does.  ``rim`` streams the ideal and checks that
+    it has f^mu members, the size reported.  Any failure raises."""
+    lam = tuple(lam)
+    shape = _shape_or_none(lam) or _shape_or_none(tuple(reversed(lam)))
+    if shape is None:
+        raise ValueError(f"{lam} is outside the closed-form families")
+    special, other = counts = _check_closed_rim(lam, shape, _searched_rim(lam, limit))
     return RimReport(
         composition=lam,
-        rim_size=len(diagrams),
-        special_size=len(specials),
+        rim_size=special + other,
+        special_size=special,
         ideal_size=count_standard_tableaux(conjugate(lam)),
-        expected_counts=expected,
+        expected_counts=counts,
     )

@@ -21,7 +21,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-import os
 from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -31,7 +30,8 @@ DEFAULT_MAX_DEGREE = 9
 
 
 class GuardExceeded(RuntimeError):
-    """A group-wide enumeration was requested above the configured bound."""
+    """A walk that builds its members one by one was asked for a degree
+    above the bound."""
 
 
 class VerificationError(RuntimeError):
@@ -39,20 +39,14 @@ class VerificationError(RuntimeError):
 
 
 def check_enumeration_guard(n: int, explicit: int | None = None) -> None:
-    """Refuse a group-wide enumeration of degree n above the active bound.
-
-    Precedence for the bound: explicit argument, then the CELLRIM_MAX_N
-    environment variable, then the package default.
-    """
-    limit = explicit
-    if limit is None:
-        env = os.environ.get("CELLRIM_MAX_N")
-        limit = int(env) if env else DEFAULT_MAX_DEGREE
+    """Refuse a walk of degree n, one that builds its members one by one,
+    above the bound: ``explicit`` when given, else DEFAULT_MAX_DEGREE."""
+    limit = DEFAULT_MAX_DEGREE if explicit is None else explicit
     if n > limit:
         raise GuardExceeded(
             f"degree {n} exceeds the enumeration bound {limit}; raise it via "
-            "the limit argument, the CLI's --max-n option or the "
-            "CELLRIM_MAX_N environment variable if the run time is acceptable"
+            "the limit argument or the CLI's --max-n option if the run time "
+            "is acceptable"
         )
 
 

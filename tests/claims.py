@@ -495,6 +495,58 @@ def form_b_path_recuts_to_conjugate_type(pi: KPath, form: FormClass) -> bool:
     )
 
 
+def form_b_path_is_recut_columns(pi: KPath, form: FormClass) -> bool:
+    """Whether the answer ``find_form_path`` gives a closed-family member,
+    when it has form B, is the member's columns re-cut at its 4-node
+    column; true of every form-A answer.
+
+    Read off the columns of D: f is the one 4-node column; theta is the
+    smaller of the counts of one-node row-2 columns left of f and of
+    one-node row-3 columns right of f; c_1 < .. < c_theta are the first
+    theta of those row-2 columns, d_1 < .. < d_theta the first theta of
+    those row-3 columns.  The re-cut family is every other column, whole,
+    with the chains (2,c_1),(3,f),(4,f), then (2,c_i),(3,d_(i-1)) for
+    i = 2..theta, then (1,f),(2,f),(3,d_theta), all listed by the column
+    of their top node.
+
+    Proved: for theta >= 1 this is a full family, with the form-B profile
+    when the columns are right in number.  Each chain is a path, as
+    c_i < f < d_j, and the chains cover f, the c_i and the d_i once each.
+    They trade the 4-node column and 2*theta one-node columns, 4 + 2*theta
+    nodes, for two 3-chains and theta-1 2-chains, 6 + 2*(theta-1) nodes:
+    columns of profile (a1, a2, a3, 1), by one, two, three and four nodes,
+    become (a1 - 2*theta, a2 + theta - 1, a3 + 2, 0).  That is the form-B
+    profile (s-t, t-u-1, u+1, 0) exactly when D has s-t+2*theta one-node,
+    t-u-theta two-node and u-1 three-node columns.
+
+    Only checked: that the search returns exactly this family, chain for
+    chain.  The first theta columns matter: the last theta, on either
+    row, give another family.
+
+    >>> from cellrim.families import FamilyParams, StuShape, family_diagram
+    >>> shape = StuShape(8, 5, 3, (3, 8, 5))
+    >>> member = family_diagram(FamilyParams("M", (7, 8), counts=(1, 3, 1, 0, 3)), shape)
+    >>> form_b_path_is_recut_columns(*find_form_path(member))
+    True
+    """
+    if form is not FormClass.B:
+        return True
+    D = pi.diagram
+    columns = D.columns()
+    f = next(b for b, rows in enumerate(columns, 1) if len(rows) == 4)
+    c = [b for b, rows in enumerate(columns[: f - 1], 1) if rows == (2,)]
+    d = [b for b, rows in enumerate(columns[f:], f + 1) if rows == (3,)]
+    theta = min(len(c), len(d))
+    if theta == 0:
+        return False
+    c, d = c[:theta], d[:theta]
+    recut = [((2, c[0]), (3, f), (4, f)), ((1, f), (2, f), (3, d[-1]))]
+    recut += [((2, c[i]), (3, d[i - 1])) for i in range(1, theta)]
+    whole = [chain for chain in column_family(D) if chain[0][1] not in {f, *c, *d}]
+    family = sorted(recut + whole, key=lambda chain: chain[0][1])
+    return tuple(family) == pi.constituents
+
+
 def _chain_masks(
     nodes: Iterable[Node], lengths: frozenset[int]
 ) -> tuple[list[tuple[Node, ...]], list[int], dict[Node, int]]:

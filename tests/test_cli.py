@@ -354,6 +354,25 @@ class TestVerify:
         sizes = sorted(r["rim_size"] for r in payload["results"])
         assert sizes == [1, 2, 2, 3, 5, 5]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--s", "3", "--t", "2", "--u", "1", "--trailing-ones", "2"),
+            ("--s", "4", "--t", "3", "--u", "1", "--trailing-ones", "3", "--max-n", "11"),
+        ],
+    )
+    def test_tables_with_trailing_ones(self, capsys, argv):
+        payload = run_json(capsys, "verify", "tables", *argv)
+        assert payload["ok"] is True
+        one = run_json(capsys, "verify", "tables", *argv[:6])["results"]
+        size_with_one = {tuple(r["lambda"][:3]): r["rim_size"] for r in one}
+        for r in payload["results"]:
+            lam = tuple(r["lambda"])
+            counts = families.table_counts(families._shape_or_none(lam))
+            assert (r["special"], r["rim_size"] - r["special"]) == counts, lam
+            # psi_append maps the rim one part shorter onto this one
+            assert r["rim_size"] == size_with_one[lam[:3]], lam
+
     def test_oracle_pass(self, capsys):
         payload = run_json(capsys, "verify", "oracle", "--max-n", "3")
         assert payload["ok"] is True
@@ -371,11 +390,10 @@ class TestVerify:
         assert first["spot_shapes"] == second["spot_shapes"]
         assert len(first["spot_shapes"]) == 2
 
-    def test_oracle_spots_respect_the_guard(self, capsys, monkeypatch):
-        # the spots run at degrees 4 and 5, above the bound of 4
-        monkeypatch.setenv("CELLRIM_MAX_N", "4")
+    def test_oracle_spots_respect_the_guard(self, capsys):
+        # the second spot runs at degree 10, above the default bound
         code, _, err = run(
-            capsys, "verify", "oracle", "--max-n", "3", "--spots", "2",
+            capsys, "verify", "oracle", "--max-n", "8", "--spots", "2",
         )
         assert code == 2
         assert "guard exceeded" in err
@@ -407,6 +425,21 @@ class TestVerify:
         assert dropped
         assert (code, out) == (3, "")
         assert "verification failed" in err
+
+    def test_bijections_check_closed_rim_counts(self, capsys, monkeypatch):
+        # swapped special and non-special counts of every closed shape with
+        # non-special members: each rim matches the search, only the
+        # table counts can catch it
+        table_counts = families.table_counts
+
+        def swapped(shape):
+            special, other = table_counts(shape)
+            return (other, special) if other else (special, other)
+
+        monkeypatch.setattr(families, "table_counts", swapped)
+        code, out, err = run(capsys, "verify", "bijections", "--max-n", "8")
+        assert (code, out) == (3, "")
+        assert "table values" in err
 
     def test_bijections_search_each_composition_once(self, capsys, monkeypatch):
         searched_rim = families._searched_rim
@@ -593,7 +626,7 @@ class TestExitCodes:
         code, out, err = run(capsys, "rim", "--composition", "2,2,2,2,2")
         assert (code, out) == (2, "")
         assert "guard" in err.lower() or "bound" in err.lower()
-        for way in ("limit argument", "--max-n", "CELLRIM_MAX_N"):
+        for way in ("limit argument", "--max-n"):
             assert way in err
 
     def test_guard_override_allows_run(self, capsys):

@@ -58,6 +58,7 @@ from claims import (
     ColumnOp,
     apply_column_op,
     diagram_from_tuple,
+    form_b_path_is_recut_columns,
     form_b_path_recuts_to_conjugate_type,
     insertion_tableau,
     member_form_is_specialness,
@@ -799,12 +800,13 @@ class TestRimDiagrams:
         assert (members, special) == (5770, 4036)
 
     def test_form_b_paths_recut_to_conjugate_type(self):
-        # lemma (c) on every member with s <= 8, tied parts and u = 1
-        # included; the exhaustive family search is its oracle
+        # lemmas (c) and (d) on every member with s <= 8, tied parts and
+        # u = 1 included; the exhaustive family search is the oracle of (c)
         members = form_b = 0
         for _, D in every_member(8):
             pi, form = find_form_path(D)
             assert form_b_path_recuts_to_conjugate_type(pi, form), D
+            assert form_b_path_is_recut_columns(pi, form), D
             if form is FormClass.B:
                 profile = conjugate(D.row_composition())
                 assert family_with_lengths(D, profile) is not None, D

@@ -231,11 +231,12 @@ def test_right_cell_guard():
 
 
 def test_guard_env_override(monkeypatch):
+    # only the limit argument moves the bound off DEFAULT_MAX_DEGREE
     monkeypatch.setenv("CELLRIM_MAX_N", "4")
-    with pytest.raises(GuardExceeded):
-        right_cell_of(identity(5))
-    monkeypatch.setenv("CELLRIM_MAX_N", "5")
     assert right_cell_of(identity(5)) == {identity(5)}
+    monkeypatch.setenv("CELLRIM_MAX_N", "20")
+    with pytest.raises(GuardExceeded):
+        right_cell_of(identity(10))
 
 
 def test_tableau_validation():
