@@ -20,7 +20,6 @@ from .diagrams import (
 from .families import (
     DeterminingTuple,
     FamilyParams,
-    RimReport,
     StuShape,
     determining_tuple,
     family_diagram,
@@ -28,7 +27,6 @@ from .families import (
     rim,
     rim_diagrams,
     table_counts,
-    verify_rim_family,
     z_ideal,
 )
 from .paths import (
@@ -69,7 +67,6 @@ __all__ = [
     "GuardExceeded",
     "KPath",
     "Permutation",
-    "RimReport",
     "StuShape",
     "VerificationError",
     "classify_form",
@@ -98,7 +95,6 @@ __all__ = [
     "rs_pair",
     "subsequence_type",
     "table_counts",
-    "verify_rim_family",
     "w_of_diagram",
     "young_diagram",
     "z_ideal",

@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import random
 import sys
-from collections import deque
 from collections.abc import Iterator, Sequence
 from functools import cache
 
@@ -37,7 +35,6 @@ from .families import (
     determining_tuple,
     family_diagram,
     rim_diagrams,
-    verify_rim_family,
 )
 from .paths import (
     FormClass,
@@ -52,9 +49,7 @@ from .permutations import (
     Permutation,
     VerificationError,
 )
-from .tableaux import compositions_of, conjugate, right_cell_of
-
-DEFAULT_SEED = 20260816
+from .tableaux import compositions_of, conjugate, count_standard_tableaux, right_cell_of
 
 
 class _Parser(argparse.ArgumentParser):
@@ -338,59 +333,31 @@ def _verify_tables(args: argparse.Namespace) -> dict | list[str]:
     s, t, u = sorted((args.s, args.t, args.u), reverse=True)
     results, lines = [], []
     for order in sorted(set(itertools.permutations((s, t, u)))):
-        lam = order + (1,) * args.trailing_ones
-        report = verify_rim_family(lam, limit=args.max_n)
+        shape = StuShape(s, t, u, order, args.trailing_ones)
+        lam = shape.composition
+        special, other = _check_closed_rim(lam, shape, _searched_rim(lam, args.max_n))
+        # the walk behind the search checked its member count against f^mu
+        ideal = count_standard_tableaux(conjugate(lam))
         results.append(
             {
                 "lambda": lam,
-                "rim_size": report.rim_size,
-                "special": report.special_size,
-                "ideal_size": report.ideal_size,
+                "rim_size": special + other,
+                "special": special,
+                "ideal_size": ideal,
                 "pass": True,
             }
         )
         lines.append(
-            f"ordering {order}: rim {report.rim_size} "
-            f"special {report.special_size} ideal {report.ideal_size} PASS"
+            f"ordering {order}: rim {special + other} special {special} ideal {ideal} PASS"
         )
     if args.format == "json":
         return {"suite": "tables", "results": results, "ok": True}
     return lines + [f"tables suite: {len(results)} orderings PASS"]
 
 
-def _verify_oracle(args: argparse.Namespace) -> dict | list[str]:
-    if args.spots < 0:
-        raise ValueError(f"--spots must not be negative, got {args.spots}")
-    bound = args.max_n if args.max_n is not None else 5
-    checked = 0
-    lines = []
-    # each walk runs both routes on every member and cover it tests
-    for n in range(1, bound + 1):
-        shapes = list(compositions_of(n))
-        for lam in shapes:
-            deque(_ideal_members(lam, bound), maxlen=0)
-        checked += len(shapes)
-        lines.append(f"n={n}: {len(shapes)} compositions, two routes agree")
-    spot_shapes = []
-    rng = random.Random(args.seed)
-    for offset in range(1, args.spots + 1):
-        lam = rng.choice(list(compositions_of(bound + offset)))
-        deque(_ideal_members(lam, None), maxlen=0)
-        spot_shapes.append(lam)
-        lines.append(f"spot {lam}: two routes agree")
-    if args.format == "json":
-        return {
-            "suite": "oracle",
-            "compositions_checked": checked,
-            "spot_shapes": spot_shapes,
-            "ok": True,
-        }
-    spots = len(spot_shapes)
-    return lines + [f"oracle suite: {checked} compositions + {spots} spots PASS"]
-
-
 def _verify_bijections(args: argparse.Namespace) -> dict | list[str]:
     bound = args.max_n if args.max_n is not None else 6
+    # each search walks the ideal, both routes on every member and cover it tests
     searched = {
         lam: _searched_rim(lam, bound)
         for n in range(1, bound + 1)
@@ -478,12 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument("--trailing-ones", type=int, default=1)
     common(p_tables, _verify_tables)
 
-    p_spots = suites.add_parser("oracle", help="both membership routes, seeded spots")
-    p_spots.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_spots.add_argument("--spots", type=int, default=0)
-    common(p_spots, _verify_oracle)
-
-    p_bij = suites.add_parser("bijections", help="rotation and row-append transport")
+    p_bij = suites.add_parser(
+        "bijections", help="both membership routes, rotation and row-append transport"
+    )
     common(p_bij, _verify_bijections)
 
     p_oracle = sub.add_parser("oracle", help="two-route ideal membership probe")

@@ -638,17 +638,6 @@ def rim_diagrams(
     return frozenset(turned.values()), frozenset(turned[D] for D in specials)
 
 
-@dataclass(frozen=True, slots=True)
-class RimReport:
-    """Outcome of checking a closed-form rim against the constructed ideal."""
-
-    composition: tuple[int, ...]
-    rim_size: int
-    special_size: int
-    ideal_size: int
-    expected_counts: tuple[int, int]
-
-
 def _check_closed_rim(
     lam: tuple[int, ...], shape: StuShape, searched: tuple[frozenset[Diagram], ...]
 ) -> tuple[int, int]:
@@ -671,23 +660,3 @@ def _check_closed_rim(
             f"rim counts {got} of {lam} differ from the table values {expected}"
         )
     return expected
-
-
-def verify_rim_family(
-    lam: tuple[int, ...], limit: int | None = None
-) -> RimReport:
-    """Check a closed-form rim against the searched rim, as
-    ``_check_closed_rim`` does.  ``rim`` streams the ideal and checks that
-    it has f^mu members, the size reported.  Any failure raises."""
-    lam = tuple(lam)
-    shape = _shape_or_none(lam) or _shape_or_none(tuple(reversed(lam)))
-    if shape is None:
-        raise ValueError(f"{lam} is outside the closed-form families")
-    special, other = counts = _check_closed_rim(lam, shape, _searched_rim(lam, limit))
-    return RimReport(
-        composition=lam,
-        rim_size=special + other,
-        special_size=special,
-        ideal_size=count_standard_tableaux(conjugate(lam)),
-        expected_counts=counts,
-    )

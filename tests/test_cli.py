@@ -373,31 +373,6 @@ class TestVerify:
             # psi_append maps the rim one part shorter onto this one
             assert r["rim_size"] == size_with_one[lam[:3]], lam
 
-    def test_oracle_pass(self, capsys):
-        payload = run_json(capsys, "verify", "oracle", "--max-n", "3")
-        assert payload["ok"] is True
-        assert payload["compositions_checked"] == 7
-
-    def test_oracle_spots_seeded(self, capsys):
-        first = run_json(
-            capsys, "verify", "oracle", "--max-n", "3", "--spots", "2",
-            "--seed", "7",
-        )
-        second = run_json(
-            capsys, "verify", "oracle", "--max-n", "3", "--spots", "2",
-            "--seed", "7",
-        )
-        assert first["spot_shapes"] == second["spot_shapes"]
-        assert len(first["spot_shapes"]) == 2
-
-    def test_oracle_spots_respect_the_guard(self, capsys):
-        # the second spot runs at degree 10, above the default bound
-        code, _, err = run(
-            capsys, "verify", "oracle", "--max-n", "8", "--spots", "2",
-        )
-        assert code == 2
-        assert "guard exceeded" in err
-
     def test_bijections_pass(self, capsys):
         payload = run_json(capsys, "verify", "bijections", "--max-n", "4")
         assert payload["ok"] is True
@@ -456,20 +431,50 @@ class TestVerify:
         # 2^(n-1) compositions of each degree n up to 8
         assert len(calls) == len(set(calls)) == 255
 
-    @pytest.mark.parametrize("suite", ["tables", "oracle", "bijections"])
+    @pytest.mark.parametrize("suite", ["tables", "bijections"])
     def test_degree_bound_below_one_is_rejected(self, capsys, suite):
         code, out, err = run(capsys, "verify", suite, "--max-n", "0")
         assert code == 1
         assert "PASS" not in out
         assert "invalid input: --max-n must be at least 1" in err
 
-    def test_negative_spots_are_rejected(self, capsys):
-        code, out, err = run(
-            capsys, "verify", "oracle", "--max-n", "3", "--spots", "-1",
-        )
-        assert code == 1
-        assert "PASS" not in out
-        assert "invalid input: --spots must not be negative" in err
+    @pytest.mark.parametrize(
+        "name, lie",
+        [
+            # the diagram route refuses every member of degree 4
+            ("_admissible_by_word", lambda real: lambda labels, shape: (
+                len(labels) != 4 and real(labels, shape))),
+            # the cover route answers the opposite of the truth
+            ("is_admissible", lambda real: lambda D: not real(D)),
+        ],
+        ids=["word", "cover"],
+    )
+    def test_bijections_catch_a_route_disagreement(self, capsys, monkeypatch, name, lie):
+        monkeypatch.setattr(families, name, lie(getattr(families, name)))
+        code, out, err = run(capsys, "verify", "bijections", "--max-n", "5")
+        assert (code, out) == (3, "")
+        assert "cell route and diagram route disagree" in err
+
+    def test_oracle_suite_is_retired(self, capsys):
+        # verify bijections walks every composition through both routes
+        code, out, err = run(capsys, "verify", "oracle", "--max-n", "3")
+        assert (code, out) == (1, "")
+        assert "invalid choice: 'oracle'" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--s", "0"), "need s >= t >= u >= 1"),
+            (("--trailing-ones", "0"), "at least one trailing part is required"),
+        ],
+        ids=["s", "trailing-ones"],
+    )
+    def test_bad_tables_parts_name_their_cause(self, capsys, monkeypatch, argv, message):
+        searches = []
+        monkeypatch.setattr(cli, "_searched_rim", lambda *args: searches.append(args))
+        code, out, err = run(capsys, "verify", "tables", *argv)
+        assert (code, out, searches) == (1, "", [])
+        assert f"invalid input: {message}" in err
 
     def test_failed_assertion_exits_3(self, capsys, monkeypatch):
         import cellrim.families as families
@@ -533,8 +538,8 @@ class TestJsonBytes:
          ("oracle", "--composition", "2,4,1,3", "--max-n", "10", "--list")),
         ("3e0a0e35bb16b8ca00779ce2249aec98",
          ("verify", "tables", "--s", "4", "--t", "3", "--u", "2", "--max-n", "10")),
-        ("a7372a37d044bad4bcbd6dea93700f17",
-         ("verify", "oracle", "--max-n", "5", "--spots", "2")),
+        ("8db7b6cbf8d66a9ac5d0ae90effa979b",
+         ("verify", "tables", "--s", "3", "--t", "2", "--u", "1", "--trailing-ones", "2")),
         ("2c654920ba21fc171b7ac5865974e207",
          ("diagram", "young", "--partition", "4,2,1")),
         ("ca0585b07d5836c1c58cfa51db48f165",
@@ -573,8 +578,8 @@ class TestAsciiBytes:
          ("oracle", "--composition", "2,4,1,3", "--max-n", "10", "--list")),
         ("f3f2637645bfedb4895e790ba6e51246",
          ("verify", "tables", "--s", "4", "--t", "3", "--u", "2", "--max-n", "10")),
-        ("2a62c6700a806bb2799cb70b7eab8b2b",
-         ("verify", "oracle", "--max-n", "5", "--spots", "2")),
+        ("1d924f425a4c705327605ad4cb2e9e7a",
+         ("verify", "tables", "--s", "3", "--t", "2", "--u", "1", "--trailing-ones", "2")),
         ("737105bf9789e9ca77ceed4652ba16b9",
          ("verify", "bijections", "--max-n", "6")),
         ("93ab1317da37ed8b554cc57acea47899",
@@ -644,10 +649,10 @@ class TestExitCodes:
             ("diagram", "young", "--partition", "2,1", "--max-n", "3"),
             ("cell", "--permutation", "2,1", "--plain-x"),
             # each verify suite reads only its own options, after its name
-            ("verify", "tables", "--spots", "2"),
-            ("verify", "oracle", "--trailing-ones", "2"),
+            ("verify", "tables", "--list"),
+            ("verify", "bijections", "--trailing-ones", "2"),
             ("verify", "bijections", "--s", "4"),
-            ("verify", "--max-n", "3", "oracle"),
+            ("verify", "--max-n", "3", "bijections"),
         ):
             code, out, _ = run(capsys, *argv)
             assert (code, out) == (1, ""), argv
@@ -659,7 +664,7 @@ class TestExitCodes:
             ("rim", "--composition", "3,2,1,1", "--max-n", "0"),
             ("cell", "--permutation", "2,1,3", "--max-n", "-1"),
             ("oracle", "--composition", "2,1", "--max-n", "0"),
-            ("verify", "oracle", "--max-n", "0"),
+            ("verify", "bijections", "--max-n", "0"),
         ],
     )
     def test_degree_bound_below_one_is_rejected(self, capsys, argv):
@@ -672,7 +677,7 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         for argv in (
             (), ("rim",), ("cell",), ("diagram",), ("oracle",), ("verify",),
-            ("verify", "tables"), ("verify", "oracle"), ("verify", "bijections"),
+            ("verify", "tables"), ("verify", "bijections"),
         ):
             code, out, _ = run(capsys, *argv, "--help")
             assert code == 0, argv
