@@ -18,7 +18,6 @@ from .diagrams import (
     young_diagram,
 )
 from .families import (
-    DeterminingTuple,
     FamilyParams,
     StuShape,
     determining_tuple,
@@ -60,7 +59,6 @@ from .tableaux import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DeterminingTuple",
     "Diagram",
     "FamilyParams",
     "FormClass",

@@ -198,12 +198,11 @@ def _column_path(D: Diagram) -> tuple[KPath, FormClass]:
     of the conjugate type reaches every bound on the subsequence type, so
     the member must be admissible.
     """
-    s, t, u = sorted(D.row_composition()[:3], reverse=True)
     try:
         pi = KPath(D, tuple(
             tuple((a, b) for a in column) for b, column in enumerate(D.columns(), 1)
         ))
-        form = classify_form(pi, s, t, u)
+        form = classify_form(pi)
     except ValueError as exc:
         raise VerificationError(f"the columns of a special member: {exc}")
     if form is not FormClass.A:
@@ -231,8 +230,7 @@ def _annotations(D: Diagram, member: bool = False) -> dict:
     }
     if len(rows) == 4 and rows[3] == 1:
         try:
-            shape = StuShape.from_composition(rows)
-            out["determining_tuple"] = determining_tuple(D, shape).entries
+            out["determining_tuple"] = determining_tuple(D)
         except ValueError:
             pass
         found = None
@@ -395,8 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cellrim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, func, *, glyphs=False, guard=True) -> None:
-        """The options every command reads after its own, and its handler."""
+    def common(
+        p: argparse.ArgumentParser, func, *, glyphs=False,
+        guard: str | None = "override the enumeration guard",
+    ) -> None:
+        """The options every command reads after its own, and its handler;
+        guard is the help of --max-n, None where no --max-n is read."""
         p.set_defaults(func=func)
         p.add_argument(
             "--format", choices=("json", "ascii"), default="ascii",
@@ -410,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         if guard:
             p.add_argument(
                 "--max-n", type=int, default=None,
-                help="override the enumeration guard",
+                help=guard,
             )
 
     p_rim = sub.add_parser("rim", help="rim of a composition")
@@ -432,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--C", help="column set, e.g. 7,8")
     p_diag.add_argument("--v", type=int, help="fourth-row column for H")
     p_diag.add_argument("--params", help="block sizes for M or N")
-    common(p_diag, cmd_diagram, glyphs=True, guard=False)
+    common(p_diag, cmd_diagram, glyphs=True, guard=None)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     suites = p_verify.add_subparsers(dest="suite", required=True)
@@ -448,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bij = suites.add_parser(
         "bijections", help="both membership routes, rotation and row-append transport"
     )
-    common(p_bij, _verify_bijections)
+    common(p_bij, _verify_bijections, guard="largest degree walked (default 6)")
 
     p_oracle = sub.add_parser("oracle", help="two-route ideal membership probe")
     p_oracle.add_argument("--composition", required=True)

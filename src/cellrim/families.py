@@ -119,64 +119,37 @@ COLUMN_ROWS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class DeterminingTuple:
-    """Column profile of a four-row diagram with one full column.
+_ENTRY_OF_ROWS = {rows: entry for entry, rows in COLUMN_ROWS.items()}
 
-    Entries run left to right over the alphabet 1, 1b, 2, 3, 4; there
-    is exactly one 4 and it comes before every 3.  Such a profile
-    reconstructs its diagram uniquely.
 
-    >>> DeterminingTuple(("2", "4", "3")).u
-    2
+def determining_tuple(D: Diagram) -> tuple[str, ...]:
+    """The column profile of a diagram with M or N rows, left to right
+    over the alphabet 1, 1b, 2, 3, 4.
+
+    The rows must be three parts, smallest first with t > u, and a single
+    1; every column must fit one of the entries of ``COLUMN_ROWS``, and
+    the one full column, forced by row 4, must precede every 3.  The
+    profile reconstructs its diagram uniquely, and it holds u - 1 threes.
+
+    >>> determining_tuple(Diagram.from_rows([(1, 2), (1, 2, 3), (1, 2, 3), (1,)]))
+    ('4', '3', '2')
     """
-
-    entries: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
-        bad = [e for e in entries if e not in COLUMN_ROWS]
-        if bad:
-            raise ValueError(f"unknown column entries: {bad}")
-        if entries.count("4") != 1:
-            raise ValueError("exactly one full column is required")
-        if "3" in entries and entries.index("3") < entries.index("4"):
-            raise ValueError("the full column must precede every triple column")
-
-    @property
-    def u(self) -> int:
-        """Number of columns reaching the first row."""
-        return self.entries.count("3") + 1
-
-
-def determining_tuple(D: Diagram, shape: StuShape) -> DeterminingTuple:
-    """Read the column profile off a diagram, validating its pattern.
-
-    The shape must be an M or N arrangement (smallest part first, t > u)
-    with a single trailing one; the diagram must have that row profile,
-    every column must match one of the five recognised profiles, and the
-    profile counts must fit the shape.
-    """
+    shape = StuShape.from_composition(D.row_composition())
     if shape.trailing_ones != 1:
         raise ValueError("column profiles are defined for four-row diagrams")
     if _variant(shape) not in ("M", "N"):
         raise ValueError(
             f"shape {shape.order} does not lead with its smallest part"
         )
-    if D.row_composition() != shape.composition:
-        raise ValueError(
-            f"row sizes {D.row_composition()} do not match {shape.composition}"
-        )
-    by_rows = {rows: entry for entry, rows in COLUMN_ROWS.items()}
     entries = []
     for rows in D.columns():
-        entry = by_rows.get(rows)
+        entry = _ENTRY_OF_ROWS.get(rows)
         if entry is None:
             raise ValueError(f"column on rows {rows} fits no profile entry")
         entries.append(entry)
-    # the u nodes of row 1 top the 3 and 4 columns, and row 4 forces one 4: .u is u
-    return DeterminingTuple(tuple(entries))
+    if "3" in entries and entries.index("3") < entries.index("4"):
+        raise ValueError("the full column must precede every triple column")
+    return tuple(entries)
 
 
 class _FamilyFields(NamedTuple):

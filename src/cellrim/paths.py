@@ -224,12 +224,28 @@ def _form_profiles(s: int, t: int, u: int) -> dict[tuple, FormClass]:
     return profiles
 
 
-def classify_form(pi: KPath, s: int, t: int, u: int) -> FormClass:
+def _form_head(D: Diagram) -> list[int]:
+    """The sorted head (s, t, u) of a form host, whose row sizes are three
+    parts followed by a single 1."""
+    sizes = D.row_composition()
+    if len(sizes) != 4 or sizes[3] != 1:
+        raise ValueError(
+            "row sizes must be three parts followed by a single 1, got "
+            f"{sizes}"
+        )
+    return sorted(sizes[:3], reverse=True)
+
+
+def classify_form(pi: KPath) -> FormClass:
     """Classify a full ordered family by its constituent length profile.
 
-    The input must be an ordered s-constituent family covering s+t+u+1
-    nodes; its form is the one whose profile it has.
+    The sorted head (s, t, u) is read off the host's rows, which must be
+    three parts followed by a single 1.  The family must be ordered, with
+    s constituents covering all s+t+u+1 nodes; its form is the one whose
+    profile it has.  A path meets each row at most once, so every
+    constituent has at most four nodes.
     """
+    s, t, u = _form_head(pi.diagram)
     if pi.k != s or pi.size != s + t + u + 1:
         raise ValueError(
             f"expected {s} constituents covering {s + t + u + 1} nodes, "
@@ -237,9 +253,7 @@ def classify_form(pi: KPath, s: int, t: int, u: int) -> FormClass:
         )
     if not is_ordered(pi):
         raise ValueError("family is not ordered")
-    lengths = [len(c) for c in pi.constituents]
-    if max(lengths, default=0) > 4:
-        raise ValueError("constituent longer than four nodes")
+    lengths = pi.lengths()
     z = tuple(lengths.count(k) for k in (1, 2, 3, 4))
     return _form_profiles(s, t, u).get(z, FormClass.NEITHER)
 
@@ -311,15 +325,10 @@ def find_form_path(D: Diagram) -> tuple[KPath, FormClass]:
     family is ordered, and only the answer is validated and tested for
     order.
     """
-    sizes = D.row_composition()
-    if len(sizes) != 4 or sizes[3] != 1:
-        raise ValueError(
-            "row sizes must be three parts followed by a single 1, got "
-            f"{sizes}"
-        )
-    s, t, u = sorted(sizes[:3], reverse=True)
+    s, t, u = _form_head(D)
     if not is_admissible(D):
         raise ValueError("only admissible diagrams carry form families")
+    sizes = D.row_composition()
     row, t_row, _ = sorted((1, 2, 3), key=lambda a: -sizes[a - 1])
     slot = {b: k for k, b in enumerate(D.rows()[t_row - 1])}
     candidates: list[list[tuple[Node, ...]]] = [[] for _ in slot]

@@ -24,7 +24,7 @@ from cellrim.diagrams import (
     rotate_180,
     w_of_diagram,
 )
-from cellrim.families import COLUMN_ROWS, DeterminingTuple, StuShape, determining_tuple
+from cellrim.families import COLUMN_ROWS, determining_tuple
 from cellrim.paths import FormClass, KPath, _chains_within, _is_path, find_form_path
 from cellrim.permutations import (
     Permutation,
@@ -650,27 +650,27 @@ class ColumnOp(enum.Enum):
     C5 = ("2",)
 
 
-def diagram_from_tuple(alpha: DeterminingTuple) -> Diagram:
+def diagram_from_tuple(alpha: tuple[str, ...]) -> Diagram:
     """The unique four-row diagram with the given column profile.
 
-    >>> diagram_from_tuple(DeterminingTuple(("4",))).sorted_nodes
+    >>> diagram_from_tuple(("4",)).sorted_nodes
     ((1, 1), (2, 1), (3, 1), (4, 1))
     """
-    columns = enumerate(alpha.entries, 1)
+    columns = enumerate(alpha, 1)
     return Diagram(frozenset((a, j) for j, e in columns for a in COLUMN_ROWS[e]))
 
 
-def apply_column_op(E: Diagram, op: ColumnOp, j: int, shape: StuShape) -> Diagram:
+def apply_column_op(E: Diagram, op: ColumnOp, j: int) -> Diagram:
     """Apply one column move at column j (1-based).  The tuple pattern at
     j must match the move; the word of E is a prefix of the word of the
     result."""
-    entries = list(determining_tuple(E, shape).entries)
+    entries = list(determining_tuple(E))
     width = len(op.value)
     if j < 1 or tuple(entries[j - 1 : j - 1 + width]) != op.value:
         raise ValueError(f"columns from {j} do not read {op.value} as {op.name} needs")
     moved = ("1b", "1") if op is ColumnOp.C5 else op.value[::-1]
     entries[j - 1 : j - 1 + width] = moved
-    return diagram_from_tuple(DeterminingTuple(tuple(entries)))
+    return diagram_from_tuple(tuple(entries))
 
 
 # ---------------------------------------------------------------------------

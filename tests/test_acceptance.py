@@ -237,8 +237,8 @@ def test_criterion_08_printed_fixtures_bit_exact():
     path_a = KPath(DIAGRAM_4631, PATH_A_4631)
     path_b = KPath(DIAGRAM_4631, PATH_B_4631)
     assert path_a.support == DIAGRAM_4631.nodes == path_b.support
-    assert classify_form(path_a, 6, 4, 3) is FormClass.A
-    assert classify_form(path_b, 6, 4, 3) is FormClass.B
+    assert classify_form(path_a) is FormClass.A
+    assert classify_form(path_b) is FormClass.B
     assert straighten(path_a) == STRAIGHTENED_A_4631
 
     # Printed family arrays, reproduced node for node.
@@ -262,8 +262,8 @@ def test_criterion_08_printed_fixtures_bit_exact():
     shape_n = StuShape(8, 5, 3, order=(3, 5, 8))
     built_n = family_diagram(FamilyParams("N", counts=(3, 0, 1, 1, 1)), shape_n)
     assert built_n == FAMILY_N_358
-    assert determining_tuple(built_m, shape_m).entries == FAMILY_M_385_TUPLE
-    assert determining_tuple(built_n, shape_n).entries == FAMILY_N_358_TUPLE
+    assert determining_tuple(built_m) == FAMILY_M_385_TUPLE
+    assert determining_tuple(built_n) == FAMILY_N_358_TUPLE
 
     # Printed 8-paths on the M and N examples.  The first of each pair
     # carries the conjugate-partition type (it is not ordered); the
@@ -278,7 +278,7 @@ def test_criterion_08_printed_fixtures_bit_exact():
         pi = KPath(host, raw)
         assert pi.support == host.nodes
         assert pi.path_type() == (3, 3, 3, 3, 2, 1, 1, 1)
-        assert classify_form(pi, 8, 5, 3) is FormClass.B
+        assert classify_form(pi) is FormClass.B
     _finish("criterion 8 (printed example arrays)", started, 60.0)
 
 

@@ -179,6 +179,18 @@ class TestDiagram:
         assert payload["conjugate_type"] == [4, 2]
         assert payload["conjugate_type_path"] is False
 
+    def test_check_profile_with_triple_before_full_column(self, capsys):
+        # rows (2, 4, 3, 1) read 3, 4, 2, 1: an M arrangement whose every
+        # column fits a profile entry, but its 3 comes before the 4
+        payload = run_json(
+            capsys, "diagram", "check", "--nodes",
+            "1,1;1,2;2,1;2,2;2,3;2,4;3,1;3,2;3,3;4,2",
+        )
+        assert payload["row_composition"] == [2, 4, 3, 1]
+        assert payload["determining_tuple"] is None
+        assert payload["form"] == "A"
+        assert payload["special"] is True
+
     def test_check_ascii_annotations(self, capsys):
         code, out, _ = run(
             capsys, "diagram", "check", "--nodes", "1,1;1,2;2,1;3,2;4,1;4,2",
@@ -527,40 +539,47 @@ class TestOracleCommand:
         assert walks == [((2, 1, 2), None)] * 2
 
 
+def pin(digest, slot, *argv):
+    """One md5 pin, with a fixed id: the slot was the pin's list position
+    when ids were positional, so dropping a pin renames no other, and a
+    new pin takes an unused slot."""
+    return pytest.param(digest, argv, id=f"{digest}-argv{slot}")
+
+
 class TestJsonBytes:
     # md5 of the exact stdout of each --format json call: a change in key
     # order, spacing or number formatting shows here though the parsed
     # payload stays equal
     @pytest.mark.parametrize("digest, argv", [
-        ("9bf34293a1b72cadec480289e90f2d46",
-         ("cell", "--permutation", "2,1,4,3,6,5,8,7")),
-        ("4c6a50f94485607288b64b237b2be7d4",
-         ("oracle", "--composition", "2,4,1,3", "--max-n", "10", "--list")),
-        ("3e0a0e35bb16b8ca00779ce2249aec98",
-         ("verify", "tables", "--s", "4", "--t", "3", "--u", "2", "--max-n", "10")),
-        ("8db7b6cbf8d66a9ac5d0ae90effa979b",
-         ("verify", "tables", "--s", "3", "--t", "2", "--u", "1", "--trailing-ones", "2")),
-        ("2c654920ba21fc171b7ac5865974e207",
-         ("diagram", "young", "--partition", "4,2,1")),
-        ("ca0585b07d5836c1c58cfa51db48f165",
-         ("diagram", "F", "--stu", "8,5,3", "--order", "s,u,t", "--C", "2,3,4")),
-        ("dbb8fe0574f0ab66bb68a56a4d9b370b",
-         ("diagram", "G", "--stu", "8,5,3", "--order", "t,s,u", "--C", "2,4,5")),
-        ("65a591735c7d616b22b15ab56fb6f30c",
-         ("diagram", "H", "--stu", "8,5,3", "--order", "t,u,s", "--C", "6,8", "--v", "3")),
-        ("3fc461ea7273642e0f8e7bcaf18970cd",
-         ("diagram", "H", "--stu", "4,3,1", "--order", "t,u,s", "--v", "4")),
-        ("cb10c4a4e70260c89806be7c2cdb4a1c",
-         ("diagram", "M", "--stu", "8,5,3", "--order", "u,s,t", "--params", "1,3,1,0,3",
-          "--C", "7,8")),
-        ("5c63e566558144859f18cfb0ac02e43a",
-         ("diagram", "N", "--stu", "8,5,3", "--order", "u,t,s", "--params", "3,0,1,1,1")),
-        ("440ba846ea1292a573855cfa0eb6bf9a",
-         ("diagram", "check", "--nodes", "1,1;1,2;2,1;3,2;4,1;4,2")),
-        ("3cdc9cd4954de4c62c99d28ad3d95904",
-         ("rim", "--composition", "3,8,5,1,1")),
-        ("c7b82b880fe687656c377fc1603d2fc0",
-         ("verify", "bijections", "--max-n", "6")),
+        pin("9bf34293a1b72cadec480289e90f2d46", 0,
+            "cell", "--permutation", "2,1,4,3,6,5,8,7"),
+        pin("4c6a50f94485607288b64b237b2be7d4", 1,
+            "oracle", "--composition", "2,4,1,3", "--max-n", "10", "--list"),
+        pin("3e0a0e35bb16b8ca00779ce2249aec98", 2,
+            "verify", "tables", "--s", "4", "--t", "3", "--u", "2", "--max-n", "10"),
+        pin("8db7b6cbf8d66a9ac5d0ae90effa979b", 3,
+            "verify", "tables", "--s", "3", "--t", "2", "--u", "1", "--trailing-ones", "2"),
+        pin("2c654920ba21fc171b7ac5865974e207", 4,
+            "diagram", "young", "--partition", "4,2,1"),
+        pin("ca0585b07d5836c1c58cfa51db48f165", 5,
+            "diagram", "F", "--stu", "8,5,3", "--order", "s,u,t", "--C", "2,3,4"),
+        pin("dbb8fe0574f0ab66bb68a56a4d9b370b", 6,
+            "diagram", "G", "--stu", "8,5,3", "--order", "t,s,u", "--C", "2,4,5"),
+        pin("65a591735c7d616b22b15ab56fb6f30c", 7,
+            "diagram", "H", "--stu", "8,5,3", "--order", "t,u,s", "--C", "6,8", "--v", "3"),
+        pin("3fc461ea7273642e0f8e7bcaf18970cd", 8,
+            "diagram", "H", "--stu", "4,3,1", "--order", "t,u,s", "--v", "4"),
+        pin("cb10c4a4e70260c89806be7c2cdb4a1c", 9,
+            "diagram", "M", "--stu", "8,5,3", "--order", "u,s,t", "--params", "1,3,1,0,3",
+            "--C", "7,8"),
+        pin("5c63e566558144859f18cfb0ac02e43a", 10,
+            "diagram", "N", "--stu", "8,5,3", "--order", "u,t,s", "--params", "3,0,1,1,1"),
+        pin("440ba846ea1292a573855cfa0eb6bf9a", 11,
+            "diagram", "check", "--nodes", "1,1;1,2;2,1;3,2;4,1;4,2"),
+        pin("3cdc9cd4954de4c62c99d28ad3d95904", 12,
+            "rim", "--composition", "3,8,5,1,1"),
+        pin("c7b82b880fe687656c377fc1603d2fc0", 13,
+            "verify", "bijections", "--max-n", "6"),
     ])
     def test_stdout_md5(self, capsys, digest, argv):
         code, out, err = run(capsys, *argv, "--format", "json")
@@ -572,37 +591,37 @@ class TestAsciiBytes:
     # md5 of the exact stdout of each call in the default ascii format:
     # the TestJsonBytes calls, plus the plain glyphs
     @pytest.mark.parametrize("digest, argv", [
-        ("b4937600740be4cf093bc090a8c5b14d",
-         ("cell", "--permutation", "2,1,4,3,6,5,8,7")),
-        ("370ae6ce81a88013403ff7baa9946711",
-         ("oracle", "--composition", "2,4,1,3", "--max-n", "10", "--list")),
-        ("f3f2637645bfedb4895e790ba6e51246",
-         ("verify", "tables", "--s", "4", "--t", "3", "--u", "2", "--max-n", "10")),
-        ("1d924f425a4c705327605ad4cb2e9e7a",
-         ("verify", "tables", "--s", "3", "--t", "2", "--u", "1", "--trailing-ones", "2")),
-        ("737105bf9789e9ca77ceed4652ba16b9",
-         ("verify", "bijections", "--max-n", "6")),
-        ("93ab1317da37ed8b554cc57acea47899",
-         ("diagram", "young", "--partition", "4,2,1")),
-        ("3ffe555cefa9148e4816e24b2783c8b3",
-         ("diagram", "F", "--stu", "8,5,3", "--order", "s,u,t", "--C", "2,3,4")),
-        ("076e2dc92817efde21ffbaff97f4e000",
-         ("diagram", "G", "--stu", "8,5,3", "--order", "t,s,u", "--C", "2,4,5")),
-        ("29520cd76ecb614a36b415d450ffb02e",
-         ("diagram", "H", "--stu", "8,5,3", "--order", "t,u,s", "--C", "6,8", "--v", "3")),
-        ("159979acec72ba29c9fd070ea4f768d9",
-         ("diagram", "H", "--stu", "4,3,1", "--order", "t,u,s", "--v", "4")),
-        ("5bb269f7e8d6987cfe02a9b4f7820cc9",
-         ("diagram", "M", "--stu", "8,5,3", "--order", "u,s,t", "--params", "1,3,1,0,3",
-          "--C", "7,8")),
-        ("3a54b21b6ec915344200ebf6e06a0b91",
-         ("diagram", "N", "--stu", "8,5,3", "--order", "u,t,s", "--params", "3,0,1,1,1")),
-        ("a4c446a73138e9385b6ff86350875f83",
-         ("diagram", "check", "--nodes", "1,1;1,2;2,1;3,2;4,1;4,2")),
-        ("2b25af5f30d8784f86b3b6af52bbe7c4",
-         ("rim", "--composition", "3,8,5,1,1")),
-        ("afcd230b295aa1d5f32f9a32587b1f62",
-         ("rim", "--composition", "1,3,2,1", "--plain-x")),
+        pin("b4937600740be4cf093bc090a8c5b14d", 0,
+            "cell", "--permutation", "2,1,4,3,6,5,8,7"),
+        pin("370ae6ce81a88013403ff7baa9946711", 1,
+            "oracle", "--composition", "2,4,1,3", "--max-n", "10", "--list"),
+        pin("f3f2637645bfedb4895e790ba6e51246", 2,
+            "verify", "tables", "--s", "4", "--t", "3", "--u", "2", "--max-n", "10"),
+        pin("1d924f425a4c705327605ad4cb2e9e7a", 3,
+            "verify", "tables", "--s", "3", "--t", "2", "--u", "1", "--trailing-ones", "2"),
+        pin("737105bf9789e9ca77ceed4652ba16b9", 4,
+            "verify", "bijections", "--max-n", "6"),
+        pin("93ab1317da37ed8b554cc57acea47899", 5,
+            "diagram", "young", "--partition", "4,2,1"),
+        pin("3ffe555cefa9148e4816e24b2783c8b3", 6,
+            "diagram", "F", "--stu", "8,5,3", "--order", "s,u,t", "--C", "2,3,4"),
+        pin("076e2dc92817efde21ffbaff97f4e000", 7,
+            "diagram", "G", "--stu", "8,5,3", "--order", "t,s,u", "--C", "2,4,5"),
+        pin("29520cd76ecb614a36b415d450ffb02e", 8,
+            "diagram", "H", "--stu", "8,5,3", "--order", "t,u,s", "--C", "6,8", "--v", "3"),
+        pin("159979acec72ba29c9fd070ea4f768d9", 9,
+            "diagram", "H", "--stu", "4,3,1", "--order", "t,u,s", "--v", "4"),
+        pin("5bb269f7e8d6987cfe02a9b4f7820cc9", 10,
+            "diagram", "M", "--stu", "8,5,3", "--order", "u,s,t", "--params", "1,3,1,0,3",
+            "--C", "7,8"),
+        pin("3a54b21b6ec915344200ebf6e06a0b91", 11,
+            "diagram", "N", "--stu", "8,5,3", "--order", "u,t,s", "--params", "3,0,1,1,1"),
+        pin("a4c446a73138e9385b6ff86350875f83", 12,
+            "diagram", "check", "--nodes", "1,1;1,2;2,1;3,2;4,1;4,2"),
+        pin("2b25af5f30d8784f86b3b6af52bbe7c4", 13,
+            "rim", "--composition", "3,8,5,1,1"),
+        pin("afcd230b295aa1d5f32f9a32587b1f62", 14,
+            "rim", "--composition", "1,3,2,1", "--plain-x"),
     ])
     def test_stdout_md5(self, capsys, digest, argv):
         code, out, err = run(capsys, *argv)
@@ -682,3 +701,20 @@ class TestExitCodes:
             code, out, _ = run(capsys, *argv, "--help")
             assert code == 0, argv
             assert out.startswith("usage: cellrim"), argv
+
+    def test_max_n_help_says_what_it_sets(self, capsys, monkeypatch):
+        # bijections walks every degree up to --max-n; the other commands
+        # refuse degrees past it
+        monkeypatch.setenv("COLUMNS", "100")
+        for argv, text in (
+            (("verify", "bijections"), "largest degree walked (default 6)"),
+            (("verify", "tables"), "override the enumeration guard"),
+            (("rim",), "override the enumeration guard"),
+            (("cell",), "override the enumeration guard"),
+            (("oracle",), "override the enumeration guard"),
+        ):
+            code, out, _ = run(capsys, *argv, "--help")
+            assert code == 0, argv
+            assert f"--max-n MAX_N         {text}\n" in out, argv
+        code, out, _ = run(capsys, "diagram", "--help")
+        assert "--max-n" not in out

@@ -26,7 +26,6 @@ from cellrim.diagrams import (
     young_diagram,
 )
 from cellrim.families import (
-    DeterminingTuple,
     FamilyParams,
     StuShape,
     determining_tuple,
@@ -122,55 +121,46 @@ class TestStuShape:
 
 class TestDeterminingTuple:
     def test_fixture_profiles(self):
-        shape_m = StuShape(8, 5, 3, (3, 8, 5))
-        assert determining_tuple(FAMILY_M_385, shape_m).entries == FAMILY_M_385_TUPLE
-        shape_n = StuShape(8, 5, 3, (3, 5, 8))
-        assert determining_tuple(FAMILY_N_358, shape_n).entries == FAMILY_N_358_TUPLE
+        assert determining_tuple(FAMILY_M_385) == FAMILY_M_385_TUPLE
+        assert determining_tuple(FAMILY_N_358) == FAMILY_N_358_TUPLE
 
     def test_rebuild_from_profile(self):
-        assert diagram_from_tuple(DeterminingTuple(FAMILY_M_385_TUPLE)) == FAMILY_M_385
-        assert diagram_from_tuple(DeterminingTuple(FAMILY_N_358_TUPLE)) == FAMILY_N_358
+        assert diagram_from_tuple(FAMILY_M_385_TUPLE) == FAMILY_M_385
+        assert diagram_from_tuple(FAMILY_N_358_TUPLE) == FAMILY_N_358
 
     def test_m_and_n_members_round_trip(self):
         for s, t, u in [(8, 5, 3), (10, 7, 4)]:
             for order in [(u, s, t), (u, t, s)]:
-                shape = StuShape(s, t, u, order)
                 for D in family_members(s, t, u, order):
-                    assert diagram_from_tuple(determining_tuple(D, shape)) == D
+                    assert diagram_from_tuple(determining_tuple(D)) == D
 
     def test_single_full_column(self):
-        assert diagram_from_tuple(DeterminingTuple(("4",))) == Diagram(
+        assert diagram_from_tuple(("4",)) == Diagram(
             {(1, 1), (2, 1), (3, 1), (4, 1)}
         )
 
     def test_u_counts_first_row(self):
-        assert DeterminingTuple(("2", "4", "3", "3")).u == 3
-
-    def test_rejects_missing_full_column(self):
-        with pytest.raises(ValueError):
-            DeterminingTuple(("1", "2", "3"))
-
-    def test_rejects_two_full_columns(self):
-        with pytest.raises(ValueError):
-            DeterminingTuple(("4", "4"))
+        D = diagram_from_tuple(("2", "4", "3", "3"))
+        assert D.row_composition() == (3, 4, 4, 1)
+        assert determining_tuple(D).count("3") + 1 == 3
 
     def test_rejects_triple_before_full(self):
-        with pytest.raises(ValueError):
-            DeterminingTuple(("3", "4"))
-
-    def test_rejects_unknown_entry(self):
-        with pytest.raises(ValueError):
-            DeterminingTuple(("4", "5"))
+        # rows (2, 4, 3, 1) read 3, 4, 2, 1: every column fits an entry
+        D = Diagram.from_rows([(1, 2), (1, 2, 3, 4), (1, 2, 3), (2,)])
+        assert [len(c) for c in D.columns()] == [3, 4, 2, 1]
+        with pytest.raises(ValueError, match="precede every triple"):
+            determining_tuple(D)
 
     def test_profile_needs_leading_smallest_part(self):
-        shape = StuShape(8, 5, 3, (8, 5, 3))
-        with pytest.raises(ValueError):
-            determining_tuple(young_diagram((8, 5, 3, 1)), shape)
+        with pytest.raises(ValueError, match="smallest part"):
+            determining_tuple(young_diagram((8, 5, 3, 1)))
 
     def test_profile_rejects_wrong_rows(self):
-        shape = StuShape(8, 5, 3, (3, 8, 5))
-        with pytest.raises(ValueError):
-            determining_tuple(FAMILY_N_358, shape)
+        # the head (1, 3, 2) leads with its smallest part, but a fifth
+        # row holds a second trailing one
+        D = Diagram.from_rows([(1,), (1, 2, 3), (1, 2), (1,), (1,)])
+        with pytest.raises(ValueError, match="four-row"):
+            determining_tuple(D)
 
 
 class TestFamilyConstructors:
@@ -954,11 +944,11 @@ class TestColumnOps:
         shape = StuShape(s, t, u, order)
         for p in family_parameter_sets(shape):
             E = family_diagram(p, shape)
-            width = len(determining_tuple(E, shape).entries)
+            width = len(determining_tuple(E))
             for op in ColumnOp:
                 for j in range(1, width + 1):
                     try:
-                        yield E, apply_column_op(E, op, j, shape), shape
+                        yield E, apply_column_op(E, op, j), shape
                     except ValueError:
                         continue
 
@@ -975,43 +965,37 @@ class TestColumnOps:
         for s, t, u in self.OP_SHAPES:
             for order in ((u, s, t), (u, t, s)):
                 for E, moved, shape in self.applicable_ops(s, t, u, order):
-                    alpha = determining_tuple(moved, shape)
-                    assert alpha.u == u
+                    alpha = determining_tuple(moved)
+                    assert alpha.count("3") + 1 == u
                     assert moved.row_composition() == shape.composition
 
     def test_split_op_on_m_fixture(self):
-        shape = StuShape(8, 5, 3, (3, 8, 5))
-        moved = apply_column_op(FAMILY_M_385, ColumnOp.C5, 1, shape)
-        assert determining_tuple(moved, shape).entries == (
+        moved = apply_column_op(FAMILY_M_385, ColumnOp.C5, 1)
+        assert determining_tuple(moved) == (
             "1b", "1", "1", "1", "1", "4", "1b", "3", "3", "1",
         )
         assert is_prefix(w_of_diagram(FAMILY_M_385), w_of_diagram(moved))
 
     def test_split_op_on_n_fixture(self):
-        shape = StuShape(8, 5, 3, (3, 5, 8))
-        moved = apply_column_op(FAMILY_N_358, ColumnOp.C5, 7, shape)
-        assert determining_tuple(moved, shape).entries == (
+        moved = apply_column_op(FAMILY_N_358, ColumnOp.C5, 7)
+        assert determining_tuple(moved) == (
             "1b", "1b", "1b", "1", "4", "1b", "1b", "1", "3", "3",
         )
 
     def test_swap_op_moves_single_past_pair(self):
         # columns reading (1, 2) trade places under the first swap
-        alpha = DeterminingTuple(("4", "1", "2"))
-        E = diagram_from_tuple(alpha)
-        shape = StuShape(3, 2, 1, (1, 3, 2))
-        moved = apply_column_op(E, ColumnOp.C1, 2, shape)
-        assert determining_tuple(moved, shape).entries == ("4", "2", "1")
+        E = diagram_from_tuple(("4", "1", "2"))
+        moved = apply_column_op(E, ColumnOp.C1, 2)
+        assert determining_tuple(moved) == ("4", "2", "1")
 
     def test_wrong_pattern_rejected(self):
-        shape = StuShape(8, 5, 3, (3, 8, 5))
         for op in (ColumnOp.C1, ColumnOp.C2, ColumnOp.C3, ColumnOp.C4):
             with pytest.raises(ValueError):
-                apply_column_op(FAMILY_M_385, op, 1, shape)
+                apply_column_op(FAMILY_M_385, op, 1)
 
     def test_split_needs_a_pair_column(self):
-        shape = StuShape(8, 5, 3, (3, 8, 5))
         with pytest.raises(ValueError):
-            apply_column_op(FAMILY_M_385, ColumnOp.C5, 2, shape)
+            apply_column_op(FAMILY_M_385, ColumnOp.C5, 2)
 
 
 def calibrate_rs_convention(max_n: int) -> frozenset[str]:

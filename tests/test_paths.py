@@ -433,7 +433,7 @@ class TestOrderEquivalent:
     def test_fixture_family_reorders_to_neither_form(self):
         result = order_equivalent(KPath(DIAGRAM_4631, PATH_B_4631))
         assert result.lengths() == (3, 3, 3, 2, 2, 1)
-        assert classify_form(result, 6, 4, 3) is FormClass.NEITHER
+        assert classify_form(result) is FormClass.NEITHER
 
 
 class TestFamilyWithLengths:
@@ -566,47 +566,39 @@ class TestInsertSingletons:
 
 class TestClassifyForm:
     def test_fixture_classifications(self):
-        assert classify_form(KPath(DIAGRAM_4631, PATH_A_4631), 6, 4, 3) is (
-            FormClass.A
-        )
-        assert classify_form(KPath(DIAGRAM_4631, PATH_B_4631), 6, 4, 3) is (
-            FormClass.B
-        )
-        assert classify_form(KPath(FAMILY_M_385, PATH_B_M_385), 8, 5, 3) is (
-            FormClass.B
-        )
-        assert classify_form(KPath(FAMILY_N_358, PATH_B_N_358), 8, 5, 3) is (
-            FormClass.B
-        )
+        assert classify_form(KPath(DIAGRAM_4631, PATH_A_4631)) is FormClass.A
+        assert classify_form(KPath(DIAGRAM_4631, PATH_B_4631)) is FormClass.B
+        assert classify_form(KPath(FAMILY_M_385, PATH_B_M_385)) is FormClass.B
+        assert classify_form(KPath(FAMILY_N_358, PATH_B_N_358)) is FormClass.B
 
     def test_unordered_family_rejected(self):
         with pytest.raises(ValueError, match="not ordered"):
-            classify_form(KPath(FAMILY_M_385, PATH_A_M_385), 8, 5, 3)
+            classify_form(KPath(FAMILY_M_385, PATH_A_M_385))
 
     def test_wrong_shape_rejected(self):
-        pi = KPath(DIAGRAM_4631, PATH_A_4631)
-        with pytest.raises(ValueError, match="expected"):
-            classify_form(pi, 5, 4, 3)
-        with pytest.raises(ValueError, match="expected"):
-            classify_form(pi, 6, 4, 2)
+        # dropping a constituent leaves 5 of the 6 the head (6, 4, 3) needs
+        pi = KPath(DIAGRAM_4631, PATH_A_4631[:-1])
+        with pytest.raises(ValueError, match="expected 6 constituents covering 14"):
+            classify_form(pi)
 
     def test_constituent_longer_than_four_rejected(self):
-        # rows (2, 2, 1, 1, 1): a five-node column and a two-node column,
-        # an ordered family of the right size for (s, t, u) = (2, 2, 2)
+        # rows (2, 2, 1, 1, 1): a five-node column and a two-node column
+        # need a fifth row, and the head is read off four-row hosts only
         D = Diagram.from_rows([(1, 2), (1, 2), (1,), (1,), (1,)])
         five = tuple((a, 1) for a in range(1, 6))
         two = ((1, 2), (2, 2))
-        with pytest.raises(ValueError, match="longer than four"):
-            classify_form(KPath(D, (five, two)), 2, 2, 2)
-        # the shape and order checks come first
-        with pytest.raises(ValueError, match="expected"):
-            classify_form(KPath(D, (five, two)), 2, 2, 1)
+        with pytest.raises(ValueError, match="three parts followed by a single 1"):
+            classify_form(KPath(D, (five, two)))
+        # on the four-row host (2, 2, 1, 1) the order check still applies
+        D = Diagram.from_rows([(1, 2), (1, 2), (1,), (1,)])
+        four = tuple((a, 1) for a in range(1, 5))
+        assert classify_form(KPath(D, (four, two))) is FormClass.A
         with pytest.raises(ValueError, match="not ordered"):
-            classify_form(KPath(D, (two, five)), 2, 2, 2)
+            classify_form(KPath(D, (two, four)))
 
     def test_profile_off_both_forms_is_neither(self):
         result = order_equivalent(KPath(DIAGRAM_4631, PATH_B_4631))
-        assert classify_form(result, 6, 4, 3) is FormClass.NEITHER
+        assert classify_form(result) is FormClass.NEITHER
 
 
 class TestFindFormPath:
@@ -616,7 +608,7 @@ class TestFindFormPath:
         assert pi.support == DIAGRAM_4631.nodes
         assert is_ordered(pi)
         assert pi.lengths() == (1, 2, 3, 4, 3, 1)
-        assert classify_form(pi, 6, 4, 3) is FormClass.A
+        assert classify_form(pi) is FormClass.A
 
     def test_wider_fixtures_support_only_form_b(self):
         # Families of the largest type exist here (see the ordering
@@ -625,7 +617,7 @@ class TestFindFormPath:
             pi, form = find_form_path(D)
             assert form is FormClass.B
             assert pi.support == D.nodes
-            assert classify_form(pi, 8, 5, 3) is FormClass.B
+            assert classify_form(pi) is FormClass.B
 
     def test_single_column_is_form_a(self):
         D = Diagram.from_rows([(1,)] * 4)
@@ -738,7 +730,7 @@ class TestFormPlans:
             for params in family_parameter_sets(shape):
                 D = family_diagram(params, shape)
                 pi, form = find_form_path(D)
-                assert classify_form(pi, s, t, u) is form
+                assert classify_form(pi) is form
                 assert is_ordered(pi)
                 assert pi.support == D.nodes
                 plan = core_plans(D)[0 if form is FormClass.A else 1]

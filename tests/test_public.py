@@ -7,7 +7,7 @@ import pytest
 import cellrim
 
 EXPORTED = [
-    "DeterminingTuple", "Diagram", "FamilyParams", "FormClass", "GuardExceeded",
+    "Diagram", "FamilyParams", "FormClass", "GuardExceeded",
     "KPath", "Permutation", "StuShape",
     "VerificationError", "classify_form", "composition_generators",
     "compositions_of", "conjugate", "determining_tuple", "family_diagram",
@@ -22,14 +22,14 @@ EXPORTED = [
 
 # Names that feed no output: lemma checkers live in tests/claims.py, the
 # whole-group enumeration and the standardness check of tableau rows live
-# in tests/oracles.py, and the closed-rim check runs only behind
-# ``cellrim verify``.
+# in tests/oracles.py, the closed-rim check runs only behind
+# ``cellrim verify``, and ``determining_tuple`` returns a plain tuple.
 MOVED = [
     "ColumnOp", "InversionSet", "apply_column_op", "coset_decompose",
     "diagram_from_tuple", "from_word", "hat_diagram", "induced_rim",
     "StandardYoungTableau", "insertion_tableau", "partitions_of",
     "prefix_closure", "straighten", "symmetric_group",
-    "RimReport", "verify_rim_family",
+    "RimReport", "verify_rim_family", "DeterminingTuple",
 ]
 
 
