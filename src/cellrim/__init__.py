@@ -1,9 +1,10 @@
 """Exact combinatorics of right cells in symmetric groups.
 
 The package computes minimal determining sets ("rims") of the prefix-closed
-sets attached to Kazhdan-Lusztig right cells of S_n, both by brute-force
-enumeration at small degree and by closed-form diagram families, together
-with the supporting permutation, tableau, diagram and path machinery.
+sets attached to Kazhdan-Lusztig right cells of S_n, both from the ideal,
+built one member per standard tableau by inverse Robinson-Schensted
+insertion, and by closed-form diagram families, together with the
+supporting permutation, tableau, diagram and path machinery.
 """
 
 from __future__ import annotations

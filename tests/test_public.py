@@ -1,6 +1,12 @@
-"""The names ``cellrim`` exports, pinned."""
+"""The names ``cellrim`` exports, pinned, and the standard library as the
+runtime's only dependency."""
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,3 +50,19 @@ def test_moved_names_are_not_importable():
         assert not hasattr(cellrim, name)
         with pytest.raises(ImportError):
             exec(f"from cellrim import {name}", {})
+
+
+def test_runtime_imports_only_the_standard_library():
+    # a fresh interpreter, so that no test dependency is loaded already
+    probe = (
+        "import sys; before = set(sys.modules); import cellrim, cellrim.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = str(Path(cellrim.__file__).resolve().parents[1])
+    added = subprocess.run(
+        [sys.executable, "-c", probe], check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout.split()
+    tops = {name.partition(".")[0] for name in added}
+    assert "cellrim" in tops
+    assert tops - {"cellrim"} <= set(sys.stdlib_module_names)
