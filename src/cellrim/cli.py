@@ -181,8 +181,8 @@ def _build_family(args: argparse.Namespace) -> Diagram:
     s, t, u = sorted(stu, reverse=True)
     order = _parse_order(args.order, s, t, u)
     shape = StuShape(s, t, u, order)
-    columns = _parse_ints(args.C, "C") if args.C else ()
-    counts = _parse_ints(args.params, "params") if args.params else ()
+    columns = _parse_ints(args.C, "C") if args.C is not None else ()
+    counts = _parse_ints(args.params, "params") if args.params is not None else ()
     params = FamilyParams(args.kind, columns=columns, v=args.v, counts=counts)
     return family_diagram(params, shape)
 
@@ -258,16 +258,14 @@ def _annotations(D: Diagram, member: bool = False) -> dict:
     return out
 
 
-_DIAGRAM_OPTIONS = {
-    "young": ("partition",), "check": ("nodes",), "F": ("stu", "order", "C"),
-    "G": ("stu", "order", "C"), "H": ("stu", "order", "C", "v"),
-    "M": ("stu", "order", "C", "params"), "N": ("stu", "order", "params"),
-}
+_DIAGRAM_OPTIONS = {"young": ("partition",), "check": ("nodes",)}
 
 
 def cmd_diagram(args: argparse.Namespace) -> dict | list[str]:
+    # a family kind reads the rest; FamilyParams refuses a field its variant does not read
+    reads = _DIAGRAM_OPTIONS.get(args.kind, ("stu", "order", "C", "v", "params"))
     for name in ("partition", "nodes", "stu", "order", "C", "v", "params"):
-        if getattr(args, name) is not None and name not in _DIAGRAM_OPTIONS[args.kind]:
+        if getattr(args, name) is not None and name not in reads:
             raise ValueError(f"diagram {args.kind} does not read --{name}")
     if args.kind == "young":
         if not args.partition:

@@ -167,9 +167,12 @@ class FamilyParams(_FamilyFields):
     positions for M), sorted and deduplicated; v is the fourth-row column
     for H; counts holds the block sizes for M as
     (eps, eta, theta, zeta, psi) and for N as (eta, eps, theta, phi, zeta).
+    Each variant reads only the fields named for it here.
 
-    The constructor, and ``_replace`` through it, normalises outside input.
-    ``FamilyParams._make`` is the one path that stores fields as they are,
+    The constructor, and ``_replace`` through it, normalises outside input
+    to ints, refuses a field the variant does not read, and checks the rules
+    that need no shape (a positive v, five non-negative block sizes); the
+    builders check the rest.  ``FamilyParams._make`` stores fields unchecked,
     for the enumerators, which build them normal.
 
     >>> FamilyParams("M", columns=(8, 7, 7), counts=(1, 3, 1, 0, 3)).columns
@@ -185,46 +188,53 @@ class FamilyParams(_FamilyFields):
         v: int | None = None,
         counts: Iterable[int] = (),
     ) -> FamilyParams:
-        # the builders store columns and v in the rows as they are, so both
-        # must be ints, and read columns in order
+        # the builders store columns and v in the rows as they are, and pass
+        # counts to range, so all must be ints; they read columns in order
         if variant not in _VARIANTS:
             raise ValueError(f"unknown family variant {variant!r}")
         columns = tuple(sorted(set(map(operator.index, columns))))
         v = v if v is None else operator.index(v)
-        return super().__new__(cls, variant, columns, v, tuple(counts))
+        counts = tuple(map(operator.index, counts))
+        reads = _VARIANTS[variant].reads
+        for name, value in zip(cls._fields[1:], (columns, v, counts)):
+            if name not in reads and value != cls._field_defaults[name]:
+                raise ValueError(f"variant {variant} does not read {name}")
+        if "v" in reads and (v is None or v < 1):
+            raise ValueError(f"variant {variant} needs a positive v, got {v}")
+        if "counts" in reads and (len(counts) != 5 or min(counts) < 0):
+            raise ValueError(f"variant {variant} needs five non-negative counts, got {counts}")
+        return super().__new__(cls, variant, columns, v, counts)
 
     def _replace(self, **changes) -> FamilyParams:
         return FamilyParams(**{**self._asdict(), **changes})
 
 
+def _check_subset(columns: tuple[int, ...], k: int, low: int, high: int) -> None:
+    """Refuse sorted columns unless they are a k-subset of low..high: the
+    first high columns when low is 1, else the last high - low + 1."""
+    if len(columns) != k or columns and (columns[0] < low or columns[-1] > high):
+        where = f"first {high}" if low == 1 else f"last {high - low + 1}"
+        raise ValueError(f"need a {k}-subset of the {where} columns, got {list(columns)}")
+
+
 def _family_f(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
     C = params.columns
-    if not C or C[0] < 1 or C[-1] > t or len(C) != u:
-        raise ValueError(f"need a {u}-subset of the first {t} columns, got {list(C)}")
+    _check_subset(C, u, 1, t)
     return Diagram(rows=(tuple(range(1, s + 1)), C, tuple(range(1, t + 1)), (C[0],)))
 
 
 def _family_g(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
     low = params.columns
     top = s - t + u
-    if not low or low[0] < 1 or low[-1] > top or len(low) != u:
-        raise ValueError(f"need a {u}-subset of the first {top} columns, got {list(low)}")
+    _check_subset(low, u, 1, top)
     return Diagram(
         rows=(low + tuple(range(top + 1, s + 1)), tuple(range(1, s + 1)), low, (low[0],))
     )
 
 
 def _family_h(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
-    companions = params.columns
-    v = params.v
-    if v is None or v < 1:
-        raise ValueError("a positive fourth-row column v is required")
-    if len(companions) != u - 1 or (
-        companions and (companions[0] < s - t + 2 or companions[-1] > s)
-    ):
-        raise ValueError(
-            f"need a {u - 1}-subset of the last {t - 1} columns, got {list(companions)}"
-        )
+    companions, v = params.columns, params.v
+    _check_subset(companions, u - 1, s - t + 2, s)
     top = companions[0] if companions else s + 1
     if v >= top:
         raise ValueError(f"v = {v} must be less than {top}")
@@ -240,25 +250,17 @@ def _family_h(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
 
 
 def _family_m(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
-    if len(params.counts) != 5:
-        raise ValueError("five block sizes (eps, eta, theta, zeta, psi) required")
     eps, eta, theta, zeta, psi = params.counts
-    if min(params.counts) < 0:
-        raise ValueError(f"negative block size in {params.counts}")
     if s != eps + eta + 1 + zeta + psi:
         raise ValueError(f"block sizes {params.counts} do not fit s = {s}")
     if t != eps + theta + zeta + u:
         raise ValueError(f"block sizes {params.counts} do not fit t = {t}")
-    if psi < u - 1:
-        raise ValueError(f"tail {psi} cannot hold {u - 1} triple columns")
     if eta < theta:
         raise ValueError(f"need eta >= theta, got {eta} < {theta}")
     m = s + theta
     triples = params.columns
-    if len(triples) != u - 1 or (triples and (triples[0] <= m - psi or triples[-1] > m)):
-        raise ValueError(
-            f"need a {u - 1}-subset of the last {psi} columns, got {list(triples)}"
-        )
+    # no u - 1 triples fit a tail of psi < u - 1 columns
+    _check_subset(triples, u - 1, m - psi + 1, m)
     # the profile 2^eps 1^eta 4 1b^theta 2^zeta 1^psi, triples raised to 3
     full = eps + eta + 1
     second = (*range(1, full + 1), *range(full + theta + 1, m + 1))
@@ -267,11 +269,7 @@ def _family_m(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
 
 
 def _family_n(params: FamilyParams, s: int, t: int, u: int) -> Diagram:
-    if len(params.counts) != 5:
-        raise ValueError("five block sizes (eta, eps, theta, phi, zeta) required")
     eta, eps, theta, phi, zeta = params.counts
-    if min(params.counts) < 0:
-        raise ValueError(f"negative block size in {params.counts}")
     if s != eta + eps + phi + zeta + u:
         raise ValueError(f"block sizes {params.counts} do not fit s = {s}")
     if t != eps + theta + zeta + u:
@@ -341,28 +339,29 @@ def _n_params(s: int, t: int, u: int) -> tuple[FamilyParams, ...]:
 
 class _Variant(NamedTuple):
     """A closed family: the arrangement of (s, t, u) it serves, its builder,
-    its parameter enumerator, and its (special, non-special) rim sizes as
-    formulas in s, t, u and v = s - t + u."""
+    its parameter enumerator, the ``FamilyParams`` fields it reads, and its
+    (special, non-special) rim sizes as formulas in s, t, u and v = s - t + u."""
 
     arrangement: Callable
     build: Callable
     params: Callable
+    reads: tuple[str, ...]
     counts: Callable
 
 
 # listed in the order that breaks ties between arrangements of equal parts
 _VARIANTS = {
-    "F": _Variant(lambda s, t, u: (s, u, t), _family_f, _f_params,
+    "F": _Variant(lambda s, t, u: (s, u, t), _family_f, _f_params, ("columns",),
                   lambda s, t, u, v: (comb(t, u), 0)),
-    "G": _Variant(lambda s, t, u: (t, s, u), _family_g, _g_params,
+    "G": _Variant(lambda s, t, u: (t, s, u), _family_g, _g_params, ("columns",),
                   lambda s, t, u, v: (comb(v, u), 0)),
-    "H": _Variant(lambda s, t, u: (t, u, s), _family_h, _h_params,
+    "H": _Variant(lambda s, t, u: (t, u, s), _family_h, _h_params, ("columns", "v"),
                   lambda s, t, u, v: ((s - t) * comb(t - 1, u - 1) + comb(t, u), 0)),
-    "M": _Variant(lambda s, t, u: (u, s, t), _family_m, _m_params,
+    "M": _Variant(lambda s, t, u: (u, s, t), _family_m, _m_params, ("columns", "counts"),
                   lambda s, t, u, v: ((t - u) * comb(v - 1, u - 1) + comb(v, u),
                                       comb(t - u, 2) * comb(v - 1, u - 1)
                                       + (t - u) * comb(v, u))),
-    "N": _Variant(lambda s, t, u: (u, t, s), _family_n, _n_params,
+    "N": _Variant(lambda s, t, u: (u, t, s), _family_n, _n_params, ("counts",),
                   lambda s, t, u, v: (s - u + 1, (t - u) * (s - t) + comb(t - u + 1, 2))),
 }
 

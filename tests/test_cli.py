@@ -221,12 +221,42 @@ class TestDiagram:
         (("young", "--partition", "2,2", "--order", "u,s,t"), "--order"),
         (("check", "--nodes", "1,1", "--partition", "1"), "--partition"),
         (("check", "--nodes", "1,1", "--C", ""), "--C"),
+        (("F", "--stu", "8,5,3", "--order", "s,u,t", "--C", "2,3,4", "--partition",
+          "2,1"), "--partition"),
+        (("N", "--stu", "8,5,3", "--order", "u,t,s", "--params", "3,0,1,1,1",
+          "--nodes", "1,1"), "--nodes"),
     ])
     def test_option_the_kind_does_not_read_rejected(self, capsys, argv, option):
+        # the CLI refuses the options of young and check; FamilyParams
+        # refuses a field the family variant does not read
+        field = {"--C": "columns", "--v": "v", "--params": "counts"}.get(option)
+        if argv[0] in ("young", "check") or field is None:
+            message = f"diagram {argv[0]} does not read {option}"
+        else:
+            message = f"variant {argv[0]} does not read {field}"
         code, out, err = run(capsys, "diagram", *argv, "--format", "json")
         assert code == 1
         assert out == ""
-        assert f"invalid input: diagram {argv[0]} does not read {option}\n" in err
+        assert f"invalid input: {message}\n" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("check", "--nodes", "1,1;1,1,1"), "each node needs two positive coordinates"),
+        (("check", "--nodes", "0,1"), "each node needs two positive coordinates"),
+        (("check",), "check needs --nodes"),
+        (("young",), "young diagrams need --partition"),
+        (("M", "--stu", "8,5,3", "--order", "u,s", "--params", "1,3,1,0,3"),
+         "order needs three entries"),
+        (("F", "--stu", "8,5,3", "--order", "s,u,t", "--C", ""),
+         "C must be comma-separated integers"),
+        (("N", "--stu", "8,5,3", "--order", "u,t,s", "--params", ""),
+         "params must be comma-separated integers"),
+        (("H", "--stu", "8,5,3", "--order", "t,u,s", "--C", "6,8"),
+         "variant H needs a positive v, got None"),
+    ])
+    def test_malformed_diagram_input_rejected(self, capsys, argv, message):
+        code, out, err = run(capsys, "diagram", *argv, "--format", "json")
+        assert (code, out) == (1, "")
+        assert f"invalid input: {message}" in err
 
     def test_stu_needs_three_parts(self, capsys):
         code, _, err = run(capsys, "diagram", "M", "--stu", "3,2", "--order", "u,s,t")

@@ -228,7 +228,7 @@ class TestFamilyConstructors:
         params = FamilyParams("F", columns=[4, 2, 3, 2])
         assert params == FamilyParams("F", columns=(2, 3, 4))
         assert family_diagram(params, shape) == FAMILY_F_853
-        assert FamilyParams("N").columns == ()
+        assert FamilyParams("N", counts=(3, 0, 1, 1, 1)).columns == ()
 
     def test_replace_normalises_like_the_constructor(self):
         params = FamilyParams("M", columns=(7, 8), counts=(1, 3, 1, 0, 3))
@@ -276,9 +276,17 @@ class TestFamilyConstructors:
             family_diagram(FamilyParams("H", v=5), shape)
 
     def test_parameters_are_stored_as_ints(self):
-        for bad in ({"columns": {1.0, 2, 3}}, {"v": 3.0}):
+        for variant, bad in (
+            ("F", {"columns": {1.0, 2, 3}}),
+            ("H", {"v": 3.0}),
+            ("M", {"columns": (7, 8), "counts": (1.0, 3, 1, 0, 3)}),
+            ("N", {"counts": ("3", 0, 1, 1, 1)}),
+        ):
             with pytest.raises(TypeError):
-                FamilyParams("F", **bad)
+                FamilyParams(variant, **bad)
+        params = FamilyParams("N", counts=[True, 0, 1, 1, 1])
+        assert all(type(c) is int for c in params.counts)
+        assert params == FamilyParams("N", counts=(1, 0, 1, 1, 1))
         shape = StuShape(3, 2, 2, (2, 2, 3))
         D = family_diagram(FamilyParams("H", columns={3}, v=True), shape)
         E = family_diagram(FamilyParams("H", columns={3}, v=1), shape)
@@ -292,37 +300,89 @@ class TestFamilyConstructors:
 
     def test_f_rejects_wrong_column_count(self):
         shape = StuShape(8, 5, 3, (8, 3, 5))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need a 3-subset of the first 5 columns"):
             family_diagram(FamilyParams("F", columns={1, 2}), shape)
 
     def test_f_rejects_columns_past_t(self):
         shape = StuShape(8, 5, 3, (8, 3, 5))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need a 3-subset of the first 5 columns"):
             family_diagram(FamilyParams("F", columns={1, 2, 6}), shape)
 
     def test_h_rejects_v_at_least_min_companion(self):
         shape = StuShape(8, 5, 3, (5, 3, 8))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="v = 6 must be less than 6"):
             family_diagram(FamilyParams("H", columns={6, 8}, v=6), shape)
 
     def test_m_rejects_eta_below_theta(self):
+        # the blocks fit s and t, so only eta < theta is wrong
         shape = StuShape(8, 5, 3, (3, 8, 5))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="eta >= theta"):
             family_diagram(
-                FamilyParams("M", columns={8, 9}, counts=(2, 1, 2, 0, 3)), shape
+                FamilyParams("M", columns={9, 10}, counts=(0, 1, 2, 0, 6)), shape
             )
 
     def test_m_rejects_mismatched_blocks(self):
         shape = StuShape(8, 5, 3, (3, 8, 5))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="do not fit s = 8"):
             family_diagram(
                 FamilyParams("M", columns={7, 8}, counts=(1, 3, 1, 1, 3)), shape
             )
 
     def test_n_rejects_phi_below_theta(self):
         shape = StuShape(8, 5, 3, (3, 5, 8))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="phi >= theta"):
             family_diagram(FamilyParams("N", counts=(4, 1, 1, 0, 0)), shape)
+
+    @pytest.mark.parametrize("order, params, message", [
+        # each input passes every check before the one it fails
+        ((5, 8, 3), FamilyParams("G", columns={1, 2, 7}),
+         "need a 3-subset of the first 6 columns"),
+        ((5, 3, 8), FamilyParams("H", columns={2, 3}, v=1),
+         "need a 2-subset of the last 4 columns"),
+        ((3, 8, 5), FamilyParams("M", columns={7, 8}, counts=(1, 3, 0, 0, 3)),
+         "do not fit t = 5"),
+        ((3, 8, 5), FamilyParams("M", columns={5, 6}, counts=(1, 3, 1, 0, 3)),
+         "need a 2-subset of the last 3 columns"),
+        # a tail of psi = 1 column cannot hold u - 1 = 2 triple columns
+        ((3, 8, 5), FamilyParams("M", columns={7, 8}, counts=(0, 4, 0, 2, 1)),
+         "need a 2-subset of the last 1 columns"),
+        ((3, 5, 8), FamilyParams("N", counts=(3, 0, 1, 1, 2)), "do not fit s = 8"),
+        ((3, 5, 8), FamilyParams("N", counts=(4, 0, 1, 1, 0)), "do not fit t = 5"),
+    ])
+    def test_builders_check_the_rules_that_need_the_shape(self, order, params, message):
+        with pytest.raises(ValueError, match=message):
+            family_diagram(params, StuShape(8, 5, 3, order))
+
+    @pytest.mark.parametrize("variant, fields, message", [
+        ("F", {"columns": (2, 3, 4), "v": 3}, "variant F does not read v"),
+        ("F", {"columns": (2, 3, 4), "counts": (1,)}, "variant F does not read counts"),
+        ("G", {"columns": (2, 4, 5), "v": 3}, "variant G does not read v"),
+        ("G", {"columns": (2, 4, 5), "counts": (1,)}, "variant G does not read counts"),
+        ("H", {"columns": (6, 8), "v": 3, "counts": (1,)}, "variant H does not read counts"),
+        ("M", {"columns": (7, 8), "v": 3, "counts": (1, 3, 1, 0, 3)},
+         "variant M does not read v"),
+        ("N", {"columns": (7, 8), "counts": (3, 0, 1, 1, 1)},
+         "variant N does not read columns"),
+        ("N", {"v": 3, "counts": (3, 0, 1, 1, 1)}, "variant N does not read v"),
+        ("H", {"columns": (6, 8)}, "variant H needs a positive v, got None"),
+        ("H", {"columns": (6, 8), "v": 0}, "variant H needs a positive v, got 0"),
+        ("M", {"columns": (7, 8), "counts": (1, 3, 1, 0)}, "variant M needs five"),
+        ("M", {"columns": (7, 8), "counts": (1, 3, 1, 0, 3, 0)}, "variant M needs five"),
+        ("M", {"columns": (7, 8), "counts": (1, 3, -1, 0, 3)}, "variant M needs five"),
+        ("N", {"counts": (3, 0, 1, 1)}, "variant N needs five"),
+        ("N", {"counts": (3, 0, 1, -1, 1)}, "variant N needs five"),
+    ])
+    def test_constructor_checks_the_rules_that_need_no_shape(self, variant, fields, message):
+        with pytest.raises(ValueError, match=message):
+            FamilyParams(variant, **fields)
+
+    def test_replace_refuses_a_field_the_variant_does_not_read(self):
+        params = FamilyParams("M", columns=(7, 8), counts=(1, 3, 1, 0, 3))
+        with pytest.raises(ValueError, match="variant M does not read v"):
+            params._replace(v=3)
+        with pytest.raises(ValueError, match="variant F does not read counts"):
+            params._replace(variant="F")
+        assert params._replace(variant="F", counts=()) == FamilyParams("F", (7, 8))
 
     def test_four_row_shapes_only(self):
         shape = StuShape(8, 5, 3, (8, 3, 5), trailing_ones=2)

@@ -114,6 +114,8 @@ def test_group_arithmetic():
         Permutation((1, 1, 2))
     with pytest.raises(ValueError):
         simple(3, 3)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        identity(2) * identity(3)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +232,9 @@ def test_parabolic_extremes():
     assert full.longest == longest_element(3)
     assert full.longest_rep == identity(3)
     assert [x.images for x in full.reps] == [(1, 2, 3)]
+    for gens in ({0}, {3}, {1, 3}):
+        with pytest.raises(ValueError, match="out of range for S_3"):
+            parabolic(frozenset(gens), 3)
 
 
 def test_parabolic_reps_exhaustive():
