@@ -4,8 +4,8 @@ Subcommands: rim (rim of a composition), cell (right cell of a
 permutation), diagram (build and annotate diagrams), verify (batch
 verification suites), oracle (two-route ideal membership probe).
 
-Exit codes: 0 success, 1 invalid usage or input, 2 enumeration guard
-exceeded, 3 failed mathematical assertion.
+Exit codes: 0 success, 1 invalid usage or input, or a reader that closed
+stdout, 2 enumeration guard exceeded, 3 failed mathematical assertion.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from collections.abc import Iterator, Sequence
 from functools import cache
@@ -62,17 +63,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
-        parts = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValueError(f"{what} must be comma-separated integers, got {text!r}")
-    return parts
-
-
-def _parse_composition(text: str) -> tuple[int, ...]:
-    parts = _parse_ints(text, "composition")
-    if min(parts) < 1:
-        raise ValueError(f"composition parts must be positive, got {parts}")
-    return parts
 
 
 def _parse_nodes(text: str) -> Diagram:
@@ -95,12 +88,6 @@ def _parse_order(text: str, s: int, t: int, u: int) -> tuple[int, int, int]:
     return _parse_ints(text, "order")
 
 
-def _glyphs(args: argparse.Namespace) -> tuple[str, str]:
-    if args.plain_x:
-        return "x", "."
-    return "×", "·"
-
-
 class _WordTexts(dict):
     """Reduced words given as runs spelled out: the text of each run (j, k),
     its letters j, j - 1, ..., k + 1 each formatted by ``letter`` and
@@ -118,18 +105,14 @@ class _WordTexts(dict):
         return self.sep.join(map(self.__getitem__, runs))
 
 
-def _word_text(runs: list[tuple[int, int]], texts: _WordTexts) -> str:
-    return texts.word(runs) if runs else "(identity)"
-
-
 def cmd_rim(args: argparse.Namespace) -> Iterator[str]:
     # every check runs here, before the first piece is written
-    lam = _parse_composition(args.composition)
+    lam = _parse_ints(args.composition, "composition")
     E, E_s = rim_diagrams(lam, limit=args.max_n)
     ordered = sorted(E, key=Diagram.rows)
     if args.format == "json":
         return _rim_json(lam, ordered, len(E_s))
-    return _rim_lines(lam, ordered, E_s, *_glyphs(args))
+    return _rim_lines(lam, ordered, E_s, args.glyphs)
 
 
 def _rim_json(lam: tuple[int, ...], ordered: list[Diagram], special: int) -> Iterator[str]:
@@ -147,15 +130,15 @@ def _rim_json(lam: tuple[int, ...], ordered: list[Diagram], special: int) -> Ite
 
 def _rim_lines(
     lam: tuple[int, ...], ordered: list[Diagram], E_s: frozenset[Diagram],
-    node: str, empty: str,
+    glyphs: tuple[str, str],
 ) -> Iterator[str]:
     yield f"lambda: {lam}  rim size: {len(ordered)}  special: {len(E_s)}"
     texts = _WordTexts("s{}", " ")
     for k, D in enumerate(ordered, start=1):
         tag = "special" if D in E_s else "non-special"
         yield ""
-        yield f"[{k}] {tag}  word: {_word_text(reduced_word_runs(D), texts)}"
-        yield D.render(node_char=node, empty_char=empty)
+        yield f"[{k}] {tag}  word: {texts.word(reduced_word_runs(D)) or '(identity)'}"
+        yield D.render(*glyphs)
 
 
 def cmd_cell(args: argparse.Namespace) -> dict | list[str]:
@@ -173,8 +156,6 @@ def cmd_cell(args: argparse.Namespace) -> dict | list[str]:
 
 
 def _build_family(args: argparse.Namespace) -> Diagram:
-    if args.stu is None or args.order is None:
-        raise ValueError("family diagrams need --stu and --order")
     stu = _parse_ints(args.stu, "stu")
     if len(stu) != 3:
         raise ValueError(f"--stu needs three parts s,t,u, got {args.stu!r}")
@@ -258,32 +239,36 @@ def _annotations(D: Diagram, member: bool = False) -> dict:
     return out
 
 
-_DIAGRAM_OPTIONS = {"young": ("partition",), "check": ("nodes",)}
+# what each diagram kind needs and may also read; FamilyParams checks a variant's fields
+_DIAGRAM_OPTIONS = {
+    "young": (("partition",), ()),
+    "check": (("nodes",), ()),
+    **dict.fromkeys("FGHMN", (("stu", "order"), ("C", "v", "params"))),
+}
 
 
 def cmd_diagram(args: argparse.Namespace) -> dict | list[str]:
-    # a family kind reads the rest; FamilyParams refuses a field its variant does not read
-    reads = _DIAGRAM_OPTIONS.get(args.kind, ("stu", "order", "C", "v", "params"))
-    for name in ("partition", "nodes", "stu", "order", "C", "v", "params"):
-        if getattr(args, name) is not None and name not in reads:
+    needs, reads = _DIAGRAM_OPTIONS[args.kind]
+    # an option the kind does not read is named before a missing one
+    for name in sorted(("partition", "nodes", "stu", "order", "C", "v", "params"),
+                       key=needs.__contains__):
+        given = getattr(args, name) is not None
+        if given and name not in needs + reads:
             raise ValueError(f"diagram {args.kind} does not read --{name}")
+        if not given and name in needs:
+            raise ValueError(f"diagram {args.kind} needs --{name}")
     if args.kind == "young":
-        if not args.partition:
-            raise ValueError("young diagrams need --partition")
-        D = young_diagram(_parse_composition(args.partition))
+        D = young_diagram(_parse_ints(args.partition, "composition"))
     elif args.kind == "check":
-        if not args.nodes:
-            raise ValueError("check needs --nodes")
         D = _parse_nodes(args.nodes)
     else:
         D = _build_family(args)
     notes = _annotations(D, member=args.kind not in ("young", "check"))
     if args.format == "json":
         return dict(nodes=D.sorted_nodes, **notes)
-    node, empty = _glyphs(args)
     has = "yes" if notes["conjugate_type_path"] else "no"
     lines = [
-        D.render(node_char=node, empty_char=empty),
+        D.render(*args.glyphs),
         "",
         f"row composition: {notes['row_composition']}",
         f"admissible: {'yes' if notes['admissible'] else 'no'}",
@@ -298,7 +283,7 @@ def cmd_diagram(args: argparse.Namespace) -> dict | list[str]:
 
 
 def cmd_oracle(args: argparse.Namespace) -> dict | list[str]:
-    lam = _parse_composition(args.composition)
+    lam = _parse_ints(args.composition, "composition")
     # one walk: it checks its member count against f^mu and flags the rim
     ideal_size, rim_size, members = 0, 0, []
     for e, top in _ideal_members(lam, args.max_n):
@@ -352,11 +337,10 @@ def _verify_tables(args: argparse.Namespace) -> dict | list[str]:
 
 
 def _verify_bijections(args: argparse.Namespace) -> dict | list[str]:
-    bound = args.max_n if args.max_n is not None else 6
     # each search walks the ideal, both routes on every member and cover it tests
     searched = {
-        lam: _searched_rim(lam, bound)
-        for n in range(1, bound + 1)
+        lam: _searched_rim(lam, args.max_n)
+        for n in range(1, args.max_n + 1)
         for lam in compositions_of(n)
     }
     rotations = appends = 0
@@ -368,7 +352,7 @@ def _verify_bijections(args: argparse.Namespace) -> dict | list[str]:
         if searched[lam[::-1]] != tuple(frozenset(map(rotate_180, X)) for X in found):
             raise VerificationError(f"rotation transport fails for {lam}")
         rotations += 1
-        if sum(lam) == bound or lam[-1] != 1:
+        if sum(lam) == args.max_n or lam[-1] != 1:
             continue
         if searched[lam + (1,)] != tuple(frozenset(map(psi_append, X)) for X in found):
             raise VerificationError(f"row-append transport fails for {lam}")
@@ -404,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if glyphs:
             p.add_argument(
-                "--plain-x", action="store_true",
+                "--plain-x", dest="glyphs", action="store_const",
+                const=("x", "."), default=("×", "·"),
                 help="render diagrams with x/. instead of the default glyphs",
             )
         if guard:
@@ -448,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bij = suites.add_parser(
         "bijections", help="both membership routes, rotation and row-append transport"
     )
-    common(p_bij, _verify_bijections, guard="largest degree walked (default 6)")
+    common(p_bij, _verify_bijections, guard="largest degree walked (default %(default)s)")
+    p_bij.set_defaults(max_n=6)
 
     p_oracle = sub.add_parser("oracle", help="two-route ideal membership probe")
     p_oracle.add_argument("--composition", required=True)
@@ -477,12 +463,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        # a payload dict is written whole; cmd_rim streams its JSON in pieces
-        sys.stdout.writelines((json.dumps(out, sort_keys=True),) if isinstance(out, dict) else out)
-        sys.stdout.write("\n")
-    else:
-        sys.stdout.writelines(f"{line}\n" for line in out)
+    if isinstance(out, dict):  # a JSON payload, written whole
+        out = [json.dumps(out, sort_keys=True)]
+    # cmd_rim streams its JSON in pieces; JSON ends with one newline
+    out = itertools.chain(out, ["\n"]) if args.format == "json" else (f"{line}\n" for line in out)
+    try:
+        sys.stdout.writelines(out)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout: stay quiet at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -169,13 +169,14 @@ class Diagram:
 
 
 def young_diagram(parts: tuple[int, ...]) -> Diagram:
-    """The diagram with parts[k] left-packed nodes on row k+1.
+    """The diagram with parts[k] left-packed nodes on row k+1; parts that
+    are not a composition raise ValueError.
 
     >>> young_diagram((2, 2)).sorted_nodes
     ((1, 1), (1, 2), (2, 1), (2, 2))
     """
     if not parts or min(parts) < 1:
-        raise ValueError(f"parts must be positive: {parts!r}")
+        raise ValueError(f"composition parts must be positive, got {parts}")
     return Diagram(rows=tuple(tuple(range(1, p + 1)) for p in parts))
 
 

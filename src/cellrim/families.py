@@ -77,6 +77,10 @@ class StuShape:
     trailing_ones: int = 1
 
     def __post_init__(self) -> None:
+        # outside input becomes ints, and order a tuple, as in FamilyParams
+        for name in ("s", "t", "u", "trailing_ones"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        object.__setattr__(self, "order", tuple(map(operator.index, self.order)))
         if not self.s >= self.t >= self.u >= 1:
             raise ValueError(f"need s >= t >= u >= 1, got {self}")
         if tuple(sorted(self.order, reverse=True)) != (self.s, self.t, self.u):

@@ -5,7 +5,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -83,7 +87,7 @@ class TestRim:
             raise AssertionError("ascii output built under --format json")
 
         monkeypatch.setattr(Diagram, "render", refuse)
-        monkeypatch.setattr(cli, "_word_text", refuse)
+        monkeypatch.setattr(cli, "_rim_lines", refuse)
         payload = run_json(capsys, "rim", "--composition", "1,3,2,1")
         assert payload["rim_size"] == 5
 
@@ -242,8 +246,8 @@ class TestDiagram:
     @pytest.mark.parametrize("argv, message", [
         (("check", "--nodes", "1,1;1,1,1"), "each node needs two positive coordinates"),
         (("check", "--nodes", "0,1"), "each node needs two positive coordinates"),
-        (("check",), "check needs --nodes"),
-        (("young",), "young diagrams need --partition"),
+        (("check",), "diagram check needs --nodes"),
+        (("young",), "diagram young needs --partition"),
         (("M", "--stu", "8,5,3", "--order", "u,s", "--params", "1,3,1,0,3"),
          "order needs three entries"),
         (("F", "--stu", "8,5,3", "--order", "s,u,t", "--C", ""),
@@ -252,6 +256,12 @@ class TestDiagram:
          "params must be comma-separated integers"),
         (("H", "--stu", "8,5,3", "--order", "t,u,s", "--C", "6,8"),
          "variant H needs a positive v, got None"),
+        (("F",), "diagram F needs --stu"),
+        (("N", "--stu", "8,5,3", "--params", "3,0,1,1,1"), "diagram N needs --order"),
+        # an empty value is given, and its parser names the fault
+        (("check", "--nodes", ""), "node must be comma-separated integers, got ''"),
+        (("young", "--partition", ""), "composition must be comma-separated integers, got ''"),
+        (("young", "--partition", "0"), "composition parts must be positive, got (0,)"),
     ])
     def test_malformed_diagram_input_rejected(self, capsys, argv, message):
         code, out, err = run(capsys, "diagram", *argv, "--format", "json")
@@ -664,6 +674,28 @@ class TestExitCodes:
         code, _, err = run(capsys, "rim", "--composition", "0,2")
         assert code == 1
         assert "positive" in err
+
+    @pytest.mark.parametrize("argv, parts", [
+        (("rim", "--composition", "0,3,2,1,1"), "(0, 3, 2, 1, 1)"),
+        (("oracle", "--composition", "2,0"), "(2, 0)"),
+    ])
+    def test_non_positive_part_refused_by_the_library(self, capsys, argv, parts):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"invalid input: composition parts must be positive, got {parts}\n"
+
+    def test_closed_pipe_exits_1_quietly(self):
+        # 585 KB of ascii: the writer is still writing when the reader leaves
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cellrim.cli", "rim", "--composition", "5,12,8,1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"lambda: (5, 12, 8, 1)")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (1, b"")
 
     def test_malformed_composition(self, capsys):
         code, _, _ = run(capsys, "rim", "--composition", "a,b")

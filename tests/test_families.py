@@ -118,6 +118,20 @@ class TestStuShape:
         with pytest.raises(ValueError):
             StuShape(2, 3, 1, (3, 2, 1))
 
+    def test_list_order_is_stored_as_a_tuple(self):
+        listed, shape = StuShape(3, 2, 1, [3, 1, 2]), StuShape(3, 2, 1, (3, 1, 2))
+        assert listed == shape and hash(listed) == hash(shape)
+        assert listed.order == (3, 1, 2) and listed.composition == (3, 1, 2, 1)
+        assert family_parameter_sets(listed) == family_parameter_sets(shape)
+        assert table_counts(listed) == table_counts(shape)
+
+    @pytest.mark.parametrize("args", [
+        (3.0, 2, 1, (3, 2, 1)), (3, 2, 1, (3, 2.0, 1)), (3, 2, 1, (3, 2, 1), 1.0),
+    ])
+    def test_float_part_refused_at_construction(self, args):
+        with pytest.raises(TypeError):
+            StuShape(*args)
+
 
 class TestDeterminingTuple:
     def test_fixture_profiles(self):

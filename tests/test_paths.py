@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cellrim.paths as paths
+import ci_checks
 import oracles
 from cellrim.diagrams import (
     Diagram,
@@ -146,24 +147,6 @@ def by_s_row(D: Diagram, chains) -> tuple:
     sizes = D.row_composition()
     row = sizes.index(max(sizes)) + 1
     return tuple(sorted(chains, key=lambda c: dict(c)[row]))
-
-
-def width_four_diagrams() -> list[Diagram]:
-    """Every admissible diagram with rows (x, y, z, 1) over the columns
-    1..w, w <= 4, none of them empty."""
-    subsets = [
-        c for k in range(1, 5) for c in itertools.combinations(range(1, 5), k)
-    ]
-    out = []
-    for r1, r2, r3 in itertools.product(subsets, repeat=3):
-        for b in range(1, 5):
-            columns = set(r1) | set(r2) | set(r3) | {b}
-            if columns != set(range(1, max(columns) + 1)):
-                continue
-            D = Diagram.from_rows([r1, r2, r3, (b,)])
-            if is_admissible(D):
-                out.append(D)
-    return out
 
 
 def check_against_oracles(D: Diagram, pi: KPath, form: FormClass) -> None:
@@ -665,7 +648,7 @@ class TestFindFormPath:
             assert admissible_count == expected
 
     def test_every_admissible_diagram_of_width_at_most_four(self):
-        diagrams = width_four_diagrams()
+        diagrams = list(ci_checks.small_hosts(4))
         for D in diagrams:
             pi, form = find_form_path(D)
             assert pi.support == D.nodes, D
