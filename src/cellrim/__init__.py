@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from .diagrams import (
     Diagram,
+    is_admissible,
     is_special,
     min_column_diagram,
     psi_append,
     rotate_180,
+    subsequence_type,
     w_of_diagram,
     young_diagram,
 )
@@ -35,9 +37,7 @@ from .paths import (
     classify_form,
     family_with_lengths,
     find_form_path,
-    is_admissible,
     is_ordered,
-    subsequence_type,
 )
 from .permutations import (
     GuardExceeded,

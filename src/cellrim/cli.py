@@ -15,11 +15,12 @@ import itertools
 import json
 import os
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from functools import cache
 
 from .diagrams import (
     Diagram,
+    is_admissible,
     is_special,
     psi_append,
     reduced_word_runs,
@@ -43,7 +44,6 @@ from .paths import (
     classify_form,
     family_with_lengths,
     find_form_path,
-    is_admissible,
 )
 from .permutations import (
     GuardExceeded,
@@ -88,21 +88,11 @@ def _parse_order(text: str, s: int, t: int, u: int) -> tuple[int, int, int]:
     return _parse_ints(text, "order")
 
 
-class _WordTexts(dict):
-    """Reduced words given as runs spelled out: the text of each run (j, k),
-    its letters j, j - 1, ..., k + 1 each formatted by ``letter`` and
-    joined by ``sep``, is made on first use, as a rim's words share runs."""
-
-    def __init__(self, letter: str, sep: str) -> None:
-        super().__init__()
-        self.letter, self.sep = letter, sep
-
-    def __missing__(self, run: tuple[int, int]) -> str:
-        text = self[run] = self.sep.join(map(self.letter.format, range(*run, -1)))
-        return text
-
-    def word(self, runs: list[tuple[int, int]]) -> str:
-        return self.sep.join(map(self.__getitem__, runs))
+def _word_text(letter: str, sep: str) -> Callable[[list[tuple[int, int]]], str]:
+    """Spell out reduced words given as runs: run (j, k) is the letters
+    j, j - 1, ..., k + 1, and its text is made once, as words share runs."""
+    run_text = cache(lambda run: sep.join(map(letter.format, range(*run, -1))))
+    return lambda runs: sep.join(map(run_text, runs))
 
 
 def cmd_rim(args: argparse.Namespace) -> Iterator[str]:
@@ -122,9 +112,9 @@ def _rim_json(lam: tuple[int, ...], ordered: list[Diagram], special: int) -> Ite
     for k, D in enumerate(ordered):
         yield f'{", " if k else ""}{{"nodes": {json.dumps(D.sorted_nodes)}}}'
     yield f'], "lambda": {json.dumps(lam)}, "reduced_words": ['
-    texts = _WordTexts("{}", ", ")
+    word_text = _word_text("{}", ", ")
     for k, D in enumerate(ordered):
-        yield f'{", " if k else ""}[{texts.word(reduced_word_runs(D))}]'
+        yield f'{", " if k else ""}[{word_text(reduced_word_runs(D))}]'
     yield f'], "rim_size": {len(ordered)}, "special": {special}}}'
 
 
@@ -133,11 +123,11 @@ def _rim_lines(
     glyphs: tuple[str, str],
 ) -> Iterator[str]:
     yield f"lambda: {lam}  rim size: {len(ordered)}  special: {len(E_s)}"
-    texts = _WordTexts("s{}", " ")
+    word_text = _word_text("s{}", " ")
     for k, D in enumerate(ordered, start=1):
         tag = "special" if D in E_s else "non-special"
         yield ""
-        yield f"[{k}] {tag}  word: {texts.word(reduced_word_runs(D)) or '(identity)'}"
+        yield f"[{k}] {tag}  word: {word_text(reduced_word_runs(D)) or '(identity)'}"
         yield D.render(*glyphs)
 
 

@@ -9,7 +9,8 @@ that normalization.
 The row filling ``t^D`` numbers the nodes row by row, the column filling
 ``t_D`` column by column; the diagram permutation ``w_D`` carries the row
 filling to the column filling.  Prefixes of ``w_D`` correspond to standard
-fillings of ``D``, which drives everything else in the package.
+fillings of ``D``, which drives everything else in the package.  A diagram
+is admissible when its subsequence type is the conjugate of its row sizes.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from itertools import accumulate
 from typing import Iterable
 
 from .permutations import Permutation, _sorting_runs
+from .tableaux import conjugate, row_insert
 
 Node = tuple[int, int]
 
@@ -245,6 +247,41 @@ def is_special(D: Diagram) -> bool:
     return all(wider >= narrower for wider, narrower in zip(rows, rows[1:]))
 
 
+def subsequence_type(D: Diagram) -> tuple[int, ...]:
+    """The partition whose k-th prefix sum is the maximum size of a
+    k-path in the diagram.
+
+    Read the row indices of the nodes column by column, left to right,
+    and top to bottom within each column.  A path is then exactly a
+    strictly increasing subsequence of this word, so by Greene's theorem
+    (C. Greene, *An extension of Schensted's theorem*, Adv. Math. 14,
+    1974) the type is the shape of the word under ``row_insert``, which
+    keeps rows strictly increasing.
+
+    >>> subsequence_type(young_diagram((3,)))
+    (1, 1, 1)
+    >>> subsequence_type(Diagram.from_rows([(1,), (1,), (1,)]))
+    (3,)
+    >>> subsequence_type(young_diagram((2, 2)))
+    (2, 2)
+    """
+    by_column = sorted([(b, a) for a, row in enumerate(D.rows(), 1) for b in row])
+    word = [a for _, a in by_column]
+    return tuple(len(row) for row in row_insert(word))
+
+
+def is_admissible(D: Diagram) -> bool:
+    """Whether the subsequence type equals the conjugate of the row
+    sizes, the largest type allowed.
+
+    >>> is_admissible(young_diagram((3, 1)))
+    True
+    >>> is_admissible(Diagram(frozenset({(1, 2), (2, 1)})))
+    False
+    """
+    return subsequence_type(D) == conjugate(D.row_composition())
+
+
 def min_column_diagram(d: Permutation, parts: tuple[int, ...]) -> Diagram:
     """The unique diagram with row sizes ``parts`` and diagram permutation
     ``d`` that has the fewest columns.
@@ -309,7 +346,7 @@ def psi_append(D: Diagram, k: int = 1) -> Diagram:
     sits in a fresh column inserted at c, and joining wins a tie.  The
     placement is built, not searched.  In the column reading word whose
     insertion shape is the subsequence type (Greene's theorem; see
-    ``paths.subsequence_type``) the new node is the largest letter r + 1.
+    ``subsequence_type``) the new node is the largest letter r + 1.
     Row insertion restricted to the smaller letters is unchanged by it, so
     it adds one box to D's type, and the extension is admissible exactly
     when D is and that box is in the first row.  By Schensted's theorem
@@ -333,8 +370,6 @@ def psi_append(D: Diagram, k: int = 1) -> Diagram:
     >>> psi_append(young_diagram((2, 1)), 2).rows()
     ((1, 2), (1,), (1,), (1,))
     """
-    from .paths import is_admissible  # deferred: paths builds on this module
-
     if k < 1:
         raise ValueError(f"psi_append needs k >= 1 rows, got {k}")
     p = 1

@@ -34,6 +34,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .diagrams import (
     Diagram,
+    is_admissible,
     is_special,
     min_column_diagram,
     psi_append,
@@ -41,7 +42,6 @@ from .diagrams import (
     w_of_diagram,
     young_diagram,
 )
-from .paths import is_admissible
 from .permutations import (
     Permutation,
     VerificationError,

@@ -20,9 +20,9 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .diagrams import Diagram, Node
+# subsequence_type stays bound: bench/tracing.py and callers read it here
+from .diagrams import Diagram, Node, is_admissible, subsequence_type
 from .permutations import VerificationError
-from .tableaux import conjugate, row_insert
 
 
 def _is_path(nodes: tuple[Node, ...]) -> bool:
@@ -112,43 +112,6 @@ def is_ordered(pi: KPath) -> bool:
         for j in range(len(cs))
         for j2 in range(j + 1, len(cs))
     )
-
-
-def subsequence_type(D: Diagram) -> tuple[int, ...]:
-    """The partition whose k-th prefix sum is the maximum size of a
-    k-path in the diagram.
-
-    Read the row indices of the nodes column by column, left to right,
-    and top to bottom within each column.  A path is then exactly a
-    strictly increasing subsequence of this word, so by Greene's theorem
-    (C. Greene, *An extension of Schensted's theorem*, Adv. Math. 14,
-    1974) the type is the shape of the word under ``row_insert``, which
-    keeps rows strictly increasing.
-
-    >>> from .diagrams import young_diagram, Diagram
-    >>> subsequence_type(young_diagram((3,)))
-    (1, 1, 1)
-    >>> subsequence_type(Diagram.from_rows([(1,), (1,), (1,)]))
-    (3,)
-    >>> subsequence_type(young_diagram((2, 2)))
-    (2, 2)
-    """
-    by_column = sorted([(b, a) for a, row in enumerate(D.rows(), 1) for b in row])
-    word = [a for _, a in by_column]
-    return tuple(len(row) for row in row_insert(word))
-
-
-def is_admissible(D: Diagram) -> bool:
-    """Whether the subsequence type equals the conjugate of the row
-    sizes, the largest type allowed.
-
-    >>> from .diagrams import Diagram, young_diagram
-    >>> is_admissible(young_diagram((3, 1)))
-    True
-    >>> is_admissible(Diagram(frozenset({(1, 2), (2, 1)})))
-    False
-    """
-    return subsequence_type(D) == conjugate(D.row_composition())
 
 
 def _chains_within(

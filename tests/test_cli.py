@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from cellrim import cli, families, paths
+from cellrim import cli, diagrams, families, paths
 from cellrim.cli import main
 from cellrim.diagrams import Diagram, reduced_word_runs, w_of_diagram
 from cellrim.families import rim_diagrams, z_ideal
@@ -321,7 +321,7 @@ class TestDiagram:
             calls.append(D)
             return is_admissible(D)
 
-        for module in (cli, families, paths):
+        for module in (cli, diagrams, families, paths):
             monkeypatch.setattr(module, "is_admissible", counted)
         run_json(capsys, "diagram", *argv)
         assert len(calls) == 1
@@ -683,6 +683,12 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err == f"invalid input: composition parts must be positive, got {parts}\n"
+
+    def test_negative_part_attached_with_equals(self, capsys):
+        # argparse reads a detached "-1,2" as an option, not as a value
+        code, out, err = run(capsys, "rim", "--composition=-1,2")
+        assert (code, out) == (1, "")
+        assert "composition parts must be positive, got (-1, 2)" in err
 
     def test_closed_pipe_exits_1_quietly(self):
         # 585 KB of ascii: the writer is still writing when the reader leaves

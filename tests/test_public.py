@@ -1,8 +1,9 @@
-"""The names ``cellrim`` exports, pinned, and the standard library as the
-runtime's only dependency."""
+"""The names ``cellrim`` exports, pinned, the standard library as the
+runtime's only dependency, and the one direction its modules import in."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import cellrim
+import cellrim.diagrams
+import cellrim.paths
 
 EXPORTED = [
     "Diagram", "FamilyParams", "FormClass", "GuardExceeded",
@@ -66,3 +69,24 @@ def test_runtime_imports_only_the_standard_library():
     tops = {name.partition(".")[0] for name in added}
     assert "cellrim" in tops
     assert tops - {"cellrim"} <= set(sys.stdlib_module_names)
+
+
+# Each module imports only from those before it; __init__ may read any.
+IMPORT_ORDER = ["permutations", "tableaux", "diagrams", "paths", "families", "cli"]
+
+
+def test_modules_import_in_one_direction():
+    package = Path(cellrim.__file__).parent
+    assert sorted(p.stem for p in package.glob("*.py")) == sorted(
+        IMPORT_ORDER + ["__init__"])
+    for k, name in enumerate(IMPORT_ORDER):
+        tree = ast.parse((package / f"{name}.py").read_text())
+        # ast.walk reaches imports inside functions too
+        imported = {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1}
+        assert imported <= set(IMPORT_ORDER[:k]), name
+
+
+def test_paths_reads_admissibility_from_diagrams():
+    for name in ("is_admissible", "subsequence_type"):
+        assert getattr(cellrim.paths, name) is getattr(cellrim.diagrams, name)
