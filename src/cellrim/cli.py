@@ -301,10 +301,10 @@ def cmd_oracle(args: argparse.Namespace) -> dict | list[str]:
 
 
 def _verify_tables(args: argparse.Namespace) -> dict | list[str]:
-    s, t, u = sorted((args.s, args.t, args.u), reverse=True)
+    head = StuShape.from_composition(_parse_ints(args.composition, "composition"))
     results, lines = [], []
-    for order in sorted(set(itertools.permutations((s, t, u)))):
-        shape = StuShape(s, t, u, order, args.trailing_ones)
+    for order in sorted(set(itertools.permutations(head.order))):
+        shape = StuShape(head.s, head.t, head.u, order, head.trailing_ones)
         lam = shape.composition
         special, other = _check_closed_rim(lam, shape, _searched_rim(lam, args.max_n))
         # the walk behind the search checked its member count against f^mu
@@ -414,10 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables = suites.add_parser(
         "tables", help="closed families against the inverse-RS rim"
     )
-    p_tables.add_argument("--s", type=int, default=3)
-    p_tables.add_argument("--t", type=int, default=2)
-    p_tables.add_argument("--u", type=int, default=1)
-    p_tables.add_argument("--trailing-ones", type=int, default=1)
+    p_tables.add_argument("--composition", default="3,2,1,1",
+                          help="s,t,u then ones; every arrangement of s,t,u is checked")
     common(p_tables, _verify_tables)
 
     p_bij = suites.add_parser(

@@ -21,6 +21,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -83,7 +84,7 @@ class Permutation:
     mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        images = tuple(self.images)
+        images = tuple(map(operator.index, self.images))  # 2.0 would pass the sort test
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {images!r}")

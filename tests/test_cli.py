@@ -400,23 +400,37 @@ class TestDiagram:
 
 class TestVerify:
     def test_tables_pass(self, capsys):
-        payload = run_json(capsys, "verify", "tables", "--s", "3", "--t", "2", "--u", "1")
+        payload = run_json(capsys, "verify", "tables", "--composition", "3,2,1,1")
         assert payload["ok"] is True
         assert len(payload["results"]) == 6
         sizes = sorted(r["rim_size"] for r in payload["results"])
         assert sizes == [1, 2, 2, 3, 5, 5]
 
+    @pytest.mark.parametrize("composition", ["3,3,1,1", "1,3,3,1"])
+    def test_tied_head_checks_each_distinct_ordering(self, capsys, composition):
+        # any arrangement of the head names the same suite
+        code, out, err = run(capsys, "verify", "tables", "--composition", composition)
+        assert (code, err) == (0, "")
+        assert out == (
+            "ordering (1, 3, 3): rim 6 special 3 ideal 56 PASS\n"
+            "ordering (3, 1, 3): rim 3 special 3 ideal 56 PASS\n"
+            "ordering (3, 3, 1): rim 1 special 1 ideal 56 PASS\n"
+            "tables suite: 3 orderings PASS\n"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [
-            ("--s", "3", "--t", "2", "--u", "1", "--trailing-ones", "2"),
-            ("--s", "4", "--t", "3", "--u", "1", "--trailing-ones", "3", "--max-n", "11"),
+            ("--composition", "3,2,1,1,1"),
+            ("--composition", "4,3,1,1,1,1", "--max-n", "11"),
         ],
     )
     def test_tables_with_trailing_ones(self, capsys, argv):
         payload = run_json(capsys, "verify", "tables", *argv)
         assert payload["ok"] is True
-        one = run_json(capsys, "verify", "tables", *argv[:6])["results"]
+        # the same three leading parts, followed by a single one
+        with_one = ",".join(map(str, payload["results"][0]["lambda"][:3] + [1]))
+        one = run_json(capsys, "verify", "tables", "--composition", with_one)["results"]
         size_with_one = {tuple(r["lambda"][:3]): r["rim_size"] for r in one}
         for r in payload["results"]:
             lam = tuple(r["lambda"])
@@ -516,23 +530,26 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("--s", "0"), "need s >= t >= u >= 1"),
-            (("--trailing-ones", "0"), "at least one trailing part is required"),
+            (("--composition", "3,2,0,1"), "invalid input: need s >= t >= u >= 1"),
+            (("--composition", "3,2,1"),
+             "invalid input: expected three leading parts followed by ones"),
+            # the four options that spelled the composition are gone
+            (("--s", "3"), "error: unrecognized arguments: --s 3"),
         ],
-        ids=["s", "trailing-ones"],
+        ids=["s", "trailing-ones", "retired-option"],
     )
     def test_bad_tables_parts_name_their_cause(self, capsys, monkeypatch, argv, message):
         searches = []
         monkeypatch.setattr(cli, "_searched_rim", lambda *args: searches.append(args))
         code, out, err = run(capsys, "verify", "tables", *argv)
         assert (code, out, searches) == (1, "", [])
-        assert f"invalid input: {message}" in err
+        assert message in err
 
     def test_failed_assertion_exits_3(self, capsys, monkeypatch):
         import cellrim.families as families
 
         monkeypatch.setattr(families, "table_counts", lambda shape: (0, 0))
-        code, _, err = run(capsys, "verify", "tables", "--s", "2", "--t", "1", "--u", "1")
+        code, _, err = run(capsys, "verify", "tables", "--composition", "2,1,1,1")
         assert code == 3
         assert "verification failed" in err
 
@@ -596,9 +613,9 @@ class TestJsonBytes:
         pin("4c6a50f94485607288b64b237b2be7d4", 1,
             "oracle", "--composition", "2,4,1,3", "--max-n", "10", "--list"),
         pin("3e0a0e35bb16b8ca00779ce2249aec98", 2,
-            "verify", "tables", "--s", "4", "--t", "3", "--u", "2", "--max-n", "10"),
+            "verify", "tables", "--composition", "4,3,2,1", "--max-n", "10"),
         pin("8db7b6cbf8d66a9ac5d0ae90effa979b", 3,
-            "verify", "tables", "--s", "3", "--t", "2", "--u", "1", "--trailing-ones", "2"),
+            "verify", "tables", "--composition", "3,2,1,1,1"),
         pin("2c654920ba21fc171b7ac5865974e207", 4,
             "diagram", "young", "--partition", "4,2,1"),
         pin("ca0585b07d5836c1c58cfa51db48f165", 5,
@@ -636,9 +653,9 @@ class TestAsciiBytes:
         pin("370ae6ce81a88013403ff7baa9946711", 1,
             "oracle", "--composition", "2,4,1,3", "--max-n", "10", "--list"),
         pin("f3f2637645bfedb4895e790ba6e51246", 2,
-            "verify", "tables", "--s", "4", "--t", "3", "--u", "2", "--max-n", "10"),
+            "verify", "tables", "--composition", "4,3,2,1", "--max-n", "10"),
         pin("1d924f425a4c705327605ad4cb2e9e7a", 3,
-            "verify", "tables", "--s", "3", "--t", "2", "--u", "1", "--trailing-ones", "2"),
+            "verify", "tables", "--composition", "3,2,1,1,1"),
         pin("737105bf9789e9ca77ceed4652ba16b9", 4,
             "verify", "bijections", "--max-n", "6"),
         pin("93ab1317da37ed8b554cc57acea47899", 5,
@@ -737,8 +754,7 @@ class TestExitCodes:
             ("cell", "--permutation", "2,1", "--plain-x"),
             # each verify suite reads only its own options, after its name
             ("verify", "tables", "--list"),
-            ("verify", "bijections", "--trailing-ones", "2"),
-            ("verify", "bijections", "--s", "4"),
+            ("verify", "bijections", "--composition", "3,2,1,1"),
             ("verify", "--max-n", "3", "bijections"),
         ):
             code, out, _ = run(capsys, *argv)

@@ -991,7 +991,7 @@ class TestVerifyRimFamily:
     def test_detects_a_wrong_special_subset(self, capsys, monkeypatch):
         # swapping a special member for a non-special one keeps the counts
         # of (1,3,2,1) at (3, 2): only a comparison of E_s can see it
-        argv = ["verify", "tables", "--s", "3", "--t", "2", "--u", "1"]
+        argv = ["verify", "tables", "--composition", "3,2,1,1"]
         assert self.check((1, 3, 2, 1)) == (3, 2)
         assert main(argv) == 0
         closed_rim = families._closed_rim

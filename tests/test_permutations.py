@@ -118,6 +118,15 @@ def test_group_arithmetic():
         identity(2) * identity(3)
 
 
+def test_images_are_stored_as_ints():
+    # 2.0 == 2 passes the sort test, and a float image fails later as an index
+    with pytest.raises(TypeError):
+        Permutation((2.0, 1.0, 3.0))
+    x = Permutation((True, 2))
+    assert all(type(v) is int for v in x.images)
+    assert x == identity(2) and hash(x) == hash(identity(2))
+
+
 # ---------------------------------------------------------------------------
 # reduced words
 
